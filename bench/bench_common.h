@@ -6,6 +6,8 @@
 // seed.
 #pragma once
 
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -14,10 +16,21 @@
 
 namespace gplus::bench {
 
+/// The unsigned decimal value of env var `name`, or `fallback` when it is
+/// unset. Anything else — empty, signed, non-numeric, trailing junk
+/// (GPLUS_SCALE=2e4) or out of range — prints one line and exits 2.
 inline std::size_t env_or(const char* name, std::size_t fallback) {
   const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return std::strtoull(value, nullptr, 10);
+  if (value == nullptr) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(value, &end, 10);
+  if (*value < '0' || *value > '9' || *end != '\0' || errno == ERANGE) {
+    std::fprintf(stderr, "gplus: invalid %s='%s' (want an unsigned integer)\n",
+                 name, value);
+    std::exit(2);
+  }
+  return static_cast<std::size_t>(parsed);
 }
 
 inline std::size_t scale() { return env_or("GPLUS_SCALE", 150'000); }

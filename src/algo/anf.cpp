@@ -4,6 +4,10 @@
 #include <bit>
 #include <cmath>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "core/parallel.h"
 #include "stats/expect.h"
 
@@ -12,50 +16,85 @@ namespace gplus::algo {
 using graph::DiGraph;
 using graph::NodeId;
 
+void add_hash_to_registers(std::uint8_t* regs, unsigned p,
+                           std::uint64_t hash) noexcept {
+  const std::size_t index = hash >> (64 - p);
+  const std::uint64_t rest = hash << p;
+  // Rank: position of the leftmost 1-bit in the remaining 64-p bits.
+  const auto rank = static_cast<std::uint8_t>(
+      rest == 0 ? (64 - p + 1) : std::countl_zero(rest) + 1);
+  regs[index] = std::max(regs[index], rank);
+}
+
+bool merge_registers(std::uint8_t* into, const std::uint8_t* from,
+                     std::size_t m) noexcept {
+  // HyperANF calls this once per arc per hop; a per-register compare and
+  // conditional store mispredicts on every changed byte. Here every
+  // register is stored back and "changed" is the OR of max ^ old.
+#if defined(__SSE2__)
+  __m128i diff = _mm_setzero_si128();
+  for (std::size_t i = 0; i < m; i += 16) {
+    auto* dst = reinterpret_cast<__m128i*>(into + i);
+    const __m128i old = _mm_loadu_si128(dst);
+    const __m128i max = _mm_max_epu8(
+        old, _mm_loadu_si128(reinterpret_cast<const __m128i*>(from + i)));
+    _mm_storeu_si128(dst, max);
+    diff = _mm_or_si128(diff, _mm_xor_si128(max, old));
+  }
+  return _mm_movemask_epi8(_mm_cmpeq_epi8(diff, _mm_setzero_si128())) !=
+         0xFFFF;
+#else
+  std::uint8_t diff = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::uint8_t max = std::max(into[i], from[i]);
+    diff |= static_cast<std::uint8_t>(max ^ into[i]);
+    into[i] = max;
+  }
+  return diff != 0;
+#endif
+}
+
+double estimate_registers(const std::uint8_t* regs, std::size_t m) noexcept {
+  const auto md = static_cast<double>(m);
+  const double alpha = md <= 16   ? 0.673
+                       : md <= 32 ? 0.697
+                       : md <= 64 ? 0.709
+                                  : 0.7213 / (1.0 + 1.079 / md);
+  double inverse_sum = 0.0;
+  std::size_t zeros = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    // 2^-r built from its exponent field: every byte r gives a normal
+    // double, so this equals std::pow(2.0, -r) exactly at a fraction of
+    // the cost of the libm call.
+    inverse_sum +=
+        std::bit_cast<double>(std::uint64_t{1023u - regs[i]} << 52);
+    zeros += regs[i] == 0;
+  }
+  double estimate = alpha * md * md / inverse_sum;
+  // Small-range (linear counting) correction.
+  if (estimate <= 2.5 * md && zeros > 0) {
+    estimate = md * std::log(md / static_cast<double>(zeros));
+  }
+  return estimate;
+}
+
 HyperLogLog::HyperLogLog(unsigned precision) : precision_(precision) {
   GPLUS_EXPECT(precision >= 4 && precision <= 16, "precision must be in [4,16]");
   registers_.assign(std::size_t{1} << precision, 0);
 }
 
 void HyperLogLog::add_hash(std::uint64_t hash) noexcept {
-  const std::size_t index = hash >> (64 - precision_);
-  const std::uint64_t rest = hash << precision_;
-  // Rank: position of the leftmost 1-bit in the remaining 64-p bits.
-  const auto rank = static_cast<std::uint8_t>(
-      rest == 0 ? (64 - precision_ + 1) : std::countl_zero(rest) + 1);
-  registers_[index] = std::max(registers_[index], rank);
+  add_hash_to_registers(registers_.data(), precision_, hash);
 }
 
 bool HyperLogLog::merge(const HyperLogLog& other) {
   GPLUS_EXPECT(other.precision_ == precision_, "precision mismatch");
-  bool changed = false;
-  for (std::size_t i = 0; i < registers_.size(); ++i) {
-    if (other.registers_[i] > registers_[i]) {
-      registers_[i] = other.registers_[i];
-      changed = true;
-    }
-  }
-  return changed;
+  return merge_registers(registers_.data(), other.registers_.data(),
+                         registers_.size());
 }
 
 double HyperLogLog::estimate() const noexcept {
-  const auto m = static_cast<double>(registers_.size());
-  const double alpha = m <= 16   ? 0.673
-                       : m <= 32 ? 0.697
-                       : m <= 64 ? 0.709
-                                 : 0.7213 / (1.0 + 1.079 / m);
-  double inverse_sum = 0.0;
-  std::size_t zeros = 0;
-  for (auto r : registers_) {
-    inverse_sum += std::pow(2.0, -static_cast<double>(r));
-    zeros += r == 0;
-  }
-  double estimate = alpha * m * m / inverse_sum;
-  // Small-range (linear counting) correction.
-  if (estimate <= 2.5 * m && zeros > 0) {
-    estimate = m * std::log(m / static_cast<double>(zeros));
-  }
-  return estimate;
+  return estimate_registers(registers_.data(), registers_.size());
 }
 
 NeighborhoodFunction approximate_neighborhood_function(const DiGraph& g,

@@ -18,6 +18,26 @@
 
 namespace gplus::algo {
 
+// HyperLogLog register kernel over a raw span of m = 2^p registers, shared
+// by HyperLogLog below and by the flat-plane HyperANF of
+// serve/snapshot_stats, so the two estimators agree bit for bit by
+// construction. `p` must be in [4, 16]; every m is therefore a multiple of 16.
+
+/// Folds one 64-bit hash into `regs`: the top p bits pick the register,
+/// the rank of the remaining bits is max-ed into it.
+void add_hash_to_registers(std::uint8_t* regs, unsigned p,
+                           std::uint64_t hash) noexcept;
+
+/// Register-wise max of `from` into `into`. Branch-free, 16 registers per
+/// step (SSE2 on x86-64); pointers need no alignment. Returns true when any
+/// register of `into` changed — HyperANF's convergence test.
+bool merge_registers(std::uint8_t* into, const std::uint8_t* from,
+                     std::size_t m) noexcept;
+
+/// Estimated distinct count of `regs` (with the standard small-range
+/// correction).
+double estimate_registers(const std::uint8_t* regs, std::size_t m) noexcept;
+
 /// HyperLogLog cardinality sketch (dense, 2^precision registers).
 class HyperLogLog {
  public:

@@ -1,12 +1,11 @@
 #include "serve/snapshot_stats.h"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <cstring>
 #include <unordered_map>
 
 #include "core/parallel.h"
+#include "stats/expect.h"
 #include "stats/rng.h"
 
 namespace gplus::serve {
@@ -122,49 +121,25 @@ algo::SccResult snapshot_scc(const SnapshotView& view) {
 
 algo::NeighborhoodFunction snapshot_anf(const SnapshotView& view,
                                         const SnapshotAnfOptions& options) {
+  const unsigned p = options.precision;
+  GPLUS_EXPECT(p >= 4 && p <= 16, "precision must be in [4,16]");
   const std::size_t n = view.node_count();
   algo::NeighborhoodFunction out;
   if (n == 0) return out;
-  const unsigned p = options.precision;
   const std::size_t m = std::size_t{1} << p;
 
-  // Flat register planes: current and next, n × m bytes each. All the
-  // estimator math below replicates algo::HyperLogLog operation for
-  // operation so results agree bit for bit with the DiGraph path.
+  // Flat register planes: current and next, n × m bytes each. Seeding,
+  // merging and estimating go through algo's register kernel, so results
+  // agree bit for bit with the DiGraph path.
   std::vector<std::uint8_t> current(n * m, 0);
   std::vector<std::uint8_t> next;
-  auto add_hash = [&](std::uint8_t* regs, std::uint64_t hash) {
-    const std::size_t index = hash >> (64 - p);
-    const std::uint64_t rest = hash << p;
-    const auto rank = static_cast<std::uint8_t>(
-        rest == 0 ? (64 - p + 1) : std::countl_zero(rest) + 1);
-    regs[index] = std::max(regs[index], rank);
-  };
-  auto estimate = [&](const std::uint8_t* regs) {
-    const auto md = static_cast<double>(m);
-    const double alpha = md <= 16   ? 0.673
-                         : md <= 32 ? 0.697
-                         : md <= 64 ? 0.709
-                                    : 0.7213 / (1.0 + 1.079 / md);
-    double inverse_sum = 0.0;
-    std::size_t zeros = 0;
-    for (std::size_t i = 0; i < m; ++i) {
-      inverse_sum += std::pow(2.0, -static_cast<double>(regs[i]));
-      zeros += regs[i] == 0;
-    }
-    double est = alpha * md * md / inverse_sum;
-    if (est <= 2.5 * md && zeros > 0) {
-      est = md * std::log(md / static_cast<double>(zeros));
-    }
-    return est;
-  };
 
   constexpr std::size_t kGrain = 1024;
   core::parallel_for(n, kGrain, [&](std::size_t begin, std::size_t end) {
     for (graph::NodeId u = static_cast<graph::NodeId>(begin); u < end; ++u) {
       std::uint64_t state = options.seed ^ (0x9E3779B97F4A7C15ULL * (u + 1));
-      add_hash(current.data() + std::size_t{u} * m,
-               stats::splitmix64_next(state));
+      algo::add_hash_to_registers(current.data() + std::size_t{u} * m, p,
+                                  stats::splitmix64_next(state));
     }
   });
 
@@ -173,7 +148,7 @@ algo::NeighborhoodFunction snapshot_anf(const SnapshotView& view,
         n, kGrain, 0.0,
         [&](std::size_t begin, std::size_t end, double& acc) {
           for (std::size_t u = begin; u < end; ++u) {
-            acc += estimate(current.data() + u * m);
+            acc += algo::estimate_registers(current.data() + u * m, m);
           }
         },
         [](double& into, const double& from) { into += from; });
@@ -190,14 +165,8 @@ algo::NeighborhoodFunction snapshot_anf(const SnapshotView& view,
                    u < end; ++u) {
                 std::uint8_t* mine = next.data() + std::size_t{u} * m;
                 auto merge_from = [&](graph::NodeId v) {
-                  const std::uint8_t* theirs =
-                      current.data() + std::size_t{v} * m;
-                  for (std::size_t i = 0; i < m; ++i) {
-                    if (theirs[i] > mine[i]) {
-                      mine[i] = theirs[i];
-                      changed |= 1;
-                    }
-                  }
+                  changed |= algo::merge_registers(
+                      mine, current.data() + std::size_t{v} * m, m);
                 };
                 NeighborScan scan = view.out_scan(u);
                 graph::NodeId v = 0;

@@ -13,10 +13,11 @@
 //     per DFS level even on multi-million-deep paths.
 //   - ANF: HyperANF with registers in one flat array (n × 2^p bytes per
 //     layer) instead of per-node sketch objects — the allocator overhead
-//     of 35M small vectors would triple the footprint. Seeding, merge
-//     order and the parallel combine tree replicate algo/anf exactly, so
-//     on the same graph the estimates are bit-equal to the DiGraph path
-//     (the smoke benchmark cross-checks this).
+//     of 35M small vectors would triple the footprint. Seeding, register
+//     merge and estimate are algo/anf's register kernel, and the hop loop
+//     and parallel combine tree replicate algo/anf exactly, so on the same
+//     graph the estimates are bit-equal to the DiGraph path
+//     (tests/test_snapshot_stats.cpp pins this on v2, v3 and mmap views).
 #pragma once
 
 #include <cstdint>
@@ -48,7 +49,8 @@ SnapshotDegreeStats snapshot_degree_stats(const SnapshotView& view);
 algo::SccResult snapshot_scc(const SnapshotView& view);
 
 struct SnapshotAnfOptions {
-  unsigned precision = 7;     // 2^p registers/node; paper scale wants 5-6
+  /// 2^p registers/node, p in [4, 16]; paper scale wants 5-6.
+  unsigned precision = 7;
   std::size_t max_hops = 64;
   bool undirected = false;
   std::uint64_t seed = 1;
@@ -56,7 +58,8 @@ struct SnapshotAnfOptions {
 
 /// HyperANF over the view. Same estimator semantics (and, for matching
 /// options on the same graph, bit-equal results) as
-/// algo::approximate_neighborhood_function.
+/// algo::approximate_neighborhood_function. Throws std::invalid_argument
+/// when the precision is outside [4, 16].
 algo::NeighborhoodFunction snapshot_anf(const SnapshotView& view,
                                         const SnapshotAnfOptions& options = {});
 
