@@ -4,29 +4,17 @@
 #include <chrono>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 
 #include "core/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "serve/row_source.h"
 #include "serve/suggest.h"
 #include "stats/rng.h"
 
 namespace gplus::serve {
 
 namespace {
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
@@ -122,37 +110,21 @@ ClusterServer::ClusterServer(const RoutingTable* routing,
   replica_latency_.resize(count);
   replica_reversed_.assign(count, 0);
 
-  // Per-shard TopK over owned nodes. Owned in-degrees are globally
-  // correct (the shard holds every in-edge of an owned node), and the
-  // comparator is a total order, so merging the per-shard lists over all
-  // shards reproduces the unsharded engine's list exactly: any node in
-  // the global top-k is a fortiori in its owner shard's top-k.
-  const std::uint32_t cap = config_.server.engine.topk_cap;
-  shard_topk_.resize(views_.size());
-  auto weaker = [](const std::pair<graph::NodeId, std::uint64_t>& a,
-                   const std::pair<graph::NodeId, std::uint64_t>& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  };
-  for (std::size_t s = 0; s < views_.size(); ++s) {
-    auto& top = shard_topk_[s];
-    top.reserve(cap + 1);
-    for (graph::NodeId u = 0; u < n; ++u) {
-      if (routing_->owner[u] != s) continue;
-      const std::uint64_t in_degree = views_[s]->in_degree(u);
-      max_in_degree_ = std::max(max_in_degree_, in_degree);
-      top.emplace_back(u, in_degree);
-      std::push_heap(top.begin(), top.end(), weaker);
-      if (top.size() > cap) {
-        std::pop_heap(top.begin(), top.end(), weaker);
-        top.pop_back();
-      }
+  dark_.assign(views_.size(), 0);
+
+  // Per-shard TopK over owned nodes, all shards in one walk. Owned
+  // in-degrees are globally correct (the shard holds every in-edge of an
+  // owned node), so merging the lists recovers the engine's list.
+  TopKSelector select(views_.size(), config_.server.engine.topk_cap);
+  for (graph::NodeId u = 0; u < n; ++u) {
+    const std::size_t s = routing_->owner[u];
+    if (s >= views_.size()) {
+      throw std::invalid_argument("cluster: node owner outside the shards");
     }
-    std::sort(top.begin(), top.end(), [](const auto& a, const auto& b) {
-      if (a.second != b.second) return a.second > b.second;
-      return a.first < b.first;
-    });
+    select.offer(s, u, views_[s]->in_degree(u));
   }
+  shard_topk_ = select.take();
+  max_in_degree_ = select.max_in_degree();
 }
 
 std::size_t ClusterServer::active_replica(std::size_t shard) const {
@@ -391,6 +363,8 @@ void ClusterServer::drain(std::vector<Response>& responses,
     }
   }
 
+  for (std::size_t s = 0; s < shard_count(); ++s) dark_[s] = shard_dark(s);
+
   // Phase B (parallel): scatter-gather executions. Pure reads of the
   // shard views + per-slot writes, so payloads are lane-count
   // independent; per-slot message counts and transport rolls land in
@@ -488,6 +462,10 @@ void ClusterServer::drain(std::vector<Response>& responses,
   router_queued_ = 0;
 }
 
+// One core per family, run over the owner-shard row source: charges and
+// payload bytes equal the unsharded engine's whenever every shard is
+// reachable; a dark or unreachable owner degrades the answer with its
+// flag bits instead of failing it.
 void ClusterServer::execute_scatter(const Request& request, std::uint64_t seq,
                                     Response& response,
                                     std::uint64_t& messages,
@@ -495,343 +473,28 @@ void ClusterServer::execute_scatter(const Request& request, std::uint64_t seq,
   response.status = ServeStatus::kOk;
   response.flags = 0;
   response.payload.clear();
-  response.cost = 0;
-  if (request.type == RequestType::kShortestPath) {
-    scatter_shortest_path(request, seq, response, messages, rpcs);
-  } else if (request.type == RequestType::kSuggest) {
-    scatter_suggest(request, seq, response, messages, rpcs);
-  } else {
-    scatter_top_k(request, seq, response, messages, rpcs);
-  }
-}
-
-// The engine's bidirectional BFS (engine.cpp), with one difference: every
-// frontier node's adjacency comes from its OWNER shard's view (the
-// simulated frontier exchange — one message per distinct owner shard per
-// level). Owned rows are complete and sorted, so discovery order, meter
-// charges and payload bytes are identical to the unsharded engine when
-// every shard is up. A dark owner shard degrades: its frontier nodes are
-// skipped, the answer keeps kOk but is flagged kResponseShardDark|partial.
-// Under the faulty transport each level's first contact with a shard rolls
-// one RPC (keyed on seq + level, so retries of the same exchange are the
-// same schedule at any lane count); an exhausted RPC makes the shard
-// unreachable for that level — frontier nodes it owns are skipped and the
-// answer degrades to kResponseQuorumPartial|partial.
-void ClusterServer::scatter_shortest_path(const Request& request,
-                                          std::uint64_t seq, Response& r,
-                                          std::uint64_t& messages,
-                                          std::vector<ShardRpc>& rpcs) const {
-  const EngineConfig& config = config_.server.engine;
-  RequestEngine::Meter meter;
-  if (request.cost_budget != 0) meter.budget = request.cost_budget;
-  meter.charge(1);
-  const graph::NodeId u = request.user;
-  const graph::NodeId v = request.target;
-  if (u == v) {
-    meter.charge(1);
-    put_u32(r.payload, 0);
-    put_u64(r.payload, 1);
-    r.cost = meter.spent;
-    return;
-  }
-  std::unordered_map<graph::NodeId, std::uint32_t> fwd{{u, 0}};
-  std::unordered_map<graph::NodeId, std::uint32_t> bwd{{v, 0}};
-  std::vector<graph::NodeId> fwd_frontier{u};
-  std::vector<graph::NodeId> bwd_frontier{v};
-  std::vector<graph::NodeId> next;
-  std::uint32_t fwd_depth = 0;
-  std::uint32_t bwd_depth = 0;
-  std::uint64_t expanded = 2;
-  std::uint32_t best = kPathUnreachable;
-  bool dark = false;
-  bool quorum = false;
-  bool deadline = !meter.charge(2);
-  // One message per distinct owner shard whose rows a level touches.
-  std::array<std::uint64_t, 4> shard_mask{};
-  // Per-level transport reachability memo: 0 unprobed, 1 delivered,
-  // 2 exhausted (one RPC per shard per level, whatever it owns).
-  std::vector<std::uint8_t> reach;
-  std::uint32_t level = 0;
-
-  while (!deadline && !fwd_frontier.empty() && !bwd_frontier.empty() &&
-         fwd_depth + bwd_depth < config.path_max_hops &&
-         expanded < config.path_node_budget) {
-    const bool forward = fwd_frontier.size() <= bwd_frontier.size();
-    auto& frontier = forward ? fwd_frontier : bwd_frontier;
-    auto& mine = forward ? fwd : bwd;
-    auto& other = forward ? bwd : fwd;
-    const std::uint32_t depth = (forward ? fwd_depth : bwd_depth) + 1;
-    ++level;
-    next.clear();
-    shard_mask.fill(0);
-    if (transport_.enabled()) reach.assign(shard_count(), 0);
-    for (const graph::NodeId x : frontier) {
-      const std::size_t shard = routing_->owner[x];
-      if (shard_dark(shard)) {
-        dark = true;
-        continue;
-      }
-      if (transport_.enabled()) {
-        std::uint8_t& state = reach[shard];
-        if (state == 0) {
-          const RpcOutcome rpc = transport_.probe_shard(
-              FaultyTransport::rpc_key(seq, level, shard), shard);
-          rpcs.push_back({static_cast<std::uint16_t>(shard), rpc});
-          state = rpc.ok ? 1 : 2;
-        }
-        if (state == 2) {
-          quorum = true;
-          continue;
-        }
-      }
-      shard_mask[shard >> 6] |= std::uint64_t{1} << (shard & 63);
-      NeighborScan neighbors =
-          forward ? views_[shard]->out_scan(x) : views_[shard]->in_scan(x);
-      graph::NodeId y = 0;
-      while (neighbors.next(y)) {
-        if (!mine.emplace(y, depth).second) continue;
-        ++expanded;
-        if (!meter.charge(1)) deadline = true;
-        if (const auto hit = other.find(y); hit != other.end()) {
-          best = std::min(best, depth + hit->second);
-        }
-        next.push_back(y);
-        if (deadline || expanded >= config.path_node_budget) break;
-      }
-      if (deadline || expanded >= config.path_node_budget) break;
-    }
-    for (const std::uint64_t word : shard_mask) {
-      messages += static_cast<std::uint64_t>(__builtin_popcountll(word));
-    }
-    frontier.swap(next);
-    (forward ? fwd_depth : bwd_depth) = depth;
-    if (best != kPathUnreachable && best <= fwd_depth + bwd_depth) break;
-  }
-  if (deadline) {
-    r.status = ServeStatus::kDeadlineExceeded;
-    r.flags |= kResponsePartial;
-  }
-  if (dark) {
-    r.flags |= kResponseShardDark | kResponsePartial;
-  }
-  if (quorum) {
-    r.flags |= kResponseQuorumPartial | kResponsePartial;
-  }
-  put_u32(r.payload, best);
-  put_u64(r.payload, expanded);
-  r.cost = meter.spent;
-}
-
-// The engine's top_k (engine.cpp) over a K-way partial merge of the
-// per-shard owned-node lists — one message per live shard. Meter charges
-// (1 dispatch + 1 per entry) replicate the engine's exactly; message
-// accounting never touches the meter, so deadline outcomes match the
-// unsharded engine. Dark shards drop out of the merge: fewer candidates,
-// flagged kResponseShardDark|partial. Under the faulty transport each
-// live shard's candidate fetch is one rolled RPC; an exhausted shard
-// drops out of the merge exactly like a dark one, flagged
-// kResponseQuorumPartial instead.
-void ClusterServer::scatter_top_k(const Request& request, std::uint64_t seq,
-                                  Response& r, std::uint64_t& messages,
-                                  std::vector<ShardRpc>& rpcs) const {
-  const EngineConfig& config = config_.server.engine;
-  RequestEngine::Meter meter;
-  if (request.cost_budget != 0) meter.budget = request.cost_budget;
-  meter.charge(1);
-  const std::uint32_t k =
-      request.limit == 0 ? config.topk_cap : request.limit;
-  if (k > config.topk_cap) {
-    r.status = ServeStatus::kInvalidRequest;
-    r.cost = meter.spent;
-    return;
-  }
-  bool dark = false;
-  bool quorum = false;
-  std::uint64_t candidates = 0;
-  std::vector<std::uint8_t> usable(shard_count(), 1);
-  for (std::size_t s = 0; s < shard_count(); ++s) {
-    if (shard_dark(s)) {
-      usable[s] = 0;
-      dark = true;
-      continue;
-    }
-    if (transport_.enabled()) {
-      const RpcOutcome rpc = transport_.probe_shard(
-          FaultyTransport::rpc_key(seq, 0, s), s);
-      rpcs.push_back({static_cast<std::uint16_t>(s), rpc});
-      if (!rpc.ok) {
-        usable[s] = 0;
-        quorum = true;
-        continue;
-      }
-    }
-    candidates += shard_topk_[s].size();
-    ++messages;
-  }
-  const std::uint32_t count = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(k, candidates));
-  put_u32(r.payload, count);
-  std::vector<std::size_t> head(shard_count(), 0);
-  bool deadline = false;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (!meter.charge(1)) {
-      r.status = ServeStatus::kDeadlineExceeded;
-      r.flags |= kResponsePartial;
-      r.payload[0] = static_cast<std::uint8_t>(i);
-      r.payload[1] = static_cast<std::uint8_t>(i >> 8);
-      r.payload[2] = static_cast<std::uint8_t>(i >> 16);
-      r.payload[3] = static_cast<std::uint8_t>(i >> 24);
-      deadline = true;
-      break;
-    }
-    // Pick the strongest head (degree desc, id asc) among usable shards.
-    std::size_t best_shard = shard_count();
-    for (std::size_t s = 0; s < shard_count(); ++s) {
-      if (usable[s] == 0 || head[s] >= shard_topk_[s].size()) continue;
-      if (best_shard == shard_count()) {
-        best_shard = s;
-        continue;
-      }
-      const auto& a = shard_topk_[s][head[s]];
-      const auto& b = shard_topk_[best_shard][head[best_shard]];
-      if (a.second != b.second ? a.second > b.second : a.first < b.first) {
-        best_shard = s;
-      }
-    }
-    const auto& entry = shard_topk_[best_shard][head[best_shard]];
-    ++head[best_shard];
-    put_u32(r.payload, entry.first);
-    put_u64(r.payload, entry.second);
-  }
-  if (dark && !deadline) {
-    r.flags |= kResponseShardDark | kResponsePartial;
-  } else if (dark) {
-    r.flags |= kResponseShardDark;
-  }
-  if (quorum && !deadline) {
-    r.flags |= kResponseQuorumPartial | kResponsePartial;
-  } else if (quorum) {
-    r.flags |= kResponseQuorumPartial;
-  }
-  r.cost = meter.spent;
-}
-
-// The engine's suggest (suggest.cpp) with every row fetched from its
-// owner shard — the same templated core, so charges and payload bytes are
-// identical to the unsharded engine when every shard is up. Message
-// accounting mirrors ShortestPath's frontier exchange: one message per
-// distinct owner shard touched per phase (root fetch, 2-hop expansion,
-// candidate scoring). Dark owners degrade the answer (their rows are
-// unreadable this drain): flagged kResponseShardDark|partial, never
-// silently dropped. Under the faulty transport the router opens one
-// connection (one rolled RPC) per live shard up front — Suggest's walk is
-// data-dependent, so eager connection setup is what keeps the schedule a
-// pure function of (seq, shard) — and shards whose RPC exhausts are
-// blocked with kResponseQuorumPartial.
-void ClusterServer::scatter_suggest(const Request& request, std::uint64_t seq,
-                                    Response& r, std::uint64_t& messages,
-                                    std::vector<ShardRpc>& rpcs) const {
+  const FaultyTransport* transport =
+      transport_.enabled() ? &transport_ : nullptr;
+  ShardSource rows({routing_->owner.data(), views_.data(), dark_.data(),
+                    shard_count(), transport, seq, &rpcs, &messages});
   const EngineConfig& config = config_.server.engine;
   RequestEngine::Meter meter;
   if (request.cost_budget != 0) meter.budget = request.cost_budget;
   meter.charge(1);  // the engine's dispatch charge
-  // Shard up/down state is fixed for the whole drain (kill/recover are
-  // legal only between drains), so this per-request resolve is pure.
-  std::vector<std::uint8_t> blocked(shard_count(), 0);
-  for (std::size_t s = 0; s < shard_count(); ++s) {
-    if (shard_dark(s)) {
-      blocked[s] = kResponseShardDark;
-      continue;
-    }
-    if (transport_.enabled()) {
-      const RpcOutcome rpc = transport_.probe_shard(
-          FaultyTransport::rpc_key(seq, 0, s), s);
-      rpcs.push_back({static_cast<std::uint16_t>(s), rpc});
-      if (!rpc.ok) blocked[s] = kResponseQuorumPartial;
-    }
+  if (request.type == RequestType::kShortestPath) {
+    shortest_path_core(rows, config, request.user, request.target, response,
+                       meter);
+  } else if (request.type == RequestType::kSuggest) {
+    suggest_core(rows, config, max_in_degree_, request, response, meter);
+  } else {
+    top_k_core(rows, config, shard_topk_, request.limit, response, meter);
   }
-  const SuggestShardContext context{routing_->owner.data(), views_.data(),
-                                    blocked.data(), shard_count()};
-  const SuggestParams params{config.suggest_cap, config.suggest_frontier_cap,
-                             config.suggest_expand_budget, max_in_degree_};
-  suggest_scatter(context, params, request, r, meter, messages);
-  r.cost = meter.spent;
+  response.cost = meter.spent;
 }
 
 // --- Cluster storm --------------------------------------------------------
 
 namespace {
-
-std::uint64_t fold_response(std::uint64_t h, const Response& r) noexcept {
-  auto fold_byte = [&h](std::uint8_t b) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  };
-  fold_byte(static_cast<std::uint8_t>(r.status));
-  fold_byte(r.flags);
-  const auto size = static_cast<std::uint32_t>(r.payload.size());
-  for (std::size_t i = 0; i < 4; ++i) {
-    fold_byte(static_cast<std::uint8_t>(size >> (8 * i)));
-  }
-  for (const std::uint8_t b : r.payload) fold_byte(b);
-  return h;
-}
-
-// Same storm request shape as resilience.cpp's: every type, all priority
-// classes, ~2% out-of-range ids.
-Request storm_request(stats::Rng& rng, std::size_t n) {
-  Request q;
-  q.type = static_cast<RequestType>(rng.next_below(kRequestTypeCount));
-  q.user = static_cast<graph::NodeId>(rng.next_below(n));
-  q.priority = static_cast<Priority>(rng.next_below(kPriorityCount));
-  switch (q.type) {
-    case RequestType::kShortestPath:
-      q.target = static_cast<graph::NodeId>(rng.next_below(n));
-      break;
-    case RequestType::kGetOutCircle:
-    case RequestType::kGetInCircle:
-      q.limit = 50;
-      break;
-    case RequestType::kTopK:
-      q.limit = 10;
-      break;
-    case RequestType::kSuggest:
-      q.limit = 8;
-      break;
-    default:
-      break;
-  }
-  if (rng.next_double() < 0.02) {
-    q.user = static_cast<graph::NodeId>(n + rng.next_below(8));
-  }
-  return q;
-}
-
-// Chaos-free probe stream (huge budgets, high priority) folded to a
-// checksum — runs against the recovered cluster AND the unsharded server
-// so the two can be compared answer-for-answer.
-template <typename ServerT>
-std::uint64_t run_probe_stream(ServerT& server, std::uint64_t seed,
-                               std::uint64_t count, std::size_t n) {
-  stats::Rng rng(seed);
-  std::vector<Response> responses;
-  std::uint64_t checksum = 0xcbf29ce484222325ULL;
-  std::uint64_t issued = 0;
-  while (issued < count) {
-    const std::uint64_t batch =
-        std::min<std::uint64_t>(count - issued, server.queue_capacity());
-    for (std::uint64_t i = 0; i < batch; ++i) {
-      Request q = storm_request(rng, n);
-      q.priority = Priority::kHigh;
-      q.cost_budget = ~std::uint32_t{0};
-      server.submit(q);
-    }
-    server.drain(responses);
-    for (const Response& r : responses) checksum = fold_response(checksum, r);
-    issued += batch;
-  }
-  return checksum;
-}
 
 void expect(std::vector<std::string>& violations, bool ok,
             const std::string& what) {

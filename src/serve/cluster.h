@@ -7,11 +7,12 @@
 //     QueryServer over that shard's self-contained snapshot, whose owned
 //     rows are bit-equal to the unsharded snapshot, so answers are
 //     answer-identical to the unsharded engine;
-//   - cross-shard families scatter-gather at the router: ShortestPath
-//     replays the engine's bidirectional BFS with every frontier node's
-//     adjacency fetched from its owner shard (frontier exchange), TopK
-//     merges per-shard top lists over owned nodes (partial merge). Both
-//     meter the same virtual cost the unsharded engine would, so deadline
+//   - cross-shard families (ShortestPath, TopK, Suggest) scatter-gather at
+//     the router by running the engine's own core for the family over an
+//     owner-shard row source (serve/row_source.h): every row comes from
+//     its owner shard, one message per distinct shard read per phase, and
+//     TopK merges per-shard top lists over owned nodes. The cores meter
+//     the same virtual cost the unsharded engine does, so deadline
 //     outcomes — and therefore payload bytes — match it exactly.
 //
 // Determinism: submits route serially; replica drains run in (shard,
@@ -84,7 +85,7 @@ class ClusterServer {
  public:
   /// `routing` and `shard_views` (one open view per shard, global node id
   /// space) must outlive the cluster. Throws std::invalid_argument on
-  /// shape mismatches.
+  /// shape mismatches and on a routing owner outside the shards.
   ClusterServer(const RoutingTable* routing,
                 std::vector<const SnapshotView*> shard_views,
                 ClusterConfig config = {});
@@ -172,13 +173,6 @@ class ClusterServer {
     Request request;                  // kept for scatter execution
   };
 
-  /// One scatter-side shard contact rolled in drain phase B, committed
-  /// into transport stats/breakers serially in phase C.
-  struct ShardRpc {
-    std::uint16_t shard = 0;
-    RpcOutcome outcome;
-  };
-
   std::size_t replica_index(std::size_t shard, std::size_t replica) const {
     return shard * config_.replicas + replica;
   }
@@ -198,15 +192,6 @@ class ClusterServer {
   /// receives the delivered inter-shard message count, `rpcs` every
   /// transport contact rolled (empty with the transport disabled).
   void execute_scatter(const Request& request, std::uint64_t seq,
-                       Response& response, std::uint64_t& messages,
-                       std::vector<ShardRpc>& rpcs) const;
-  void scatter_shortest_path(const Request& request, std::uint64_t seq,
-                             Response& response, std::uint64_t& messages,
-                             std::vector<ShardRpc>& rpcs) const;
-  void scatter_top_k(const Request& request, std::uint64_t seq,
-                     Response& response, std::uint64_t& messages,
-                     std::vector<ShardRpc>& rpcs) const;
-  void scatter_suggest(const Request& request, std::uint64_t seq,
                        Response& response, std::uint64_t& messages,
                        std::vector<ShardRpc>& rpcs) const;
 
@@ -234,6 +219,7 @@ class ClusterServer {
   std::vector<std::vector<Response>> replica_responses_;
   std::vector<std::vector<std::uint64_t>> replica_latency_;
   std::vector<std::uint8_t> replica_reversed_;  // batch delivered reversed
+  std::vector<std::uint8_t> dark_;              // per shard, at drain start
   std::vector<std::uint64_t> scatter_messages_;
   std::vector<std::vector<ShardRpc>> scatter_rpcs_;
 };

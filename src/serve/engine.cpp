@@ -1,36 +1,13 @@
 #include "serve/engine.h"
 
 #include <algorithm>
-#include <queue>
-#include <unordered_map>
 
+#include "serve/payload.h"
+#include "serve/row_source.h"
 #include "serve/suggest.h"
 #include "stats/rng.h"
 
 namespace gplus::serve {
-
-namespace {
-
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) { out.push_back(v); }
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-}  // namespace
 
 std::string_view request_type_name(RequestType type) noexcept {
   switch (type) {
@@ -81,37 +58,19 @@ std::uint64_t request_key(const Request& request) noexcept {
 
 RequestEngine::RequestEngine(const SnapshotView* snapshot, EngineConfig config)
     : snapshot_(snapshot), config_(config) {
-  // Bounded selection of the top-`topk_cap` users by in-degree (ties by
-  // ascending id), built once at engine construction.
+  // Bounded selection of the top-`topk_cap` users by in-degree, built
+  // once at engine construction. Walk nodes in degree-rank order: on a
+  // compressed snapshot that is a sequential pass over the in-adjacency
+  // rows (one varint decode each) instead of random row hops; the
+  // selection does not depend on the visit order.
+  TopKSelector select(1, config_.topk_cap);
   const std::size_t n = snapshot_->node_count();
-  const std::size_t k = config_.topk_cap;
-  auto weaker = [](const std::pair<graph::NodeId, std::uint64_t>& a,
-                   const std::pair<graph::NodeId, std::uint64_t>& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  };
-  topk_.reserve(k + 1);
-  // Walk nodes in degree-rank order: on a compressed snapshot that is a
-  // sequential pass over the in-adjacency rows (one varint decode each)
-  // instead of random row hops. The comparator is a total order, so the
-  // selected set — and the sorted result — is identical for any visit
-  // order, including the plain id order this reduces to on flat formats.
   for (std::uint32_t r = 0; r < n; ++r) {
     const graph::NodeId u = snapshot_->rank_to_node(r);
-    const std::uint64_t in_degree = snapshot_->in_degree(u);
-    max_in_degree_ = std::max(max_in_degree_, in_degree);
-    topk_.emplace_back(u, in_degree);
-    std::push_heap(topk_.begin(), topk_.end(), weaker);
-    if (topk_.size() > k) {
-      std::pop_heap(topk_.begin(), topk_.end(), weaker);
-      topk_.pop_back();
-    }
+    select.offer(0, u, snapshot_->in_degree(u));
   }
-  std::sort(topk_.begin(), topk_.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return a.first < b.first;
-            });
+  topk_ = std::move(select.take().front());
+  max_in_degree_ = select.max_in_degree();
 }
 
 void RequestEngine::execute(const Request& request, Response& response) const {
@@ -125,6 +84,7 @@ void RequestEngine::execute(const Request& request, Response& response) const {
   meter.charge(1);
   response.cost = 0;
   const std::size_t n = snapshot_->node_count();
+  SingleSource rows{snapshot_};
   switch (request.type) {
     case RequestType::kGetProfile:
       if (request.user >= n) break;
@@ -153,16 +113,18 @@ void RequestEngine::execute(const Request& request, Response& response) const {
       return;
     case RequestType::kShortestPath:
       if (request.user >= n || request.target >= n) break;
-      shortest_path(request.user, request.target, response, meter);
+      shortest_path_core(rows, config_, request.user, request.target, response,
+                         meter);
       response.cost = meter.spent;
       return;
     case RequestType::kTopK:
-      top_k(request.limit, response, meter);
+      top_k_core(rows, config_, std::span(&topk_, 1), request.limit, response,
+                 meter);
       response.cost = meter.spent;
       return;
     case RequestType::kSuggest:
       if (request.user >= n) break;
-      suggest(request, response, meter);
+      suggest_core(rows, config_, max_in_degree_, request, response, meter);
       response.cost = meter.spent;
       return;
     default:
@@ -222,10 +184,7 @@ void RequestEngine::get_circle(const Request& q, bool out_list, Response& r,
     if (!meter.charge(1)) {
       r.status = ServeStatus::kDeadlineExceeded;
       r.flags |= kResponsePartial;
-      r.payload[8] = static_cast<std::uint8_t>(emitted);
-      r.payload[9] = static_cast<std::uint8_t>(emitted >> 8);
-      r.payload[10] = static_cast<std::uint8_t>(emitted >> 16);
-      r.payload[11] = static_cast<std::uint8_t>(emitted >> 24);
+      patch_u32(r.payload, 8, static_cast<std::uint32_t>(emitted));
       r.payload[12] = 1;  // entries remain past the aborted point
       return;
     }
@@ -246,108 +205,6 @@ void RequestEngine::reciprocity(graph::NodeId u, Response& r) const {
 void RequestEngine::degree(graph::NodeId u, Response& r) const {
   put_u64(r.payload, snapshot_->in_degree(u));
   put_u64(r.payload, snapshot_->out_degree(u));
-}
-
-// Payload: distance u32 (kPathUnreachable when no path within bounds),
-// expanded u64 (nodes settled — deterministic, part of the wire contract).
-//
-// Bidirectional BFS: a forward frontier over out-edges from `u` and a
-// backward frontier over in-edges from `v`, always expanding the smaller
-// side. Frontiers expand level-synchronously in sorted adjacency order, so
-// the expansion count (and thus the payload) is thread-count independent.
-void RequestEngine::shortest_path(graph::NodeId u, graph::NodeId v,
-                                  Response& r, Meter& meter) const {
-  if (u == v) {
-    meter.charge(1);
-    put_u32(r.payload, 0);
-    put_u64(r.payload, 1);
-    return;
-  }
-  std::unordered_map<graph::NodeId, std::uint32_t> fwd{{u, 0}};
-  std::unordered_map<graph::NodeId, std::uint32_t> bwd{{v, 0}};
-  std::vector<graph::NodeId> fwd_frontier{u};
-  std::vector<graph::NodeId> bwd_frontier{v};
-  std::vector<graph::NodeId> next;
-  std::uint32_t fwd_depth = 0;
-  std::uint32_t bwd_depth = 0;
-  std::uint64_t expanded = 2;
-  std::uint32_t best = kPathUnreachable;
-  // 1 cost unit per node settled (the two roots, then each discovery).
-  // Deadline exhaustion aborts the expansion exactly like the node budget,
-  // reporting best-so-far distance — but flagged partial.
-  bool deadline = !meter.charge(2);
-
-  while (!deadline && !fwd_frontier.empty() && !bwd_frontier.empty() &&
-         fwd_depth + bwd_depth < config_.path_max_hops &&
-         expanded < config_.path_node_budget) {
-    const bool forward = fwd_frontier.size() <= bwd_frontier.size();
-    auto& frontier = forward ? fwd_frontier : bwd_frontier;
-    auto& mine = forward ? fwd : bwd;
-    auto& other = forward ? bwd : fwd;
-    const std::uint32_t depth = (forward ? fwd_depth : bwd_depth) + 1;
-    next.clear();
-    for (const graph::NodeId x : frontier) {
-      NeighborScan neighbors =
-          forward ? snapshot_->out_scan(x) : snapshot_->in_scan(x);
-      graph::NodeId y = 0;
-      while (neighbors.next(y)) {
-        if (!mine.emplace(y, depth).second) continue;
-        ++expanded;
-        if (!meter.charge(1)) deadline = true;
-        if (const auto hit = other.find(y); hit != other.end()) {
-          best = std::min(best, depth + hit->second);
-        }
-        next.push_back(y);
-        if (deadline || expanded >= config_.path_node_budget) break;
-      }
-      if (deadline || expanded >= config_.path_node_budget) break;
-    }
-    frontier.swap(next);
-    (forward ? fwd_depth : bwd_depth) = depth;
-    // A meeting at this level is optimal once both frontiers completed
-    // the levels that could still shorten it.
-    if (best != kPathUnreachable && best <= fwd_depth + bwd_depth) break;
-  }
-  if (deadline) {
-    r.status = ServeStatus::kDeadlineExceeded;
-    r.flags |= kResponsePartial;
-  }
-  put_u32(r.payload, best);
-  put_u64(r.payload, expanded);
-}
-
-// Payload: count u32, count × (node u32, in_degree u64).
-void RequestEngine::top_k(std::uint32_t limit, Response& r,
-                          Meter& meter) const {
-  const std::uint32_t k = limit == 0 ? config_.topk_cap : limit;
-  if (k > config_.topk_cap) {
-    r.status = ServeStatus::kInvalidRequest;
-    return;
-  }
-  const std::uint32_t count =
-      std::min<std::uint32_t>(k, static_cast<std::uint32_t>(topk_.size()));
-  put_u32(r.payload, count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (!meter.charge(1)) {
-      r.status = ServeStatus::kDeadlineExceeded;
-      r.flags |= kResponsePartial;
-      r.payload[0] = static_cast<std::uint8_t>(i);
-      r.payload[1] = static_cast<std::uint8_t>(i >> 8);
-      r.payload[2] = static_cast<std::uint8_t>(i >> 16);
-      r.payload[3] = static_cast<std::uint8_t>(i >> 24);
-      return;
-    }
-    put_u32(r.payload, topk_[i].first);
-    put_u64(r.payload, topk_[i].second);
-  }
-}
-
-// Payload layout and cost model in serve/suggest.h (DESIGN.md §14).
-void RequestEngine::suggest(const Request& q, Response& r,
-                            Meter& meter) const {
-  const SuggestParams params{config_.suggest_cap, config_.suggest_frontier_cap,
-                             config_.suggest_expand_budget, max_in_degree_};
-  suggest_execute(*snapshot_, params, q, r, meter);
 }
 
 }  // namespace gplus::serve

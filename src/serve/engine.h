@@ -180,10 +180,6 @@ class RequestEngine {
                   Meter& meter) const;
   void reciprocity(graph::NodeId u, Response& r) const;
   void degree(graph::NodeId u, Response& r) const;
-  void shortest_path(graph::NodeId u, graph::NodeId v, Response& r,
-                     Meter& meter) const;
-  void top_k(std::uint32_t limit, Response& r, Meter& meter) const;
-  void suggest(const Request& q, Response& r, Meter& meter) const;
 
   const SnapshotView* snapshot_;
   EngineConfig config_;

@@ -308,8 +308,6 @@ std::string ResilientServer::run_canary(bool force_failure) const {
 
 // --- Storm driver ---------------------------------------------------------
 
-namespace {
-
 std::uint64_t fold_response(std::uint64_t h, const Response& r) noexcept {
   auto fold_byte = [&h](std::uint8_t b) {
     h ^= b;
@@ -325,16 +323,6 @@ std::uint64_t fold_response(std::uint64_t h, const Response& r) noexcept {
   return h;
 }
 
-// One closed-loop storm client: an independent rng stream plus the
-// request it keeps in flight (retried as-is after rejection).
-struct StormClient {
-  stats::Rng rng{0};
-  Request in_flight;
-  bool retrying = false;
-};
-
-// Draws one request covering every type, all three priority classes, and
-// the occasional out-of-range id (an invalid-node probe).
 Request storm_request(stats::Rng& rng, std::size_t n) {
   Request q;
   q.type = static_cast<RequestType>(rng.next_below(kRequestTypeCount));
@@ -363,29 +351,15 @@ Request storm_request(stats::Rng& rng, std::size_t n) {
   return q;
 }
 
-// Feeds `count` seeded probe requests (chaos-free: explicit huge budgets,
-// high priority) through `server` and checksums the response stream.
-std::uint64_t run_probe_stream(QueryServer& server, std::uint64_t seed,
-                               std::uint64_t count, std::size_t n) {
-  stats::Rng rng(seed);
-  std::vector<Response> responses;
-  std::uint64_t checksum = 0xcbf29ce484222325ULL;
-  std::uint64_t issued = 0;
-  while (issued < count) {
-    const std::uint64_t batch =
-        std::min<std::uint64_t>(count - issued, server.queue_capacity());
-    for (std::uint64_t i = 0; i < batch; ++i) {
-      Request q = storm_request(rng, n);
-      q.priority = Priority::kHigh;
-      q.cost_budget = ~std::uint32_t{0};
-      server.submit(q);
-    }
-    server.drain(responses);
-    for (const Response& r : responses) checksum = fold_response(checksum, r);
-    issued += batch;
-  }
-  return checksum;
-}
+namespace {
+
+// One closed-loop storm client: an independent rng stream plus the
+// request it keeps in flight (retried as-is after rejection).
+struct StormClient {
+  stats::Rng rng{0};
+  Request in_flight;
+  bool retrying = false;
+};
 
 }  // namespace
 

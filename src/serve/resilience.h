@@ -32,6 +32,7 @@
 // byte-identically to a fresh server over the same final generation.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -40,6 +41,7 @@
 
 #include "serve/server.h"
 #include "serve/snapshot.h"
+#include "stats/rng.h"
 
 namespace gplus::serve {
 
@@ -306,5 +308,43 @@ struct StormReport {
 StormReport run_chaos_storm(const SnapshotBuffer& primary,
                             const SnapshotBuffer& candidate,
                             const StormConfig& config);
+
+// --- Storm helpers, shared with run_cluster_storm (serve/cluster.h) -------
+
+/// Folds one response — status, flags, payload size, payload bytes —
+/// into the FNV-1a state `h` (the storms' response-stream checksum).
+std::uint64_t fold_response(std::uint64_t h, const Response& r) noexcept;
+
+/// Draws one storm request: every type, all three priority classes, a
+/// well-formed limit/target per family, and ~2% out-of-range ids (an
+/// invalid-node probe).
+Request storm_request(stats::Rng& rng, std::size_t n);
+
+/// Feeds `count` seeded probe requests — chaos-free: high priority,
+/// unlimited budgets — through `server` (a QueryServer or ClusterServer)
+/// in queue-capacity batches and checksums the response stream, so two
+/// servers can be compared answer for answer.
+template <typename ServerT>
+std::uint64_t run_probe_stream(ServerT& server, std::uint64_t seed,
+                               std::uint64_t count, std::size_t n) {
+  stats::Rng rng(seed);
+  std::vector<Response> responses;
+  std::uint64_t checksum = 0xcbf29ce484222325ULL;
+  std::uint64_t issued = 0;
+  while (issued < count) {
+    const std::uint64_t batch =
+        std::min<std::uint64_t>(count - issued, server.queue_capacity());
+    for (std::uint64_t i = 0; i < batch; ++i) {
+      Request q = storm_request(rng, n);
+      q.priority = Priority::kHigh;
+      q.cost_budget = ~std::uint32_t{0};
+      server.submit(q);
+    }
+    server.drain(responses);
+    for (const Response& r : responses) checksum = fold_response(checksum, r);
+    issued += batch;
+  }
+  return checksum;
+}
 
 }  // namespace gplus::serve

@@ -1,67 +1,17 @@
 #include "serve/suggest.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <unordered_map>
 #include <vector>
 
 #include "algo/intersect.h"
+#include "serve/payload.h"
+#include "serve/row_source.h"
 
 namespace gplus::serve {
 
 namespace {
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-/// Row source for the unsharded engine: one view, always reachable, no
-/// message accounting. The core below is templated over this shape so the
-/// single-view and scatter paths are literally the same code — which is
-/// what makes their charges and payload bytes identical.
-struct SingleSource {
-  const SnapshotView* view;
-
-  std::uint8_t blocked(graph::NodeId) const noexcept { return 0; }
-  const SnapshotView& at(graph::NodeId) const noexcept { return *view; }
-  void touch(graph::NodeId) noexcept {}
-  void end_phase() noexcept {}
-};
-
-/// Row source for the cluster scatter: owner-shard views; blocked shards
-/// (dark or transport-unreachable) degrade the answer with their flag
-/// bits; one simulated message per distinct owner shard per phase.
-struct ShardSource {
-  const SuggestShardContext* ctx;
-  std::uint64_t* messages;
-  std::array<std::uint64_t, 4> mask{};  // 256 shards, like ShortestPath
-
-  std::uint8_t blocked(graph::NodeId u) const noexcept {
-    return ctx->blocked[ctx->owner[u]];
-  }
-  const SnapshotView& at(graph::NodeId u) const noexcept {
-    return *ctx->views[ctx->owner[u]];
-  }
-  void touch(graph::NodeId u) noexcept {
-    const std::size_t shard = ctx->owner[u];
-    mask[shard >> 6] |= std::uint64_t{1} << (shard & 63);
-  }
-  void end_phase() noexcept {
-    for (std::uint64_t& word : mask) {
-      *messages += static_cast<std::uint64_t>(__builtin_popcountll(word));
-      word = 0;
-    }
-  }
-};
 
 struct Candidate {
   graph::NodeId node = 0;
@@ -89,12 +39,18 @@ std::uint32_t reciprocation_milli(std::uint64_t mutual, std::uint64_t in_w,
   return static_cast<std::uint32_t>(std::llround(score * 1000.0));
 }
 
-template <typename RowSource>
-void suggest_core(RowSource& rows, const SuggestParams& params,
-                  const Request& request, Response& r,
-                  RequestEngine::Meter& meter) {
-  const std::uint32_t k = request.limit == 0 ? params.cap : request.limit;
-  if (k > params.cap) {
+}  // namespace
+
+template <typename Rows>
+void suggest_core(Rows& rows, const EngineConfig& config,
+                  std::uint64_t max_in_degree, const Request& request,
+                  Response& r, RequestEngine::Meter& meter) {
+  // Connections open up front: the walk is data-dependent, so eager setup
+  // is what keeps the transport schedule a pure function of (seq, shard).
+  rows.probe_all();
+  const std::uint32_t k =
+      request.limit == 0 ? config.suggest_cap : request.limit;
+  if (k > config.suggest_cap) {
     r.status = ServeStatus::kInvalidRequest;
     return;
   }
@@ -125,7 +81,7 @@ void suggest_core(RowSource& rows, const SuggestParams& params,
   std::unordered_map<graph::NodeId, std::pair<std::uint32_t, double>> scores;
   std::uint64_t scanned = 0;
   const std::size_t frontier =
-      std::min<std::size_t>(friends.size(), params.frontier_cap);
+      std::min<std::size_t>(friends.size(), config.suggest_frontier_cap);
   for (std::size_t i = 0; i < frontier && !deadline; ++i) {
     const graph::NodeId v = friends[i];
     if (!meter.charge(1)) {  // 1 unit per 1-hop neighbor expanded
@@ -144,7 +100,8 @@ void suggest_core(RowSource& rows, const SuggestParams& params,
     NeighborScan scan = view.out_scan(v);
     graph::NodeId w = 0;
     while (scan.next(w)) {
-      if (scanned >= params.expand_budget) break;  // hard cap, not a deadline
+      // A hard cap, not a deadline.
+      if (scanned >= config.suggest_expand_budget) break;
       ++scanned;
       if (!meter.charge(1)) {  // 1 unit per 2-hop edge scanned
         deadline = true;
@@ -156,7 +113,7 @@ void suggest_core(RowSource& rows, const SuggestParams& params,
       cell.first += 1;
       cell.second += aa_term;
     }
-    if (scanned >= params.expand_budget) break;
+    if (scanned >= config.suggest_expand_budget) break;
   }
   rows.end_phase();
 
@@ -195,10 +152,7 @@ void suggest_core(RowSource& rows, const SuggestParams& params,
   for (std::uint32_t i = 0; i < count; ++i) {
     if (deadline || !meter.charge(1)) {  // 1 unit per suggestion emitted
       deadline = true;
-      r.payload[4] = static_cast<std::uint8_t>(emitted);
-      r.payload[5] = static_cast<std::uint8_t>(emitted >> 8);
-      r.payload[6] = static_cast<std::uint8_t>(emitted >> 16);
-      r.payload[7] = static_cast<std::uint8_t>(emitted >> 24);
+      patch_u32(r.payload, 4, emitted);
       break;
     }
     const Candidate& c = ranked[i];
@@ -217,8 +171,7 @@ void suggest_core(RowSource& rows, const SuggestParams& params,
     put_u32(r.payload, c.node);
     put_u32(r.payload, c.common);
     put_u32(r.payload, static_cast<std::uint32_t>(mutual));
-    put_u32(r.payload,
-            reciprocation_milli(mutual, in_w, out_w, params.max_in_degree));
+    put_u32(r.payload, reciprocation_milli(mutual, in_w, out_w, max_in_degree));
     put_u64(r.payload, static_cast<std::uint64_t>(c.aa_micro));
     ++emitted;
   }
@@ -233,21 +186,9 @@ void suggest_core(RowSource& rows, const SuggestParams& params,
   }
 }
 
-}  // namespace
-
-void suggest_execute(const SnapshotView& view, const SuggestParams& params,
-                     const Request& request, Response& response,
-                     RequestEngine::Meter& meter) {
-  SingleSource rows{&view};
-  suggest_core(rows, params, request, response, meter);
-}
-
-void suggest_scatter(const SuggestShardContext& context,
-                     const SuggestParams& params, const Request& request,
-                     Response& response, RequestEngine::Meter& meter,
-                     std::uint64_t& messages) {
-  ShardSource rows{&context, &messages};
-  suggest_core(rows, params, request, response, meter);
-}
+template void suggest_core(SingleSource&, const EngineConfig&, std::uint64_t,
+                           const Request&, Response&, RequestEngine::Meter&);
+template void suggest_core(ShardSource&, const EngineConfig&, std::uint64_t,
+                           const Request&, Response&, RequestEngine::Meter&);
 
 }  // namespace gplus::serve

@@ -17,7 +17,7 @@
 // Payload bytes are therefore identical across intersection-kernel
 // variants (same counts by the kernel contract), GPLUS_THREADS values
 // (execution is pure), v2-vs-v3 snapshots (NeighborScan yields the same
-// lists) and K=1-vs-K=4 clusters (the scatter context reads owned rows,
+// lists) and K=1-vs-K=4 clusters (the shard row source reads owned rows,
 // which are bit-equal to the unsharded snapshot).
 //
 // Cost model (virtual clock): 1 unit per 1-hop neighbor expanded, 1 per
@@ -34,51 +34,25 @@
 
 namespace gplus::serve {
 
-/// Suggest execution parameters: the engine caps plus the global maximum
-/// in-degree (the hub feature's normalizer — format-independent, unlike
-/// raw rank, so v2 and v3 answers stay bit-identical).
-struct SuggestParams {
-  std::uint32_t cap = 50;
-  std::uint32_t frontier_cap = 256;
-  std::uint64_t expand_budget = 65'536;
-  std::uint64_t max_in_degree = 0;
-};
-
 /// Payload layout (little-endian): candidates u32, count u32,
 /// scanned u64, then count × 24-byte entries
 /// (node u32, common u32, mutual u32, recip_milli u32, adamic_adar_micro u64).
 inline constexpr std::size_t kSuggestHeaderBytes = 16;
 inline constexpr std::size_t kSuggestEntryBytes = 24;
 
-/// Unsharded execution over one snapshot view. `meter` must already carry
-/// the engine's 1-unit dispatch charge; the caller owns status/cost
-/// bookkeeping around it (RequestEngine::execute does).
-void suggest_execute(const SnapshotView& view, const SuggestParams& params,
-                     const Request& request, Response& response,
-                     RequestEngine::Meter& meter);
-
-/// Cluster-scatter row sources: each node's adjacency/degrees come from
-/// its owner shard's view. `blocked[s]` is 0 when shard s is reachable;
-/// otherwise it carries the response-flag bits the degradation should
-/// surface (kResponseShardDark for a dark shard, kResponseQuorumPartial
-/// for one unreachable over the faulty transport). A blocked owner
-/// degrades the answer — flagged blocked-bits|kResponsePartial — instead
-/// of failing it.
-struct SuggestShardContext {
-  const std::uint8_t* owner = nullptr;          // node id -> shard
-  const SnapshotView* const* views = nullptr;   // one per shard
-  const std::uint8_t* blocked = nullptr;        // per-shard degrade bits
-  std::size_t shard_count = 0;
-};
-
-/// Scatter execution (ClusterServer): identical charges and payload bytes
-/// to `suggest_execute` when every shard is live. Adds one simulated
-/// inter-shard message per distinct owner shard touched per phase (root
-/// fetch, 2-hop expansion, candidate scoring) to `messages` — the
-/// ShortestPath frontier-exchange accounting discipline.
-void suggest_scatter(const SuggestShardContext& context,
-                     const SuggestParams& params, const Request& request,
-                     Response& response, RequestEngine::Meter& meter,
-                     std::uint64_t& messages);
+/// The one Suggest core, instantiated for the engine's SingleSource and
+/// the cluster's ShardSource (serve/row_source.h). `max_in_degree` is the
+/// global maximum in-degree, the hub feature's normalizer
+/// (format-independent, unlike raw rank, so v2 and v3 answers stay
+/// bit-identical). `meter` must already carry the engine's 1-unit
+/// dispatch charge; the caller owns status/cost bookkeeping around it.
+/// A blocked owner degrades the answer (its flag bits |
+/// kResponsePartial) instead of failing it. The shard source counts one
+/// message per distinct owner shard touched per phase (root fetch, 2-hop
+/// expansion, candidate scoring).
+template <typename Rows>
+void suggest_core(Rows& rows, const EngineConfig& config,
+                  std::uint64_t max_in_degree, const Request& request,
+                  Response& response, RequestEngine::Meter& meter);
 
 }  // namespace gplus::serve

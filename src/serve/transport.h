@@ -133,6 +133,13 @@ struct RpcOutcome {
   std::size_t replica() const noexcept { return hedge_won ? sibling : primary; }
 };
 
+/// One scatter-side shard contact rolled on a drain lane (`probe_shard`),
+/// committed into stats and breakers serially in drain phase C.
+struct ShardRpc {
+  std::uint16_t shard = 0;
+  RpcOutcome outcome;
+};
+
 /// The seeded fault layer. Coordinator-owned; the only concurrent entry
 /// point is the const `probe_shard`, which reads nothing but the config
 /// and the drain-start frozen target table.

@@ -235,6 +235,14 @@ TEST(ClusterServer, KillWithPendingRequestsIsRefused) {
   cluster.recover_replica(0, 0);
 }
 
+TEST(ClusterServer, RejectsAnOwnerOutsideTheShards) {
+  std::vector<SnapshotView> storage;
+  const auto ptrs = open_shards(sharded4(), storage);
+  RoutingTable routing = sharded4().routing;
+  routing.owner[kNodes / 2] = 4;  // only shards 0..3 exist
+  EXPECT_THROW(ClusterServer(&routing, ptrs), std::invalid_argument);
+}
+
 TEST(ClusterServer, DarkShardDegradesExplicitly) {
   std::vector<SnapshotView> storage;
   const auto ptrs = open_shards(sharded4(), storage);

@@ -6,6 +6,7 @@
 // thread bit-identity). Runs under the .threads1 CTest variant too.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <vector>
 
@@ -499,6 +500,43 @@ TEST(TransportStorm, BitIdenticalAtOneThreadAndMany) {
   EXPECT_EQ(many.transport.ticks, one.transport.ticks);
   EXPECT_EQ(many.post_probe_checksum, one.post_probe_checksum);
   EXPECT_TRUE(many.violations.empty() && one.violations.empty());
+}
+
+// Golden pin of the lossy cluster's whole schedule. Lane identity and
+// healed probes cannot see a change in WHEN the router contacts a shard
+// (e.g. ShortestPath probing every shard up front instead of once per
+// shard per BFS level on first touch): answers may stay identical while
+// the rpc stream, ticks and breaker history move. These figures pin the
+// probe schedule — Suggest/TopK one rpc per live shard up front,
+// ShortestPath lazily per (level, shard) — and the rpc commit order.
+TEST(TransportStorm, LossyScheduleIsPinned) {
+  const ClusterStormReport report =
+      run_cluster_storm(sharded4(), full_view(), storm_config());
+  ASSERT_TRUE(report.violations.empty())
+      << "first violation: " << report.violations.front();
+  EXPECT_EQ(report.checksum, 0xcff54dece7cedee3ULL);
+  using Counts = std::array<std::uint64_t, kServeStatusCount>;
+  EXPECT_EQ(report.by_status, (Counts{4092, 82, 0, 0, 0, 0, 0, 434, 0}));
+  EXPECT_EQ(report.cluster.messages, 6815u);
+  const TransportStats& t = report.transport;
+  EXPECT_EQ(t.rpcs, 8293u);
+  EXPECT_EQ(t.attempts, 9297u);
+  EXPECT_EQ(t.delivered, 8244u);
+  EXPECT_EQ(t.failed, 49u);
+  EXPECT_EQ(t.dropped, 530u);
+  EXPECT_EQ(t.delayed, 852u);
+  EXPECT_EQ(t.timeouts, 547u);
+  EXPECT_EQ(t.retries, 498u);
+  EXPECT_EQ(t.hedges, 506u);
+  EXPECT_EQ(t.hedge_wins, 367u);
+  EXPECT_EQ(t.duplicates, 174u);
+  EXPECT_EQ(t.dup_suppressed, 174u);
+  EXPECT_EQ(t.reorders, 10u);
+  EXPECT_EQ(t.breaker_open, 16u);
+  EXPECT_EQ(t.breaker_close, 9u);
+  EXPECT_EQ(t.breaker_probes, 14u);
+  EXPECT_EQ(t.breaker_skips, 879u);
+  EXPECT_EQ(t.ticks, 28474u);
 }
 
 }  // namespace
