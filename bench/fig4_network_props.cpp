@@ -12,6 +12,7 @@
 #include "algo/clustering.h"
 #include "algo/reciprocity.h"
 #include "algo/scc.h"
+#include "core/reference.h"
 #include "core/table.h"
 #include "geo/world.h"
 #include "synth/graph_gen.h"
@@ -40,6 +41,7 @@ int main() {
   bench::banner("Figure 4", "reciprocity, clustering and SCC distributions");
 
   const auto& g = bench::dataset().graph();
+  const auto& paper = core::paper_constants();
 
   std::cout << "--- (a) Relation Reciprocity CDF ---\n";
   std::cout << "x:           ";
@@ -54,7 +56,12 @@ int main() {
             << "  (paper: more than 60%)\n";
   std::cout << "global reciprocity: "
             << core::fmt_percent(algo::global_reciprocity(g))
-            << "  (paper: 32%; Twitter 22.1%; Flickr 68%; Yahoo!360 84%)\n\n";
+            << "  (paper: " << core::fmt_percent(paper.gplus_reciprocity, 0)
+            << "; Twitter " << core::fmt_percent(paper.twitter_reciprocity, 1)
+            << "; Flickr " << core::fmt_percent(paper.flickr_reciprocity, 0)
+            << "; Yahoo!360 "
+            << core::fmt_percent(paper.yahoo360_reciprocity, 0)
+            << ")\n\n";
 
   std::cout << "--- (b) Clustering Coefficient CDF (sampled nodes) ---\n";
   stats::Rng rng(bench::seed());
@@ -67,11 +74,16 @@ int main() {
 
   std::cout << "--- (c) SCC size CCDF ---\n";
   const auto sccs = algo::strongly_connected_components(g);
+  const double paper_nodes = core::google_plus_reference().nodes;
   const auto scc_ccdf = algo::scc_size_ccdf(sccs);
   std::cout << "components: " << core::fmt_count(sccs.component_count())
             << "; giant: " << core::fmt_count(sccs.giant_size()) << " nodes ("
             << core::fmt_percent(sccs.giant_fraction(), 1)
-            << " of graph; paper: 25.24M of 35.1M = 72%)\n";
+            << " of graph; paper: "
+            << core::fmt_double(paper.giant_scc_nodes / 1e6, 2) << "M of "
+            << core::fmt_double(paper_nodes / 1e6, 1) << "M = "
+            << core::fmt_percent(paper.giant_scc_nodes / paper_nodes, 0)
+            << ")\n";
   std::cout << "size -> CCDF (log-spaced):\n";
   double next_x = 1.0;
   for (const auto& p : scc_ccdf) {

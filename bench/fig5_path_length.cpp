@@ -12,6 +12,7 @@
 #include "algo/anf.h"
 #include "algo/bfs.h"
 #include "core/hop_analysis.h"
+#include "core/reference.h"
 #include "core/table.h"
 
 int main() {
@@ -40,14 +41,21 @@ int main() {
   }
   std::cout << table.str() << "\n";
 
+  const auto& paper = core::paper_constants();
   std::cout << "directed:   mean " << core::fmt_double(directed.mean, 2)
             << ", mode " << directed.mode << ", diameter >= "
             << directed.diameter_lower_bound << ", sources "
-            << directed.sources_used << "  (paper: 5.9 / 6 / 19)\n";
+            << directed.sources_used << "  (paper: "
+            << core::fmt_double(paper.directed_mean_path, 1) << " / "
+            << paper.directed_mode_path << " / " << paper.directed_diameter
+            << ")\n";
   std::cout << "undirected: mean " << core::fmt_double(undirected.mean, 2)
             << ", mode " << undirected.mode << ", diameter >= "
             << undirected.diameter_lower_bound << ", sources "
-            << undirected.sources_used << "  (paper: 4.7 / 5 / 13)\n";
+            << undirected.sources_used << "  (paper: "
+            << core::fmt_double(paper.undirected_mean_path, 1) << " / "
+            << paper.undirected_mode_path << " / " << paper.undirected_diameter
+            << ")\n";
   std::cout << "reachable pair share (directed): "
             << core::fmt_percent(directed.reachable_fraction, 1) << "\n";
 

@@ -30,6 +30,8 @@
 #include <fstream>
 #include <string>
 
+#include "algo/anf.h"
+#include "algo/scc.h"
 #include "bench_common.h"
 #include "core/parallel.h"
 #include "core/reference.h"
@@ -142,7 +144,8 @@ int main(int argc, char** argv) {
     if (smoke) n = std::min<std::size_t>(n, 1'000'000);
     return n;
   }();
-  // Checked here, not by snapshot_anf after an hour-long paper-scale build.
+  // Checked here, not by algo::approximate_neighborhood_function after an
+  // hour-long paper-scale build.
   const std::size_t anf_precision =
       bench::env_or("GPLUS_ANF_PRECISION", smoke ? 7 : 5);
   if (anf_precision < 4 || anf_precision > 16) {
@@ -249,7 +252,7 @@ int main(int argc, char** argv) {
                 r.degree_stats_s);
 
     t = Clock::now();
-    const auto scc = serve::snapshot_scc(view);
+    const auto scc = algo::strongly_connected_components(view);
     r.scc_s = seconds_since(t);
     r.scc_count = scc.component_count();
     r.scc_giant_fraction = scc.giant_fraction();
@@ -259,11 +262,11 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.scc_count),
                 100.0 * r.scc_giant_fraction, 100.0 * paper_giant, r.scc_s);
 
-    serve::SnapshotAnfOptions anf_options;
+    algo::AnfOptions anf_options;
     anf_options.precision = static_cast<unsigned>(anf_precision);
     anf_options.undirected = true;
     t = Clock::now();
-    const auto anf = serve::snapshot_anf(view, anf_options);
+    const auto anf = algo::approximate_neighborhood_function(view, anf_options);
     r.anf_s = seconds_since(t);
     r.effective_diameter = anf.effective_diameter;
     r.mean_distance = anf.mean_distance;

@@ -8,13 +8,9 @@
 #include <emmintrin.h>
 #endif
 
-#include "core/parallel.h"
-#include "stats/expect.h"
-
 namespace gplus::algo {
 
 using graph::DiGraph;
-using graph::NodeId;
 
 void add_hash_to_registers(std::uint8_t* regs, unsigned p,
                            std::uint64_t hash) noexcept {
@@ -78,85 +74,7 @@ double estimate_registers(const std::uint8_t* regs, std::size_t m) noexcept {
   return estimate;
 }
 
-HyperLogLog::HyperLogLog(unsigned precision) : precision_(precision) {
-  GPLUS_EXPECT(precision >= 4 && precision <= 16, "precision must be in [4,16]");
-  registers_.assign(std::size_t{1} << precision, 0);
-}
-
-void HyperLogLog::add_hash(std::uint64_t hash) noexcept {
-  add_hash_to_registers(registers_.data(), precision_, hash);
-}
-
-bool HyperLogLog::merge(const HyperLogLog& other) {
-  GPLUS_EXPECT(other.precision_ == precision_, "precision mismatch");
-  return merge_registers(registers_.data(), other.registers_.data(),
-                         registers_.size());
-}
-
-double HyperLogLog::estimate() const noexcept {
-  return estimate_registers(registers_.data(), registers_.size());
-}
-
-NeighborhoodFunction approximate_neighborhood_function(const DiGraph& g,
-                                                       const AnfOptions& options) {
-  const std::size_t n = g.node_count();
-  NeighborhoodFunction out;
-  if (n == 0) return out;
-
-  // One sketch per node, seeded with the node's own hash. Sketch unions
-  // are register-wise max — commutative and associative — and each lane
-  // only writes next[u] for its own u range, so every phase of a pass is
-  // race-free and thread-count independent.
-  constexpr std::size_t kGrain = 1024;
-  std::vector<HyperLogLog> current(n, HyperLogLog(options.precision));
-  core::parallel_for(n, kGrain, [&](std::size_t begin, std::size_t end) {
-    for (NodeId u = static_cast<NodeId>(begin); u < end; ++u) {
-      std::uint64_t state = options.seed ^ (0x9E3779B97F4A7C15ULL * (u + 1));
-      current[u].add_hash(stats::splitmix64_next(state));
-    }
-  });
-
-  auto total_estimate = [&] {
-    // Per-sketch estimates are exact doubles of the serial path; the fixed
-    // combine tree keeps the sum bit-identical across thread counts.
-    return core::parallel_reduce(
-        n, kGrain, 0.0,
-        [&](std::size_t begin, std::size_t end, double& acc) {
-          for (std::size_t u = begin; u < end; ++u) {
-            acc += current[u].estimate();
-          }
-        },
-        [](double& into, const double& from) { into += from; });
-  };
-  out.reachable_pairs.push_back(total_estimate());  // h = 0: the nodes
-
-  std::vector<HyperLogLog> next = current;
-  for (std::size_t hop = 1; hop <= options.max_hops; ++hop) {
-    // char, not bool: std::vector<bool> slots can't bind the combine refs.
-    const bool any_change =
-        core::parallel_reduce(
-            n, kGrain, char{0},
-            [&](std::size_t begin, std::size_t end, char& changed) {
-              for (NodeId u = static_cast<NodeId>(begin); u < end; ++u) {
-                for (NodeId v : g.out_neighbors(u)) {
-                  changed |= next[u].merge(current[v]);
-                }
-                if (options.undirected) {
-                  for (NodeId v : g.in_neighbors(u)) {
-                    changed |= next[u].merge(current[v]);
-                  }
-                }
-              }
-            },
-            [](char& into, const char& from) { into |= from; }) != 0;
-    core::parallel_for(n, kGrain, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t u = begin; u < end; ++u) current[u] = next[u];
-    });
-    out.iterations = hop;
-    out.reachable_pairs.push_back(total_estimate());
-    if (!any_change) break;
-  }
-
+void anf_detail::summarize_distances(NeighborhoodFunction& out) noexcept {
   // Distance distribution from successive differences. Subtract the h=0
   // self-pairs so the mean matches the sampled estimator's convention
   // (pairs at distance >= 1).
@@ -183,7 +101,11 @@ NeighborhoodFunction approximate_neighborhood_function(const DiGraph& g,
       break;
     }
   }
-  return out;
+}
+
+NeighborhoodFunction approximate_neighborhood_function(
+    const DiGraph& g, const AnfOptions& options) {
+  return approximate_neighborhood_function(DiGraphView(g), options);
 }
 
 }  // namespace gplus::algo

@@ -22,22 +22,19 @@
 // deterministic parallel runtime (core/parallel.h), so counts are
 // identical at any GPLUS_THREADS and for any GPLUS_INTERSECT kernel.
 //
-// Census entry points are templated over a *view* so the same code runs
-// on an in-RAM `graph::DiGraph` and on every serving snapshot format
-// (flat v2, compressed v3, mmap) through `serve::SnapshotView`. A view
-// must provide `node_count()`, `out_degree(u)`, forward neighbor cursors
-// `out_scan(u)` / `in_scan(u)` (ascending ids, `bool next(NodeId&)`),
-// and `has_out_edge(u, v)`.
+// Census entry points are templated over a graph view (algo/graph_view.h)
+// so the same code runs on an in-RAM `graph::DiGraph` and on every serving
+// snapshot format through `serve::SnapshotView`.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string_view>
 #include <vector>
 
+#include "algo/graph_view.h"
 #include "core/parallel.h"
 #include "graph/digraph.h"
 #include "stats/expect.h"
@@ -355,38 +352,5 @@ SampledTriadCensus sample_triad_census_of_view(const View& view,
 /// Sampling estimate for an in-RAM graph.
 SampledTriadCensus sample_triad_census(const graph::DiGraph& g,
                                        const TriadSampleConfig& config);
-
-/// Adapter giving a DiGraph the view interface the templated census
-/// expects (snapshot formats come with it natively via SnapshotView).
-class DiGraphMotifView {
- public:
-  /// Span-backed forward cursor matching the NeighborScan contract.
-  class Cursor {
-   public:
-    explicit Cursor(std::span<const graph::NodeId> list) noexcept
-        : list_(list) {}
-    bool next(graph::NodeId& v) noexcept {
-      if (at_ >= list_.size()) return false;
-      v = list_[at_++];
-      return true;
-    }
-
-   private:
-    std::span<const graph::NodeId> list_;
-    std::size_t at_ = 0;
-  };
-
-  explicit DiGraphMotifView(const graph::DiGraph& g) noexcept : g_(&g) {}
-  std::size_t node_count() const noexcept { return g_->node_count(); }
-  Cursor out_scan(graph::NodeId u) const { return Cursor(g_->out_neighbors(u)); }
-  Cursor in_scan(graph::NodeId u) const { return Cursor(g_->in_neighbors(u)); }
-  std::uint64_t out_degree(graph::NodeId u) const { return g_->out_degree(u); }
-  bool has_out_edge(graph::NodeId u, graph::NodeId v) const {
-    return g_->has_edge(u, v);
-  }
-
- private:
-  const graph::DiGraph* g_;
-};
 
 }  // namespace gplus::algo

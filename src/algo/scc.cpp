@@ -31,71 +31,7 @@ std::uint64_t WccResult::giant_size() const noexcept { return largest(sizes); }
 double WccResult::giant_fraction() const noexcept { return fraction_of(sizes); }
 
 SccResult strongly_connected_components(const DiGraph& g) {
-  const std::size_t n = g.node_count();
-  constexpr std::uint32_t kUnvisited = std::numeric_limits<std::uint32_t>::max();
-
-  SccResult result;
-  result.component.assign(n, kUnvisited);
-
-  std::vector<std::uint32_t> index(n, kUnvisited);
-  std::vector<std::uint32_t> lowlink(n, 0);
-  std::vector<bool> on_stack(n, false);
-  std::vector<NodeId> scc_stack;
-  std::uint32_t next_index = 0;
-
-  // Explicit DFS frame: node + position within its out-neighbor list.
-  struct Frame {
-    NodeId node;
-    std::uint32_t edge_pos;
-  };
-  std::vector<Frame> dfs;
-
-  for (NodeId root = 0; root < n; ++root) {
-    if (index[root] != kUnvisited) continue;
-    dfs.push_back({root, 0});
-    index[root] = lowlink[root] = next_index++;
-    scc_stack.push_back(root);
-    on_stack[root] = true;
-
-    while (!dfs.empty()) {
-      Frame& frame = dfs.back();
-      const NodeId u = frame.node;
-      const auto nbrs = g.out_neighbors(u);
-      if (frame.edge_pos < nbrs.size()) {
-        const NodeId v = nbrs[frame.edge_pos++];
-        if (index[v] == kUnvisited) {
-          index[v] = lowlink[v] = next_index++;
-          scc_stack.push_back(v);
-          on_stack[v] = true;
-          dfs.push_back({v, 0});
-        } else if (on_stack[v]) {
-          lowlink[u] = std::min(lowlink[u], index[v]);
-        }
-        continue;
-      }
-
-      // u fully explored: pop, propagate lowlink, maybe emit a component.
-      dfs.pop_back();
-      if (!dfs.empty()) {
-        const NodeId parent = dfs.back().node;
-        lowlink[parent] = std::min(lowlink[parent], lowlink[u]);
-      }
-      if (lowlink[u] == index[u]) {
-        const auto comp_id = static_cast<std::uint32_t>(result.sizes.size());
-        std::uint64_t size = 0;
-        NodeId w;
-        do {
-          w = scc_stack.back();
-          scc_stack.pop_back();
-          on_stack[w] = false;
-          result.component[w] = comp_id;
-          ++size;
-        } while (w != u);
-        result.sizes.push_back(size);
-      }
-    }
-  }
-  return result;
+  return strongly_connected_components(DiGraphView(g));
 }
 
 std::vector<stats::CurvePoint> scc_size_ccdf(const SccResult& sccs) {

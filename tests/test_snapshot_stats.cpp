@@ -1,19 +1,20 @@
 // §3.3 measurements off a SnapshotView must equal the DiGraph pipeline.
 //
 // One seeded graph is served three ways — in-memory v2 (flat), in-memory
-// v3 (compressed) and the v3 file reopened off mmap — and on every view:
-// snapshot_anf is bit-equal to algo::approximate_neighborhood_function
-// (directed and undirected, several precisions), snapshot_scc finds the
-// same component sizes as algo::strongly_connected_components, and the
-// degree histograms account for every edge. The shared HyperLogLog
-// register kernel is pinned against scalar oracles. The CTest suite runs
-// this binary at the default and at GPLUS_THREADS=1; tools/run_tsan.sh
-// races it under TSan.
+// v3 (compressed) and the v3 file reopened off mmap — and on every view
+// the view-templated algo::approximate_neighborhood_function is bit-equal
+// to its DiGraph run (directed and undirected, several precisions),
+// algo::strongly_connected_components yields the same component vector,
+// and the degree histograms account for every edge. Pinned values,
+// recorded when the DiGraph and snapshot implementations were still
+// separate code, hold on the DiGraphView and on every snapshot view. The
+// shared HyperLogLog register kernel is pinned against scalar oracles.
+// The CTest suite runs this binary at the default and at GPLUS_THREADS=1;
+// tools/run_tsan.sh races it under TSan.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "algo/anf.h"
+#include "algo/graph_view.h"
 #include "algo/scc.h"
 #include "core/dataset.h"
 #include "serve/snapshot.h"
@@ -75,23 +77,19 @@ class SnapshotStats : public ::testing::Test {
 TEST_F(SnapshotStats, AnfIsBitEqualToDiGraphAnf) {
   for (const bool undirected : {false, true}) {
     for (const unsigned p : {4u, 7u, 10u}) {
-      algo::AnfOptions want_options;
-      want_options.precision = p;
-      want_options.undirected = undirected;
-      want_options.seed = 5;
-      const auto want = algo::approximate_neighborhood_function(
-          dataset().graph(), want_options);
-      ASSERT_GT(want.iterations, 1u);
-
-      SnapshotAnfOptions options;
+      algo::AnfOptions options;
       options.precision = p;
       options.undirected = undirected;
       options.seed = 5;
+      const auto want =
+          algo::approximate_neighborhood_function(dataset().graph(), options);
+      ASSERT_GT(want.iterations, 1u);
+
       for_each_view([&](const SnapshotView& view, const char* label) {
         SCOPED_TRACE(std::string(label) +
                      (undirected ? " undirected" : " directed") +
                      " p=" + std::to_string(p));
-        const auto got = snapshot_anf(view, options);
+        const auto got = algo::approximate_neighborhood_function(view, options);
         ASSERT_EQ(got.reachable_pairs.size(), want.reachable_pairs.size());
         for (std::size_t h = 0; h < want.reachable_pairs.size(); ++h) {
           EXPECT_EQ(got.reachable_pairs[h], want.reachable_pairs[h])
@@ -108,24 +106,100 @@ TEST_F(SnapshotStats, AnfIsBitEqualToDiGraphAnf) {
 TEST_F(SnapshotStats, AnfRejectsPrecisionOutsideRange) {
   const SnapshotView view(v2().bytes());
   for (const unsigned p : {0u, 3u, 17u, 64u}) {
-    SnapshotAnfOptions options;
+    algo::AnfOptions options;
     options.precision = p;
-    EXPECT_THROW(snapshot_anf(view, options), std::invalid_argument) << p;
+    EXPECT_THROW(algo::approximate_neighborhood_function(view, options),
+                 std::invalid_argument)
+        << p;
+    EXPECT_THROW(
+        algo::approximate_neighborhood_function(dataset().graph(), options),
+        std::invalid_argument)
+        << p;
   }
 }
 
 TEST_F(SnapshotStats, SccSizesMatchDiGraphScc) {
-  auto want = algo::strongly_connected_components(dataset().graph()).sizes;
-  std::sort(want.begin(), want.end());
-  ASSERT_GT(want.size(), 1u);
+  const auto want = algo::strongly_connected_components(dataset().graph());
+  ASSERT_GT(want.component_count(), 1u);
   for_each_view([&](const SnapshotView& view, const char* label) {
     SCOPED_TRACE(label);
-    const auto got = snapshot_scc(view);
-    ASSERT_EQ(got.component.size(), view.node_count());
-    auto sizes = got.sizes;
-    std::sort(sizes.begin(), sizes.end());
-    EXPECT_EQ(sizes, want);
+    const auto got = algo::strongly_connected_components(view);
+    EXPECT_EQ(got.component, want.component);
+    EXPECT_EQ(got.sizes, want.sizes);
   });
+}
+
+// FNV-1a (64-bit) over the bytes of every value's bit pattern.
+template <typename T>
+std::uint64_t fnv1a(const std::vector<T>& values) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const T& value : values) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (const unsigned char byte : bytes) {
+      hash ^= byte;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  return hash;
+}
+
+// HyperANF on the fixture at hash seed 5, recorded when the DiGraph
+// implementation (per-node sketch objects) and the snapshot one (flat
+// register planes) were separate code that agreed bit for bit. Doubles
+// are exact.
+struct PinnedAnf {
+  bool undirected;
+  unsigned precision;
+  std::size_t iterations;
+  std::uint64_t pairs_digest;  // fnv1a(reachable_pairs)
+  double mean_distance;
+  double effective_diameter;
+};
+
+constexpr PinnedAnf kPinnedAnf[] = {
+    {false, 4, 8, 0xb38da353f483af91ULL, 0x1.9709bdd6885fp+1,
+     0x1.ddf90c060ce15p+1},
+    {false, 7, 8, 0xa79e691c00830fb1ULL, 0x1.aa3484ebbbf04p+1,
+     0x1.e9fae8b15b256p+1},
+    {false, 10, 8, 0x0a19b1b95b2931f1ULL, 0x1.a9708c07aac9fp+1,
+     0x1.e9446050d0fbdp+1},
+    {true, 4, 6, 0x3e3e0d05fd57ee0eULL, 0x1.5225ca3c34862p+1,
+     0x1.75790dcc0afbfp+1},
+    {true, 7, 6, 0x2e2a7caf1ac48da4ULL, 0x1.618598a515666p+1,
+     0x1.7d7d05ebb21b2p+1},
+    {true, 10, 7, 0x0121906ae00180a7ULL, 0x1.607b30422b87bp+1,
+     0x1.7cd45de2d7e4dp+1},
+};
+
+// Tarjan on the fixture, recorded when the DiGraph and snapshot Tarjans
+// were separate code that agreed on the full component vector.
+constexpr std::size_t kPinnedSccCount = 513;
+constexpr std::uint64_t kPinnedSccDigest = 0x915e10a2293d283eULL;  // fnv1a
+
+TEST_F(SnapshotStats, OutputsMatchPinnedValuesOnEveryView) {
+  const auto check = [](const auto& view, const char* label) {
+    for (const PinnedAnf& pin : kPinnedAnf) {
+      SCOPED_TRACE(std::string(label) +
+                   (pin.undirected ? " undirected" : " directed") +
+                   " p=" + std::to_string(pin.precision));
+      algo::AnfOptions options;
+      options.precision = pin.precision;
+      options.undirected = pin.undirected;
+      options.seed = 5;
+      const auto got = algo::approximate_neighborhood_function(view, options);
+      EXPECT_EQ(got.iterations, pin.iterations);
+      EXPECT_EQ(fnv1a(got.reachable_pairs), pin.pairs_digest);
+      EXPECT_EQ(got.mean_distance, pin.mean_distance);
+      EXPECT_EQ(got.effective_diameter, pin.effective_diameter);
+    }
+    SCOPED_TRACE(label);
+    const auto scc = algo::strongly_connected_components(view);
+    EXPECT_EQ(scc.component_count(), kPinnedSccCount);
+    EXPECT_EQ(fnv1a(scc.component), kPinnedSccDigest);
+  };
+  check(algo::DiGraphView(dataset().graph()), "DiGraphView");
+  for_each_view(check);
 }
 
 TEST_F(SnapshotStats, DegreeHistogramsSumToEdgeCount) {
