@@ -289,8 +289,8 @@ int cmd_snapshot(const std::vector<std::string>& args, std::ostream& out) {
                     "snapshot file to inspect instead of building");
   parser.add_flag("no-country-index", "omit the located-users-by-country index");
   parser.add_option("format-version", "2",
-                    "snapshot format to emit: 3 (compressed adjacency), 2 "
-                    "(section digests) or 1 (legacy GPSNAP01)");
+                    "snapshot format to emit: 2 (flat CSR) or 3 (compressed "
+                    "adjacency)");
   add_threads_option(parser);
   if (!parse_or_usage(parser, args, out)) return 2;
   apply_threads_option(parser);
@@ -298,17 +298,9 @@ int cmd_snapshot(const std::vector<std::string>& args, std::ostream& out) {
   if (!parser.get("inspect").empty()) {
     const auto snapshot = serve::load_snapshot(parser.get("inspect"));
     const serve::SnapshotView view(snapshot.bytes());
-    // v3 stores per-node reciprocal counts instead of a per-edge bitmap;
-    // both sum to the same reciprocity figure.
     std::uint64_t reciprocal = 0;
-    if (view.adjacency_compressed()) {
-      for (graph::NodeId u = 0; u < view.node_count(); ++u) {
-        reciprocal += view.reciprocal_out_degree(u);
-      }
-    } else {
-      for (std::uint64_t e = 0; e < view.edge_count(); ++e) {
-        if (view.edge_reciprocal(e)) ++reciprocal;
-      }
+    for (graph::NodeId u = 0; u < view.node_count(); ++u) {
+      reciprocal += view.reciprocal_out_degree(u);
     }
     std::uint64_t located = 0;
     if (view.has_country_index()) {
@@ -320,8 +312,6 @@ int cmd_snapshot(const std::vector<std::string>& args, std::ostream& out) {
     table.add_row({"File", parser.get("inspect")});
     table.add_row({"Bytes", core::fmt_count(view.bytes().size())});
     table.add_row({"Version", std::to_string(view.version())});
-    table.add_row({"Section digests",
-                   view.has_section_digests() ? "yes" : "no"});
     table.add_row({"Compressed adjacency",
                    view.adjacency_compressed() ? "yes" : "no"});
     table.add_row({"Nodes", core::fmt_count(view.node_count())});

@@ -16,94 +16,306 @@ namespace gplus::serve {
 
 namespace {
 
-using detail::adjacency_group_count;
-using detail::adjacency_section_bytes;
-using detail::fnv1a64;
-using detail::kChecksumOffset;
-using detail::kHeaderBytes;
-using detail::load_u32;
-using detail::load_u64;
-using detail::magic_for;
-using detail::pad8;
-using detail::store_u32;
-using detail::store_u64;
-using detail::version_from_magic;
-
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("snapshot: " + what);
 }
 
-/// One encoded adjacency stream plus its two-level row index, built in
-/// rank order.
+}  // namespace
+
+namespace detail {
+
+namespace {
+
+constexpr const char* kFlatSectionNames[kSnapshotSectionCount] = {
+    "out_offsets", "out_targets", "in_offsets", "in_targets",
+    "recip",       "profiles",    "country_offsets", "country_nodes"};
+constexpr const char* kCompressedSectionNames[kSnapshotSectionCount] = {
+    "out_adj", "in_adj",   "perm",           "inv",
+    "recip_counts", "profiles", "country_offsets", "country_nodes"};
+
+}  // namespace
+
+const char* section_name(std::uint32_t version, std::size_t s) noexcept {
+  return version == kSnapshotVersion3 ? kCompressedSectionNames[s]
+                                      : kFlatSectionNames[s];
+}
+
+std::uint32_t checked_magic(const std::byte* magic) {
+  const std::uint32_t version = version_from_magic(magic);
+  if (version != 0) return version;
+  if (std::memcmp(magic, kMagicV2, 6) == 0) {
+    fail("unsupported format " +
+         std::string(reinterpret_cast<const char*>(magic), 8) +
+         " (reader knows versions 2 and 3)");
+  }
+  fail("bad magic (not a gplus snapshot)");
+}
+
+std::uint64_t SnapshotLayout::length(std::size_t s) const {
+  if (!present(s)) return 0;
+  if (s == 5) return pad8(nodes * sizeof(PackedProfile));
+  if (s == 6) return (geo::country_count() + 1) * 8;
+  if (s == 7) return pad8(located * 4);
+  if (compressed()) {
+    // out_adj, in_adj; then perm, inv and recip_counts (u32 per node).
+    return s < 2 ? adjacency_section_bytes(nodes, stream_bytes[s])
+                 : pad8(nodes * 4);
+  }
+  if (s == 0 || s == 2) return (nodes + 1) * 8;  // out/in offsets
+  if (s == 1 || s == 3) return pad8(edges * 4);  // out/in targets
+  return (edges + 63) / 64 * 8;                  // reciprocal bitmap
+}
+
+SnapshotLayout SnapshotLayout::place(std::uint32_t version,
+                                     std::uint64_t nodes, std::uint64_t edges,
+                                     std::array<std::uint64_t, 2> stream_bytes,
+                                     const CountryIndex* countries) {
+  SnapshotLayout layout;
+  layout.version = version;
+  layout.country_index = countries != nullptr;
+  layout.nodes = nodes;
+  layout.edges = edges;
+  layout.stream_bytes = stream_bytes;
+  if (countries != nullptr) layout.located = countries->nodes.size();
+  std::uint64_t at = kHeaderBytes;
+  for (std::size_t s = 0; s < kSnapshotSectionCount; ++s) {
+    if (!layout.present(s)) continue;
+    layout.offset[s] = at;
+    at += layout.length(s);
+  }
+  layout.total = at + kSnapshotDigestBytes;
+  return layout;
+}
+
+void SnapshotLayout::store_header(std::byte* at) const {
+  std::memcpy(at, compressed() ? kMagicV3 : kMagicV2, 8);
+  store_u32(at + 8, version);
+  store_u32(at + 12, country_index ? kSnapshotFlagCountryIndex : 0);
+  store_u64(at + 16, nodes);
+  store_u64(at + 24, edges);
+  for (std::size_t s = 0; s < kSnapshotSectionCount; ++s) {
+    store_u64(at + 32 + s * 8, offset[s]);
+  }
+  store_u64(at + 96, total);
+  store_u64(at + kChecksumOffset, fnv1a64(at, kChecksumOffset));
+}
+
+void store_digest_table(
+    std::byte* at,
+    const std::array<std::uint64_t, kSnapshotSectionCount>& digests) {
+  for (std::size_t s = 0; s < kSnapshotSectionCount; ++s) {
+    store_u64(at + s * 8, digests[s]);
+  }
+  store_u64(at + kSnapshotSectionCount * 8,
+            fnv1a64(at, kSnapshotSectionCount * 8));
+}
+
+void SnapshotLayout::seal(std::byte* base) const {
+  std::array<std::uint64_t, kSnapshotSectionCount> digests{};
+  for (std::size_t s = 0; s < kSnapshotSectionCount; ++s) {
+    if (present(s)) digests[s] = fnv1a64(base + offset[s], length(s));
+  }
+  store_digest_table(base + digest_table_at(), digests);
+}
+
+SnapshotLayout SnapshotLayout::read(std::span<const std::byte> bytes) {
+  if (bytes.size() < kHeaderBytes) fail("truncated header");
+  const std::byte* base = bytes.data();
+  const std::uint32_t magic_version = checked_magic(base);
+  SnapshotLayout layout;
+  layout.version = load_u32(base + 8);
+  if (layout.version != kSnapshotVersion2 &&
+      layout.version != kSnapshotVersion3) {
+    fail("unsupported version " + std::to_string(layout.version) +
+         " (reader knows 2 and 3)");
+  }
+  if (layout.version != magic_version) {
+    fail("magic/version mismatch (magic says " +
+         std::to_string(magic_version) + ", header says " +
+         std::to_string(layout.version) + ")");
+  }
+  if (load_u64(base + kChecksumOffset) != fnv1a64(base, kChecksumOffset)) {
+    fail("corrupt header (checksum mismatch)");
+  }
+  layout.country_index = (load_u32(base + 12) & kSnapshotFlagCountryIndex) != 0;
+  layout.nodes = load_u64(base + 16);
+  layout.edges = load_u64(base + 24);
+  layout.total = load_u64(base + 96);
+  if (layout.total != bytes.size()) {
+    fail("size mismatch: header says " + std::to_string(layout.total) +
+         " bytes, got " + std::to_string(bytes.size()));
+  }
+  if (reinterpret_cast<std::uintptr_t>(base) % 8 != 0) {
+    fail("buffer not 8-byte aligned");
+  }
+  // The digest table occupies the final 72 bytes and data sections stay
+  // below it. Its self-checksum is verified here (still O(1)); the section
+  // digests are verify_sections()' job.
+  if (layout.total < kHeaderBytes + kSnapshotDigestBytes) {
+    fail("truncated digest table");
+  }
+  const std::uint64_t body_end = layout.digest_table_at();
+  if (load_u64(base + body_end + kSnapshotSectionCount * 8) !=
+      fnv1a64(base + body_end, kSnapshotSectionCount * 8)) {
+    fail("corrupt digest table (self-checksum mismatch)");
+  }
+  // Refuse counts the body cannot hold before any length uses them: every
+  // node owns a 16-byte profile, and every edge at least 8 flat target
+  // bytes (4 out, 4 in) or 2 compressed stream bytes (one varint byte each
+  // way). This also keeps every length below far from u64 overflow.
+  if (layout.nodes > body_end / sizeof(PackedProfile)) {
+    fail("node count impossible for buffer size");
+  }
+  if (layout.edges > body_end / (layout.compressed() ? 2 : 8)) {
+    fail("edge count impossible for buffer size");
+  }
+  for (std::size_t s = 0; s < kSnapshotSectionCount; ++s) {
+    if (!layout.present(s)) continue;
+    const std::string name = section_name(layout.version, s);
+    const std::uint64_t off = load_u64(base + 32 + s * 8);
+    if (off % 8 != 0) fail(name + " section misaligned");
+    if (off < kHeaderBytes || off > body_end) {
+      fail(name + " section out of bounds");
+    }
+    // Lengths that depend on section bytes read them only once those
+    // bytes are known to lie inside the body.
+    if (layout.compressed() && s < 2) {
+      if (body_end - off < 16) fail(name + " section out of bounds");
+      layout.stream_bytes[s] = load_u64(base + off);
+      if (layout.stream_bytes[s] > body_end) {
+        fail(name + " stream length impossible");
+      }
+    }
+    if (s == 7) {
+      layout.located =
+          load_u64(base + layout.offset[6] + geo::country_count() * 8);
+      if (layout.located > body_end / 4) {
+        fail("country index impossible for buffer");
+      }
+    }
+    if (layout.length(s) > body_end - off) {
+      fail(name + " section out of bounds");
+    }
+    layout.offset[s] = off;
+  }
+  return layout;
+}
+
+void store_country_index(std::byte* base, const SnapshotLayout& layout,
+                         const CountryIndex& index) {
+  std::copy(index.offsets.begin(), index.offsets.end(),
+            reinterpret_cast<std::uint64_t*>(base + layout.offset[6]));
+  std::copy(index.nodes.begin(), index.nodes.end(),
+            reinterpret_cast<graph::NodeId*>(base + layout.offset[7]));
+}
+
+RowIndexBuilder::RowIndexBuilder(std::uint64_t rows) : rows_(rows) {
+  base_.reserve(adjacency_group_count(rows));
+  rel_.reserve(rows + 1);
+}
+
+void RowIndexBuilder::add_row(std::uint64_t at) {
+  if (rel_.size() % kSnapshotRowGroup == 0) base_.push_back(at);
+  push_rel(at);
+}
+
+void RowIndexBuilder::finish(std::uint64_t end) {
+  while (base_.size() < adjacency_group_count(rows_)) base_.push_back(end);
+  push_rel(end);  // the sentinel, relative to the last group's base
+}
+
+void RowIndexBuilder::push_rel(std::uint64_t at) {
+  const std::uint64_t rel = at - base_.back();
+  if (rel > 0xFFFFFFFFULL) fail("compressed row group exceeds 4 GiB");
+  rel_.push_back(static_cast<std::uint32_t>(rel));
+}
+
+}  // namespace detail
+
+namespace {
+
+using detail::adjacency_group_count;
+using detail::fnv1a64;
+using detail::kHeaderBytes;
+using detail::load_u64;
+using detail::pad8;
+using detail::store_u64;
+
+/// Flat-writer rows straight from a dataset's graph and profiles.
+struct DatasetRows {
+  const graph::DiGraph& g;
+  const std::vector<synth::Profile>& profiles;
+
+  std::size_t node_count() const { return g.node_count(); }
+  std::uint64_t out_degree(graph::NodeId u) const { return g.out_degree(u); }
+  std::uint64_t in_degree(graph::NodeId u) const { return g.in_degree(u); }
+  void write_out(graph::NodeId u, graph::NodeId* dst) const {
+    const auto row = g.out_neighbors(u);
+    std::copy(row.begin(), row.end(), dst);
+  }
+  void write_in(graph::NodeId u, graph::NodeId* dst) const {
+    const auto row = g.in_neighbors(u);
+    std::copy(row.begin(), row.end(), dst);
+  }
+  bool has_edge(graph::NodeId a, graph::NodeId b) const {
+    return g.has_edge(a, b);
+  }
+  void write_profile(graph::NodeId u, PackedProfile& slot) const {
+    slot = pack_profile(profiles[u]);
+  }
+};
+
+/// One encoded adjacency stream plus its row index, built in rank order.
 struct EncodedAdjacency {
   std::vector<std::uint8_t> data;
-  std::vector<std::uint64_t> base;  // group bases, n/64 + 1 entries
-  std::vector<std::uint32_t> rel;   // per-row offsets, n + 1 entries
+  detail::RowIndexBuilder index;
 };
 
 /// Encodes every node's list in degree-rank order. `neighbors_of` maps an
 /// original node id to its ascending flat list. Serial and therefore
-/// deterministic at any thread count — and identical, row for row, to
-/// what the out-of-core builder streams from its merged runs.
+/// deterministic at any thread count; the out-of-core builder streams the
+/// same rows from its merged runs, and test_snapshot_equivalence holds the
+/// two to the same bytes.
 template <typename NeighborsOf>
 EncodedAdjacency encode_rank_ordered(std::size_t n,
-                                     const std::vector<std::uint32_t>& inv,
+                                     const std::vector<graph::NodeId>& inv,
                                      NeighborsOf&& neighbors_of) {
-  EncodedAdjacency enc;
-  enc.base.reserve(adjacency_group_count(n));
-  enc.rel.reserve(n + 1);
+  EncodedAdjacency enc{{}, detail::RowIndexBuilder(n)};
   for (std::uint32_t r = 0; r < n; ++r) {
-    if (r % kSnapshotRowGroup == 0) enc.base.push_back(enc.data.size());
-    const std::uint64_t rel = enc.data.size() - enc.base.back();
-    if (rel > 0xFFFFFFFFULL) fail("compressed row group exceeds 4 GiB");
-    enc.rel.push_back(static_cast<std::uint32_t>(rel));
+    enc.index.add_row(enc.data.size());
     encode_adjacency_list(neighbors_of(inv[r]), enc.data);
   }
-  while (enc.base.size() < adjacency_group_count(n)) {
-    enc.base.push_back(enc.data.size());
-  }
-  const std::uint64_t sentinel =
-      enc.data.size() - enc.base[n / kSnapshotRowGroup];
-  if (sentinel > 0xFFFFFFFFULL) fail("compressed row group exceeds 4 GiB");
-  enc.rel.push_back(static_cast<std::uint32_t>(sentinel));
+  enc.index.finish(enc.data.size());
   return enc;
 }
 
 /// Writes one compressed adjacency section at `at` (sub-header, base, rel,
-/// stream; padding bytes are already zero in the buffer).
-void write_adjacency_section(std::byte* at, const EncodedAdjacency& enc,
-                             std::size_t n) {
+/// stream; the reserved word and padding are already zero in the buffer).
+void write_adjacency_section(std::byte* at, const EncodedAdjacency& enc) {
   store_u64(at, enc.data.size());
-  store_u64(at + 8, 0);
   std::byte* cursor = at + 16;
-  std::memcpy(cursor, enc.base.data(), enc.base.size() * 8);
-  cursor += enc.base.size() * 8;
-  std::memcpy(cursor, enc.rel.data(), enc.rel.size() * 4);
-  cursor += pad8((n + 1) * 4);
+  const auto& base = enc.index.base();
+  const auto& rel = enc.index.rel();
+  std::memcpy(cursor, base.data(), base.size() * 8);
+  cursor += base.size() * 8;
+  std::memcpy(cursor, rel.data(), rel.size() * 4);
+  cursor += pad8(rel.size() * 4);
   if (!enc.data.empty()) std::memcpy(cursor, enc.data.data(), enc.data.size());
 }
 
 /// v3 build path: compressed rank-ordered adjacency, stored permutation,
 /// per-node reciprocal counts.
 SnapshotBuffer build_snapshot_v3(const core::Dataset& dataset,
-                                 const SnapshotOptions& options) {
+                                 const detail::CountryIndex* countries) {
   const graph::DiGraph& g = dataset.graph();
   const std::size_t n = g.node_count();
-  const std::size_t m = g.edge_count();
-  if (dataset.profiles.size() != n) fail("profile count != node count");
 
-  // Degree-rank permutation: total degree descending, id ascending on
-  // ties — hubs land in the file's first pages. Values inside each list
-  // stay original ids, so decoded answers match v2 byte for byte.
-  std::vector<std::uint32_t> inv(n);
-  for (std::uint32_t u = 0; u < n; ++u) inv[u] = u;
-  std::sort(inv.begin(), inv.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              const std::uint64_t da = g.out_degree(a) + g.in_degree(a);
-              const std::uint64_t db = g.out_degree(b) + g.in_degree(b);
-              if (da != db) return da > db;
-              return a < b;
-            });
+  // Values inside each list stay original ids, so decoded answers match
+  // v2 byte for byte; the rank order only places rows.
+  const std::vector<graph::NodeId> inv =
+      detail::degree_rank_order(n, [&](graph::NodeId u) {
+        return std::uint64_t{g.out_degree(u)} + g.in_degree(u);
+      });
   std::vector<std::uint32_t> perm(n);
   for (std::uint32_t r = 0; r < n; ++r) perm[inv[r]] = r;
 
@@ -126,108 +338,28 @@ SnapshotBuffer build_snapshot_v3(const core::Dataset& dataset,
     }
   });
 
-  const std::size_t countries = options.country_index ? geo::country_count() : 0;
-  std::vector<std::vector<graph::NodeId>> by_country;
-  std::size_t located_total = 0;
-  if (options.country_index) {
-    by_country.resize(countries);
-    for (graph::NodeId u = 0; u < n; ++u) {
-      const auto& p = dataset.profiles[u];
-      if (p.is_located() && p.country < countries) {
-        by_country[p.country].push_back(u);
-        ++located_total;
-      }
-    }
-  }
-
-  // Layout.
-  std::size_t at = kHeaderBytes;
-  const std::size_t off_out_adj = at;
-  at += adjacency_section_bytes(n, out_enc.data.size());
-  const std::size_t off_in_adj = at;
-  at += adjacency_section_bytes(n, in_enc.data.size());
-  const std::size_t off_perm = at;
-  at += pad8(n * 4);
-  const std::size_t off_inv = at;
-  at += pad8(n * 4);
-  const std::size_t off_recip = at;
-  at += pad8(n * 4);
-  const std::size_t off_profiles = at;
-  at += pad8(n * sizeof(PackedProfile));
-  std::size_t off_country_offsets = 0;
-  std::size_t off_country_nodes = 0;
-  if (options.country_index) {
-    off_country_offsets = at;
-    at += (countries + 1) * 8;
-    off_country_nodes = at;
-    at += pad8(located_total * 4);
-  }
-  const std::size_t off_digests = at;
-  at += kSnapshotDigestBytes;
-  const std::size_t total = at;
-
-  SnapshotBuffer buffer(std::vector<std::uint64_t>((total + 7) / 8, 0), total);
+  const detail::SnapshotLayout layout = detail::SnapshotLayout::place(
+      kSnapshotVersion3, n, g.edge_count(),
+      {out_enc.data.size(), in_enc.data.size()}, countries);
+  SnapshotBuffer buffer = detail::zeroed_buffer(layout.total);
   std::byte* base = buffer.data();
-
-  std::memcpy(base, magic_for(kSnapshotVersion3), 8);
-  store_u32(base + 8, kSnapshotVersion3);
-  store_u32(base + 12, options.country_index ? kSnapshotFlagCountryIndex : 0);
-  store_u64(base + 16, n);
-  store_u64(base + 24, m);
-  store_u64(base + 32, off_out_adj);
-  store_u64(base + 40, off_in_adj);
-  store_u64(base + 48, off_perm);
-  store_u64(base + 56, off_inv);
-  store_u64(base + 64, off_recip);
-  store_u64(base + 72, off_profiles);
-  store_u64(base + 80, off_country_offsets);
-  store_u64(base + 88, off_country_nodes);
-  store_u64(base + 96, total);
-  store_u64(base + kChecksumOffset, fnv1a64(base, kChecksumOffset));
-
-  write_adjacency_section(base + off_out_adj, out_enc, n);
-  write_adjacency_section(base + off_in_adj, in_enc, n);
-  std::memcpy(base + off_perm, perm.data(), n * 4);
-  std::memcpy(base + off_inv, inv.data(), n * 4);
-  std::memcpy(base + off_recip, recip.data(), n * 4);
-
-  auto* profiles = reinterpret_cast<PackedProfile*>(base + off_profiles);
+  layout.store_header(base);
+  write_adjacency_section(base + layout.offset[0], out_enc);
+  write_adjacency_section(base + layout.offset[1], in_enc);
+  std::copy(perm.begin(), perm.end(),
+            reinterpret_cast<std::uint32_t*>(base + layout.offset[2]));
+  std::copy(inv.begin(), inv.end(),
+            reinterpret_cast<graph::NodeId*>(base + layout.offset[3]));
+  std::copy(recip.begin(), recip.end(),
+            reinterpret_cast<std::uint32_t*>(base + layout.offset[4]));
+  auto* profiles = reinterpret_cast<PackedProfile*>(base + layout.offset[5]);
   core::parallel_for(n, 4096, [&](std::size_t begin, std::size_t end) {
     for (std::size_t u = begin; u < end; ++u) {
       profiles[u] = pack_profile(dataset.profiles[u]);
     }
   });
-
-  if (options.country_index) {
-    auto* coffsets = reinterpret_cast<std::uint64_t*>(base + off_country_offsets);
-    auto* cnodes = reinterpret_cast<graph::NodeId*>(base + off_country_nodes);
-    std::size_t written = 0;
-    for (std::size_t c = 0; c < countries; ++c) {
-      coffsets[c] = written;
-      std::copy(by_country[c].begin(), by_country[c].end(), cnodes + written);
-      written += by_country[c].size();
-    }
-    coffsets[countries] = written;
-  }
-
-  const std::pair<std::size_t, std::size_t> sections[kSnapshotSectionCount] = {
-      {off_out_adj, adjacency_section_bytes(n, out_enc.data.size())},
-      {off_in_adj, adjacency_section_bytes(n, in_enc.data.size())},
-      {off_perm, pad8(n * 4)},
-      {off_inv, pad8(n * 4)},
-      {off_recip, pad8(n * 4)},
-      {off_profiles, pad8(n * sizeof(PackedProfile))},
-      {off_country_offsets, options.country_index ? (countries + 1) * 8 : 0},
-      {off_country_nodes,
-       options.country_index ? pad8(located_total * 4) : 0},
-  };
-  auto* digests = base + off_digests;
-  for (std::size_t s = 0; s < kSnapshotSectionCount; ++s) {
-    const auto [off, len] = sections[s];
-    store_u64(digests + s * 8, off == 0 ? 0 : fnv1a64(base + off, len));
-  }
-  store_u64(digests + kSnapshotSectionCount * 8,
-            fnv1a64(digests, kSnapshotSectionCount * 8));
+  if (countries != nullptr) store_country_index(base, layout, *countries);
+  layout.seal(base);
   return buffer;
 }
 
@@ -248,386 +380,103 @@ PackedProfile pack_profile(const synth::Profile& p) {
 
 SnapshotBuffer build_snapshot(const core::Dataset& dataset,
                               const SnapshotOptions& options) {
-  if (options.version == kSnapshotVersion3) {
-    return build_snapshot_v3(dataset, options);
-  }
   const graph::DiGraph& g = dataset.graph();
   const std::size_t n = g.node_count();
-  const std::size_t m = g.edge_count();
   if (dataset.profiles.size() != n) fail("profile count != node count");
-  if (options.version != kSnapshotVersion1 &&
-      options.version != kSnapshotVersion2) {
-    fail("unknown build version " + std::to_string(options.version));
+  if (options.version != kSnapshotVersion2 &&
+      options.version != kSnapshotVersion3) {
+    fail("unsupported build version " + std::to_string(options.version) +
+         " (writers emit 2 and 3)");
   }
-
-  const std::size_t countries = options.country_index ? geo::country_count() : 0;
-
-  // Section offsets (header first, every section 8-byte aligned).
-  std::size_t at = kHeaderBytes;
-  const std::size_t off_out_offsets = at;
-  at += (n + 1) * 8;
-  const std::size_t off_out_targets = at;
-  at += pad8(m * 4);
-  const std::size_t off_in_offsets = at;
-  at += (n + 1) * 8;
-  const std::size_t off_in_targets = at;
-  at += pad8(m * 4);
-  const std::size_t off_recip = at;
-  const std::size_t recip_words = (m + 63) / 64;
-  at += recip_words * 8;
-  const std::size_t off_profiles = at;
-  at += pad8(n * sizeof(PackedProfile));
-  std::size_t off_country_offsets = 0;
-  std::size_t off_country_nodes = 0;
-  std::vector<std::vector<graph::NodeId>> by_country;
-  std::size_t located_total = 0;
+  detail::CountryIndex countries;
   if (options.country_index) {
-    by_country.resize(countries);
-    for (graph::NodeId u = 0; u < n; ++u) {
-      const auto& p = dataset.profiles[u];
-      if (p.is_located() && p.country < countries) {
-        by_country[p.country].push_back(u);
-        ++located_total;
-      }
-    }
-    off_country_offsets = at;
-    at += (countries + 1) * 8;
-    off_country_nodes = at;
-    at += pad8(located_total * 4);
+    countries = detail::build_country_index(n, [&](graph::NodeId u) {
+      const synth::Profile& p = dataset.profiles[u];
+      return p.is_located() ? std::size_t{p.country} : SIZE_MAX;
+    });
   }
-  // v2 appends the per-section digest table as the file's final bytes.
-  const std::size_t off_digests = at;
-  if (options.version >= kSnapshotVersion2) at += kSnapshotDigestBytes;
-  const std::size_t total = at;
-
-  SnapshotBuffer buffer(std::vector<std::uint64_t>((total + 7) / 8, 0), total);
-  std::byte* base = buffer.data();
-
-  // Header.
-  std::memcpy(base, magic_for(options.version), 8);
-  store_u32(base + 8, options.version);
-  store_u32(base + 12, options.country_index ? kSnapshotFlagCountryIndex : 0);
-  store_u64(base + 16, n);
-  store_u64(base + 24, m);
-  store_u64(base + 32, off_out_offsets);
-  store_u64(base + 40, off_out_targets);
-  store_u64(base + 48, off_in_offsets);
-  store_u64(base + 56, off_in_targets);
-  store_u64(base + 64, off_recip);
-  store_u64(base + 72, off_profiles);
-  store_u64(base + 80, off_country_offsets);
-  store_u64(base + 88, off_country_nodes);
-  store_u64(base + 96, total);
-  store_u64(base + kChecksumOffset, fnv1a64(base, kChecksumOffset));
-
-  // Adjacency in CSR form, copied from the DiGraph spans. Offsets are
-  // prefix sums (serial); targets copy in parallel, disjoint per node.
-  auto* out_offsets = reinterpret_cast<std::uint64_t*>(base + off_out_offsets);
-  auto* in_offsets = reinterpret_cast<std::uint64_t*>(base + off_in_offsets);
-  for (graph::NodeId u = 0; u < n; ++u) {
-    out_offsets[u + 1] = out_offsets[u] + g.out_degree(u);
-    in_offsets[u + 1] = in_offsets[u] + g.in_degree(u);
+  const detail::CountryIndex* index = options.country_index ? &countries : nullptr;
+  if (options.version == kSnapshotVersion3) {
+    return build_snapshot_v3(dataset, index);
   }
-  auto* out_targets = reinterpret_cast<graph::NodeId*>(base + off_out_targets);
-  auto* in_targets = reinterpret_cast<graph::NodeId*>(base + off_in_targets);
-  auto* profiles = reinterpret_cast<PackedProfile*>(base + off_profiles);
-  core::parallel_for(n, 4096, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t u = begin; u < end; ++u) {
-      const auto id = static_cast<graph::NodeId>(u);
-      const auto out = g.out_neighbors(id);
-      std::copy(out.begin(), out.end(), out_targets + out_offsets[u]);
-      const auto in = g.in_neighbors(id);
-      std::copy(in.begin(), in.end(), in_targets + in_offsets[u]);
-      profiles[u] = pack_profile(dataset.profiles[u]);
-    }
-  });
-
-  // Reciprocal bitmap: a parallel per-edge byte pass (disjoint writes),
-  // then a serial bit-packing sweep — deterministic at any thread count.
-  std::vector<std::uint8_t> recip_bytes(m, 0);
-  core::parallel_for(n, 1024, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t u = begin; u < end; ++u) {
-      const auto id = static_cast<graph::NodeId>(u);
-      const auto out = g.out_neighbors(id);
-      for (std::size_t i = 0; i < out.size(); ++i) {
-        if (g.has_edge(out[i], id)) recip_bytes[out_offsets[u] + i] = 1;
-      }
-    }
-  });
-  auto* recip = reinterpret_cast<std::uint64_t*>(base + off_recip);
-  for (std::size_t e = 0; e < m; ++e) {
-    if (recip_bytes[e]) recip[e >> 6] |= std::uint64_t{1} << (e & 63);
-  }
-
-  if (options.country_index) {
-    auto* coffsets = reinterpret_cast<std::uint64_t*>(base + off_country_offsets);
-    auto* cnodes = reinterpret_cast<graph::NodeId*>(base + off_country_nodes);
-    std::size_t written = 0;
-    for (std::size_t c = 0; c < countries; ++c) {
-      coffsets[c] = written;
-      std::copy(by_country[c].begin(), by_country[c].end(), cnodes + written);
-      written += by_country[c].size();
-    }
-    coffsets[countries] = written;
-  }
-
-  // v2 digest table, computed once every section body is final: eight
-  // FNV-1a section digests in header order (0 for absent sections), then
-  // an FNV-1a checksum sealing the eight digests themselves.
-  if (options.version >= kSnapshotVersion2) {
-    const std::size_t located_bytes = pad8(located_total * 4);
-    const std::pair<std::size_t, std::size_t> sections[kSnapshotSectionCount] = {
-        {off_out_offsets, (n + 1) * 8},
-        {off_out_targets, pad8(m * 4)},
-        {off_in_offsets, (n + 1) * 8},
-        {off_in_targets, pad8(m * 4)},
-        {off_recip, recip_words * 8},
-        {off_profiles, pad8(n * sizeof(PackedProfile))},
-        {off_country_offsets,
-         options.country_index ? (countries + 1) * 8 : 0},
-        {off_country_nodes, options.country_index ? located_bytes : 0},
-    };
-    auto* digests = base + off_digests;
-    for (std::size_t s = 0; s < kSnapshotSectionCount; ++s) {
-      const auto [off, len] = sections[s];
-      store_u64(digests + s * 8, off == 0 ? 0 : fnv1a64(base + off, len));
-    }
-    store_u64(digests + kSnapshotSectionCount * 8,
-              fnv1a64(digests, kSnapshotSectionCount * 8));
-  }
-  return buffer;
+  return detail::write_flat_snapshot(DatasetRows{g, dataset.profiles},
+                                     g.edge_count(), index);
 }
 
 SnapshotView::SnapshotView(std::span<const std::byte> bytes) : bytes_(bytes) {
-  if (bytes.size() < kHeaderBytes) fail("truncated header");
+  const detail::SnapshotLayout layout = detail::SnapshotLayout::read(bytes);
+  version_ = layout.version;
+  nodes_ = layout.nodes;
+  edges_ = layout.edges;
+  for (std::size_t s = 0; s < kSnapshotSectionCount; ++s) {
+    sections_[s] = {layout.offset[s], layout.length(s)};
+  }
   const std::byte* base = bytes.data();
-  const std::uint32_t magic_version = version_from_magic(base);
-  if (magic_version == 0) fail("bad magic (not a gplus snapshot)");
-  const std::uint32_t version = load_u32(base + 8);
-  if (version != kSnapshotVersion1 && version != kSnapshotVersion2 &&
-      version != kSnapshotVersion3) {
-    fail("unsupported version " + std::to_string(version) +
-         " (reader knows 1, 2 and 3)");
-  }
-  if (version != magic_version) {
-    fail("magic/version mismatch (magic says " +
-         std::to_string(magic_version) + ", header says " +
-         std::to_string(version) + ")");
-  }
-  version_ = version;
-  if (load_u64(base + kChecksumOffset) != fnv1a64(base, kChecksumOffset)) {
-    fail("corrupt header (checksum mismatch)");
-  }
-  const std::uint32_t flags = load_u32(base + 12);
-  nodes_ = load_u64(base + 16);
-  edges_ = load_u64(base + 24);
-  const std::uint64_t total = load_u64(base + 96);
-  if (total != bytes.size()) {
-    fail("size mismatch: header says " + std::to_string(total) + " bytes, got " +
-         std::to_string(bytes.size()));
-  }
-  if (reinterpret_cast<std::uintptr_t>(base) % 8 != 0) {
-    fail("buffer not 8-byte aligned");
-  }
-  // v2+: the digest table occupies the final 72 bytes; data sections must
-  // stay below it. Its self-checksum is verified here (72 bytes, still
-  // O(1)); the per-section digests are verified by verify_sections().
-  std::uint64_t body_end = total;
-  if (version_ >= kSnapshotVersion2) {
-    if (total < kHeaderBytes + kSnapshotDigestBytes) {
-      fail("truncated digest table");
-    }
-    body_end = total - kSnapshotDigestBytes;
-    digests_ = reinterpret_cast<const std::uint64_t*>(base + body_end);
-    if (digests_[kSnapshotSectionCount] !=
-        fnv1a64(base + body_end, kSnapshotSectionCount * 8)) {
-      fail("corrupt digest table (self-checksum mismatch)");
-    }
-  }
+  digests_ = reinterpret_cast<const std::uint64_t*>(base + layout.digest_table_at());
+  auto section = [&](std::size_t s) { return base + layout.offset[s]; };
 
-  if (version_ >= kSnapshotVersion3) {
-    open_compressed_sections(base, flags, body_end);
+  if (layout.compressed()) {
+    // O(1) row-index consistency: row 0 starts at stream byte 0 and the
+    // sentinel lands exactly on the stream end.
+    auto adjacency = [&](std::size_t s) {
+      const std::string name = detail::section_name(version_, s);
+      CompressedAdjacency adj;
+      adj.data_bytes = layout.stream_bytes[s];
+      adj.base = reinterpret_cast<const std::uint64_t*>(section(s) + 16);
+      const std::byte* rel_at =
+          section(s) + 16 + adjacency_group_count(nodes_) * 8;
+      adj.rel = reinterpret_cast<const std::uint32_t*>(rel_at);
+      adj.data = reinterpret_cast<const std::uint8_t*>(
+          rel_at + pad8((nodes_ + 1) * 4));
+      if (adj.base[0] != 0 || adj.rel[0] != 0) {
+        fail(name + " row index corrupt (first row not at 0)");
+      }
+      if (adj.base[nodes_ / kSnapshotRowGroup] + adj.rel[nodes_] !=
+          adj.data_bytes) {
+        fail(name + " row index corrupt (sentinel != stream end)");
+      }
+      return adj;
+    };
+    out_adj_ = adjacency(0);
+    in_adj_ = adjacency(1);
+    perm_ = reinterpret_cast<const std::uint32_t*>(section(2));
+    inv_ = reinterpret_cast<const std::uint32_t*>(section(3));
+    recip_counts_ = reinterpret_cast<const std::uint32_t*>(section(4));
+    // O(1) permutation sanity (full validation is the digest table's job).
+    if (nodes_ > 0 && (perm_[0] >= nodes_ || inv_[perm_[0]] != 0)) {
+      fail("perm/inv permutation corrupt");
+    }
   } else {
-    open_flat_sections(base, flags, body_end);
-  }
-}
-
-void SnapshotView::open_flat_sections(const std::byte* base,
-                                      std::uint32_t flags,
-                                      std::uint64_t body_end) {
-  // Every section must be aligned and lie inside the buffer (below the
-  // digest table on v2).
-  auto section = [&](std::size_t header_at, std::size_t length,
-                     const char* name) -> const std::byte* {
-    const std::uint64_t off = load_u64(base + header_at);
-    if (off % 8 != 0) fail(std::string(name) + " section misaligned");
-    if (off < kHeaderBytes || off + length > body_end) {
-      fail(std::string(name) + " section out of bounds");
+    out_offsets_ = reinterpret_cast<const std::uint64_t*>(section(0));
+    out_targets_ = reinterpret_cast<const graph::NodeId*>(section(1));
+    in_offsets_ = reinterpret_cast<const std::uint64_t*>(section(2));
+    in_targets_ = reinterpret_cast<const graph::NodeId*>(section(3));
+    recip_ = reinterpret_cast<const std::uint64_t*>(section(4));
+    if (out_offsets_[0] != 0 || out_offsets_[nodes_] != edges_) {
+      fail("out_offsets inconsistent with edge count");
     }
-    return base + off;
-  };
-  out_offsets_ = reinterpret_cast<const std::uint64_t*>(
-      section(32, (nodes_ + 1) * 8, "out_offsets"));
-  out_targets_ = reinterpret_cast<const graph::NodeId*>(
-      section(40, pad8(edges_ * 4), "out_targets"));
-  in_offsets_ = reinterpret_cast<const std::uint64_t*>(
-      section(48, (nodes_ + 1) * 8, "in_offsets"));
-  in_targets_ = reinterpret_cast<const graph::NodeId*>(
-      section(56, pad8(edges_ * 4), "in_targets"));
-  recip_ = reinterpret_cast<const std::uint64_t*>(
-      section(64, (edges_ + 63) / 64 * 8, "recip"));
-  profiles_ = reinterpret_cast<const PackedProfile*>(
-      section(72, pad8(nodes_ * sizeof(PackedProfile)), "profiles"));
-  if (out_offsets_[0] != 0 || out_offsets_[nodes_] != edges_) {
-    fail("out_offsets inconsistent with edge count");
+    if (in_offsets_[0] != 0 || in_offsets_[nodes_] != edges_) {
+      fail("in_offsets inconsistent with edge count");
+    }
   }
-  if (in_offsets_[0] != 0 || in_offsets_[nodes_] != edges_) {
-    fail("in_offsets inconsistent with edge count");
-  }
-  if (flags & kSnapshotFlagCountryIndex) {
+  profiles_ = reinterpret_cast<const PackedProfile*>(section(5));
+  if (layout.country_index) {
     country_count_ = geo::country_count();
-    country_offsets_ = reinterpret_cast<const std::uint64_t*>(
-        section(80, (country_count_ + 1) * 8, "country_offsets"));
-    const std::uint64_t located = country_offsets_[country_count_];
-    country_nodes_ = reinterpret_cast<const graph::NodeId*>(
-        section(88, pad8(located * 4), "country_nodes"));
-  }
-}
-
-void SnapshotView::open_compressed_sections(const std::byte* base,
-                                            std::uint32_t flags,
-                                            std::uint64_t body_end) {
-  // Guard the layout arithmetic before using nodes_ in any length
-  // computation: the perm section alone needs 4n bytes, so a node count
-  // the buffer cannot possibly hold is rejected up front (this also
-  // keeps every u64 length expression below from overflowing).
-  if (nodes_ >= body_end / 4) fail("node count impossible for buffer size");
-
-  auto section = [&](std::size_t header_at, std::uint64_t length,
-                     const char* name) -> const std::byte* {
-    const std::uint64_t off = load_u64(base + header_at);
-    if (off % 8 != 0) fail(std::string(name) + " section misaligned");
-    if (off < kHeaderBytes || off + length > body_end) {
-      fail(std::string(name) + " section out of bounds");
-    }
-    return base + off;
-  };
-
-  // Compressed adjacency sections: bounds-check the 16-byte sub-header
-  // first, read the stream length, then bounds-check the full extent.
-  auto adjacency = [&](std::size_t header_at,
-                       const char* name) -> CompressedAdjacency {
-    const std::byte* at = section(header_at, 16, name);
-    const std::uint64_t data_bytes = load_u64(at);
-    if (data_bytes > body_end) {
-      fail(std::string(name) + " stream length impossible");
-    }
-    const std::uint64_t off = load_u64(base + header_at);
-    if (off + adjacency_section_bytes(nodes_, data_bytes) > body_end) {
-      fail(std::string(name) + " section out of bounds");
-    }
-    CompressedAdjacency adj;
-    adj.data_bytes = data_bytes;
-    adj.base = reinterpret_cast<const std::uint64_t*>(at + 16);
-    const std::byte* rel_at = at + 16 + adjacency_group_count(nodes_) * 8;
-    adj.rel = reinterpret_cast<const std::uint32_t*>(rel_at);
-    adj.data = reinterpret_cast<const std::uint8_t*>(
-        rel_at + pad8((nodes_ + 1) * 4));
-    // O(1) consistency: row 0 starts at stream byte 0 and the sentinel
-    // lands exactly on the stream end.
-    if (adj.base[0] != 0 || adj.rel[0] != 0) {
-      fail(std::string(name) + " row index corrupt (first row not at 0)");
-    }
-    if (adj.base[nodes_ / kSnapshotRowGroup] + adj.rel[nodes_] != data_bytes) {
-      fail(std::string(name) + " row index corrupt (sentinel != stream end)");
-    }
-    return adj;
-  };
-
-  out_adj_ = adjacency(32, "out_adj");
-  in_adj_ = adjacency(40, "in_adj");
-  perm_ = reinterpret_cast<const std::uint32_t*>(
-      section(48, pad8(nodes_ * 4), "perm"));
-  inv_ = reinterpret_cast<const std::uint32_t*>(
-      section(56, pad8(nodes_ * 4), "inv"));
-  recip_counts_ = reinterpret_cast<const std::uint32_t*>(
-      section(64, pad8(nodes_ * 4), "recip_counts"));
-  profiles_ = reinterpret_cast<const PackedProfile*>(
-      section(72, pad8(nodes_ * sizeof(PackedProfile)), "profiles"));
-  // O(1) permutation sanity (full validation is the digest table's job).
-  if (nodes_ > 0 && (perm_[0] >= nodes_ || inv_[perm_[0]] != 0)) {
-    fail("perm/inv permutation corrupt");
-  }
-  if (flags & kSnapshotFlagCountryIndex) {
-    country_count_ = geo::country_count();
-    country_offsets_ = reinterpret_cast<const std::uint64_t*>(
-        section(80, (country_count_ + 1) * 8, "country_offsets"));
-    const std::uint64_t located = country_offsets_[country_count_];
-    if (located > body_end / 4) fail("country index impossible for buffer");
-    country_nodes_ = reinterpret_cast<const graph::NodeId*>(
-        section(88, pad8(located * 4), "country_nodes"));
+    country_offsets_ = reinterpret_cast<const std::uint64_t*>(section(6));
+    country_nodes_ = reinterpret_cast<const graph::NodeId*>(section(7));
   }
 }
 
 void SnapshotView::verify_sections() const {
-  if (digests_ == nullptr) return;  // v1: nothing beyond the header to check
-  struct SectionRef {
-    const char* name;
-    const std::byte* at;  // nullptr when the section is absent
-    std::size_t length;
-  };
-  const std::byte* base = bytes_.data();
-  auto at_header_offset = [&](std::size_t header_at) -> const std::byte* {
-    return base + load_u64(base + header_at);
-  };
-  SectionRef sections[kSnapshotSectionCount];
-  if (version_ >= kSnapshotVersion3) {
-    sections[0] = {"out_adj", at_header_offset(32),
-                   adjacency_section_bytes(nodes_, out_adj_.data_bytes)};
-    sections[1] = {"in_adj", at_header_offset(40),
-                   adjacency_section_bytes(nodes_, in_adj_.data_bytes)};
-    sections[2] = {"perm", reinterpret_cast<const std::byte*>(perm_),
-                   pad8(nodes_ * 4)};
-    sections[3] = {"inv", reinterpret_cast<const std::byte*>(inv_),
-                   pad8(nodes_ * 4)};
-    sections[4] = {"recip_counts",
-                   reinterpret_cast<const std::byte*>(recip_counts_),
-                   pad8(nodes_ * 4)};
-  } else {
-    sections[0] = {"out_offsets",
-                   reinterpret_cast<const std::byte*>(out_offsets_),
-                   (nodes_ + 1) * 8};
-    sections[1] = {"out_targets",
-                   reinterpret_cast<const std::byte*>(out_targets_),
-                   pad8(edges_ * 4)};
-    sections[2] = {"in_offsets",
-                   reinterpret_cast<const std::byte*>(in_offsets_),
-                   (nodes_ + 1) * 8};
-    sections[3] = {"in_targets",
-                   reinterpret_cast<const std::byte*>(in_targets_),
-                   pad8(edges_ * 4)};
-    sections[4] = {"recip", reinterpret_cast<const std::byte*>(recip_),
-                   (edges_ + 63) / 64 * 8};
-  }
-  sections[5] = {"profiles", reinterpret_cast<const std::byte*>(profiles_),
-                 pad8(nodes_ * sizeof(PackedProfile))};
-  sections[6] = {"country_offsets",
-                 reinterpret_cast<const std::byte*>(country_offsets_),
-                 (country_count_ + 1) * 8};
-  sections[7] = {"country_nodes",
-                 reinterpret_cast<const std::byte*>(country_nodes_),
-                 country_offsets_ == nullptr
-                     ? 0
-                     : pad8(country_offsets_[country_count_] * 4)};
   for (std::size_t s = 0; s < kSnapshotSectionCount; ++s) {
-    const SectionRef& ref = sections[s];
-    const std::uint64_t want = digests_[s];
-    if (ref.at == nullptr || ref.at == base) {
-      if (want != 0) fail(std::string(ref.name) + " digest for absent section");
+    const std::string name = detail::section_name(version_, s);
+    const auto [offset, length] = sections_[s];
+    if (offset == 0) {
+      if (digests_[s] != 0) fail(name + " digest for absent section");
       continue;
     }
-    if (fnv1a64(ref.at, ref.length) != want) {
-      fail(std::string(ref.name) + " section corrupt (digest mismatch)");
+    if (fnv1a64(bytes_.data() + offset, length) != digests_[s]) {
+      fail(name + " section corrupt (digest mismatch)");
     }
   }
 }
@@ -678,7 +527,7 @@ void write_snapshot(const SnapshotBuffer& snapshot, std::ostream& out) {
 bool sniff_snapshot_magic(std::istream& in) {
   char magic[8] = {};
   in.read(magic, sizeof magic);
-  return in.gcount() == sizeof magic && version_from_magic(magic) != 0;
+  return in.gcount() == sizeof magic && detail::version_from_magic(magic) != 0;
 }
 
 SnapshotBuffer read_snapshot(std::istream& in) {
@@ -690,13 +539,11 @@ SnapshotBuffer read_snapshot(std::istream& in) {
     fail("truncated header (shorter than the " +
          std::to_string(kHeaderBytes) + "-byte snapshot header)");
   }
-  if (version_from_magic(header.data()) == 0) {
-    fail("bad magic (not a gplus snapshot)");
-  }
-  const std::uint64_t total =
-      load_u64(reinterpret_cast<const std::byte*>(header.data()) + 96);
+  const auto* head = reinterpret_cast<const std::byte*>(header.data());
+  detail::checked_magic(head);
+  const std::uint64_t total = load_u64(head + 96);
   if (total < kHeaderBytes) fail("corrupt header (impossible size)");
-  SnapshotBuffer buffer(std::vector<std::uint64_t>((total + 7) / 8, 0), total);
+  SnapshotBuffer buffer = detail::zeroed_buffer(total);
   std::memcpy(buffer.data(), header.data(), kHeaderBytes);
   in.read(reinterpret_cast<char*>(buffer.data()) + kHeaderBytes,
           static_cast<std::streamsize>(total - kHeaderBytes));

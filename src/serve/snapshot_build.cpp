@@ -11,14 +11,12 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
-#include <numeric>
 #include <queue>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "core/parallel.h"
-#include "geo/countries.h"
 #include "serve/snapshot_format.h"
 #include "serve/varint.h"
 
@@ -26,14 +24,10 @@ namespace gplus::serve {
 
 namespace {
 
-using detail::adjacency_group_count;
-using detail::adjacency_section_bytes;
 using detail::fnv1a64;
-using detail::kChecksumOffset;
 using detail::kHeaderBytes;
 using detail::load_u32;
 using detail::load_u64;
-using detail::magic_for;
 using detail::pad8;
 using detail::store_u32;
 using detail::store_u64;
@@ -171,53 +165,51 @@ void write_run(const std::filesystem::path& dir, std::uint64_t& run_count,
 /// One encoded adjacency stream on disk plus its in-RAM row index.
 struct EncodedStream {
   std::filesystem::path path;
-  std::vector<std::uint64_t> base;
-  std::vector<std::uint32_t> rel;
+  detail::RowIndexBuilder index;
   std::uint64_t data_bytes = 0;
+};
+
+/// Read-only descriptor, closed on every exit path.
+struct ReadFd {
+  explicit ReadFd(const std::filesystem::path& path)
+      : fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {
+    if (fd < 0) fail("cannot open merged edges: " + path.string());
+  }
+  ~ReadFd() { ::close(fd); }
+  ReadFd(const ReadFd&) = delete;
+  ReadFd& operator=(const ReadFd&) = delete;
+  int fd;
 };
 
 /// Encodes every row in rank order, reading each node's edge range from
 /// the sorted edge file via pread (sequential files stay page-cached;
 /// row reads hop with the permutation but never load the file whole).
-/// Neighbor ids are the low 32 bits of each packed tuple. Must mirror
-/// encode_rank_ordered in snapshot.cpp exactly — byte-identity between
-/// the two builders is a tested contract.
+/// Neighbor ids are the low 32 bits of each packed tuple. The rows and
+/// row index are the ones the in-memory v3 encoder emits; the
+/// equivalence battery holds the two builds to the same bytes.
 EncodedStream encode_rows(const std::filesystem::path& edges_path,
                           const std::vector<std::uint64_t>& prefix,
-                          const std::vector<std::uint32_t>& inv,
+                          const std::vector<graph::NodeId>& inv,
                           std::size_t n,
                           const std::filesystem::path& stream_path) {
-  const int fd = ::open(edges_path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) fail("cannot open merged edges: " + edges_path.string());
-  EncodedStream enc;
-  enc.path = stream_path;
-  enc.base.reserve(adjacency_group_count(n));
-  enc.rel.reserve(n + 1);
+  const ReadFd edges(edges_path);
+  EncodedStream enc{stream_path, detail::RowIndexBuilder(n), 0};
   ByteWriter out(stream_path);
   std::vector<std::uint64_t> tuples;
   std::vector<graph::NodeId> row;
   std::vector<std::uint8_t> bytes;
   for (std::uint32_t r = 0; r < n; ++r) {
-    if (r % kSnapshotRowGroup == 0) enc.base.push_back(out.written());
-    const std::uint64_t rel = out.written() - enc.base.back();
-    if (rel > 0xFFFFFFFFULL) {
-      ::close(fd);
-      fail("compressed row group exceeds 4 GiB");
-    }
-    enc.rel.push_back(static_cast<std::uint32_t>(rel));
+    enc.index.add_row(out.written());
     const std::uint32_t u = inv[r];
     const std::uint64_t degree = prefix[u + 1] - prefix[u];
     tuples.resize(degree);
     std::size_t got = 0;
     while (got < degree * 8) {
       const ssize_t k =
-          ::pread(fd, reinterpret_cast<char*>(tuples.data()) + got,
+          ::pread(edges.fd, reinterpret_cast<char*>(tuples.data()) + got,
                   degree * 8 - got,
                   static_cast<off_t>(prefix[u] * 8 + got));
-      if (k <= 0) {
-        ::close(fd);
-        fail("short read from merged edges: " + edges_path.string());
-      }
+      if (k <= 0) fail("short read from merged edges: " + edges_path.string());
       got += static_cast<std::size_t>(k);
     }
     row.resize(degree);
@@ -228,14 +220,7 @@ EncodedStream encode_rows(const std::filesystem::path& edges_path,
     encode_adjacency_list(row, bytes);
     out.write(bytes.data(), bytes.size());
   }
-  ::close(fd);
-  while (enc.base.size() < adjacency_group_count(n)) {
-    enc.base.push_back(out.written());
-  }
-  const std::uint64_t sentinel =
-      out.written() - enc.base[n / kSnapshotRowGroup];
-  if (sentinel > 0xFFFFFFFFULL) fail("compressed row group exceeds 4 GiB");
-  enc.rel.push_back(static_cast<std::uint32_t>(sentinel));
+  enc.index.finish(out.written());
   enc.data_bytes = out.written();
   out.close();
   return enc;
@@ -423,18 +408,10 @@ OutOfCoreStats OutOfCoreSnapshotBuilder::finish(
   }
   stage("merged_reverse");
 
-  // Degree-rank permutation — the same ordering rule as the in-memory v3
-  // builder (total degree descending, id ascending on ties).
-  std::vector<std::uint32_t> inv(nodes_);
-  for (std::uint32_t u = 0; u < nodes_; ++u) inv[u] = u;
-  std::sort(inv.begin(), inv.end(), [&](std::uint32_t a, std::uint32_t b) {
-    const std::uint64_t da =
-        std::uint64_t{out_deg[a]} + std::uint64_t{in_deg[a]};
-    const std::uint64_t db =
-        std::uint64_t{out_deg[b]} + std::uint64_t{in_deg[b]};
-    if (da != db) return da > db;
-    return a < b;
-  });
+  const std::vector<graph::NodeId> inv =
+      detail::degree_rank_order(nodes_, [&](graph::NodeId u) {
+        return std::uint64_t{out_deg[u]} + in_deg[u];
+      });
   std::vector<std::uint32_t> perm(nodes_);
   for (std::uint32_t r = 0; r < nodes_; ++r) perm[inv[r]] = r;
 
@@ -446,16 +423,10 @@ OutOfCoreStats OutOfCoreSnapshotBuilder::finish(
     return prefix;
   };
 
-  EncodedStream out_enc;
-  {
-    const auto prefix = prefix_of(out_deg);
-    out_enc = encode_rows(edges_src, prefix, inv, nodes_, dir / "out_stream");
-  }
-  EncodedStream in_enc;
-  {
-    const auto prefix = prefix_of(in_deg);
-    in_enc = encode_rows(edges_dst, prefix, inv, nodes_, dir / "in_stream");
-  }
+  const EncodedStream out_enc = encode_rows(edges_src, prefix_of(out_deg), inv,
+                                            nodes_, dir / "out_stream");
+  const EncodedStream in_enc = encode_rows(edges_dst, prefix_of(in_deg), inv,
+                                           nodes_, dir / "in_stream");
   out_deg.clear();
   out_deg.shrink_to_fit();
   in_deg.clear();
@@ -486,67 +457,22 @@ OutOfCoreStats OutOfCoreSnapshotBuilder::finish(
     }
   }
 
-  // Country index from the packed profiles.
-  const std::size_t countries =
-      options_.country_index ? geo::country_count() : 0;
-  std::vector<std::vector<graph::NodeId>> by_country(countries);
-  std::uint64_t located_total = 0;
+  detail::CountryIndex countries;
   if (options_.country_index) {
-    for (graph::NodeId u = 0; u < nodes_; ++u) {
+    countries = detail::build_country_index(nodes_, [&](graph::NodeId u) {
       const PackedProfile& p = profiles_[u];
-      if (p.located() && p.country < countries) {
-        by_country[p.country].push_back(u);
-        ++located_total;
-      }
-    }
+      return p.located() ? std::size_t{p.country} : SIZE_MAX;
+    });
   }
-
-  // Layout — must mirror build_snapshot_v3 exactly.
-  const std::size_t n = nodes_;
-  std::uint64_t at = kHeaderBytes;
-  const std::uint64_t off_out_adj = at;
-  at += adjacency_section_bytes(n, out_enc.data_bytes);
-  const std::uint64_t off_in_adj = at;
-  at += adjacency_section_bytes(n, in_enc.data_bytes);
-  const std::uint64_t off_perm = at;
-  at += pad8(n * 4);
-  const std::uint64_t off_inv = at;
-  at += pad8(n * 4);
-  const std::uint64_t off_recip = at;
-  at += pad8(n * 4);
-  const std::uint64_t off_profiles = at;
-  at += pad8(n * sizeof(PackedProfile));
-  std::uint64_t off_country_offsets = 0;
-  std::uint64_t off_country_nodes = 0;
-  if (options_.country_index) {
-    off_country_offsets = at;
-    at += (countries + 1) * 8;
-    off_country_nodes = at;
-    at += pad8(located_total * 4);
-  }
-  const std::uint64_t total = at + kSnapshotDigestBytes;
+  const detail::SnapshotLayout layout = detail::SnapshotLayout::place(
+      kSnapshotVersion3, nodes_, m, {out_enc.data_bytes, in_enc.data_bytes},
+      options_.country_index ? &countries : nullptr);
 
   const auto tmp_path = path.string() + ".tmp";
   SectionedWriter out(tmp_path);
   {
     std::array<std::byte, kHeaderBytes> header{};
-    std::byte* h = header.data();
-    std::memcpy(h, magic_for(kSnapshotVersion3), 8);
-    store_u32(h + 8, kSnapshotVersion3);
-    store_u32(h + 12,
-              options_.country_index ? kSnapshotFlagCountryIndex : 0);
-    store_u64(h + 16, n);
-    store_u64(h + 24, m);
-    store_u64(h + 32, off_out_adj);
-    store_u64(h + 40, off_in_adj);
-    store_u64(h + 48, off_perm);
-    store_u64(h + 56, off_inv);
-    store_u64(h + 64, off_recip);
-    store_u64(h + 72, off_profiles);
-    store_u64(h + 80, off_country_offsets);
-    store_u64(h + 88, off_country_nodes);
-    store_u64(h + 96, total);
-    store_u64(h + kChecksumOffset, fnv1a64(h, kChecksumOffset));
+    layout.store_header(header.data());
     out.write(header.data(), kHeaderBytes);
   }
 
@@ -556,8 +482,8 @@ OutOfCoreStats OutOfCoreSnapshotBuilder::finish(
     std::array<std::byte, 16> sub{};
     store_u64(sub.data(), enc.data_bytes);
     out.write(sub.data(), 16);
-    out.write(enc.base.data(), enc.base.size() * 8);
-    out.write(enc.rel.data(), enc.rel.size() * 4);
+    out.write(enc.index.base().data(), enc.index.base().size() * 8);
+    out.write(enc.index.rel().data(), enc.index.rel().size() * 4);
     out.pad_to8();
     out.append_file(enc.path);
     out.pad_to8();
@@ -580,34 +506,21 @@ OutOfCoreStats OutOfCoreSnapshotBuilder::finish(
   digests[5] = out.end_section();
   if (options_.country_index) {
     out.begin_section();
-    std::vector<std::uint64_t> coffsets(countries + 1, 0);
-    std::uint64_t written = 0;
-    for (std::size_t c = 0; c < countries; ++c) {
-      coffsets[c] = written;
-      written += by_country[c].size();
-    }
-    coffsets[countries] = written;
-    out.write(coffsets.data(), coffsets.size() * 8);
+    out.write(countries.offsets.data(), countries.offsets.size() * 8);
     digests[6] = out.end_section();
     out.begin_section();
-    for (std::size_t c = 0; c < countries; ++c) {
-      out.write(by_country[c].data(), by_country[c].size() * 4);
-    }
+    out.write(countries.nodes.data(), countries.nodes.size() * 4);
     out.pad_to8();
     digests[7] = out.end_section();
   }
   {
     std::array<std::byte, kSnapshotDigestBytes> table{};
-    for (std::size_t s = 0; s < kSnapshotSectionCount; ++s) {
-      store_u64(table.data() + s * 8, digests[s]);
-    }
-    store_u64(table.data() + kSnapshotSectionCount * 8,
-              fnv1a64(table.data(), kSnapshotSectionCount * 8));
+    detail::store_digest_table(table.data(), digests);
     out.write(table.data(), kSnapshotDigestBytes);
   }
-  if (out.written() != total) {
+  if (out.written() != layout.total) {
     fail("assembled size mismatch (wrote " + std::to_string(out.written()) +
-         ", laid out " + std::to_string(total) + ")");
+         ", laid out " + std::to_string(layout.total) + ")");
   }
   out.close();
   stage("assemble");
@@ -628,7 +541,7 @@ OutOfCoreStats OutOfCoreSnapshotBuilder::finish(
 
   OutOfCoreStats stats;
   stats.edge_count = m;
-  stats.total_bytes = total;
+  stats.total_bytes = layout.total;
   stats.run_count = run_count_;
   stats.resumed_edges = resumed_edges_;
   return stats;
@@ -650,9 +563,8 @@ namespace {
 
 constexpr char kRoutingMagic[8] = {'G', 'P', 'R', 'O', 'U', 'T', 'E', '1'};
 
-/// Degree rank order: total degree descending, ties by ascending id — the
-/// same total order the v3 relabeling uses, recomputed here from the view
-/// so sharding is format-version independent.
+/// Owners over the degree-rank order, recomputed here from the view so
+/// sharding is format-version independent.
 std::vector<std::uint8_t> assign_owners(const SnapshotView& full,
                                         const ShardingOptions& options) {
   const std::size_t n = full.node_count();
@@ -664,13 +576,8 @@ std::vector<std::uint8_t> assign_owners(const SnapshotView& full,
       deg[u] = full.out_degree(id) + full.in_degree(id);
     }
   });
-  std::vector<graph::NodeId> order(n);
-  std::iota(order.begin(), order.end(), graph::NodeId{0});
-  std::sort(order.begin(), order.end(),
-            [&](graph::NodeId a, graph::NodeId b) {
-              if (deg[a] != deg[b]) return deg[a] > deg[b];
-              return a < b;
-            });
+  const std::vector<graph::NodeId> order =
+      detail::degree_rank_order(n, [&](graph::NodeId u) { return deg[u]; });
   std::vector<std::uint8_t> owner(n, 0);
   if (options.policy == ShardingPolicy::kRankStripe) {
     for (std::size_t r = 0; r < n; ++r) {
@@ -693,153 +600,77 @@ std::vector<std::uint8_t> assign_owners(const SnapshotView& full,
   return owner;
 }
 
+/// Flat-writer rows of shard `mine`: the edge set E_s = {(a,b) : owner(a)
+/// == s or owner(b) == s} over the global id space. Source scans are
+/// ascending and filtering preserves that, so shard rows keep the
+/// sorted-adjacency invariant the engine depends on.
+struct ShardRows {
+  const SnapshotView& full;
+  const std::vector<std::uint8_t>& owner;
+  std::uint8_t mine;
+
+  bool owned(graph::NodeId u) const { return owner[u] == mine; }
+  /// Entries of `scan` that this shard owns.
+  std::uint64_t kept(NeighborScan scan) const {
+    std::uint64_t count = 0;
+    graph::NodeId v = 0;
+    while (scan.next(v)) count += owned(v) ? 1 : 0;
+    return count;
+  }
+  void copy_kept(graph::NodeId u, NeighborScan scan, graph::NodeId* dst) const {
+    const bool all = owned(u);
+    graph::NodeId v = 0;
+    while (scan.next(v)) {
+      if (all || owned(v)) *dst++ = v;
+    }
+  }
+
+  std::size_t node_count() const { return full.node_count(); }
+  std::uint64_t out_degree(graph::NodeId u) const {
+    return owned(u) ? full.out_degree(u) : kept(full.out_scan(u));
+  }
+  std::uint64_t in_degree(graph::NodeId u) const {
+    return owned(u) ? full.in_degree(u) : kept(full.in_scan(u));
+  }
+  void write_out(graph::NodeId u, graph::NodeId* dst) const {
+    copy_kept(u, full.out_scan(u), dst);
+  }
+  void write_in(graph::NodeId u, graph::NodeId* dst) const {
+    copy_kept(u, full.in_scan(u), dst);
+  }
+  /// Reciprocity against the FULL graph: (a,b) in E_s and (b,a) in E
+  /// implies (b,a) in E_s too (membership is symmetric), so owned rows
+  /// report globally-correct reciprocity.
+  bool has_edge(graph::NodeId a, graph::NodeId b) const {
+    return full.has_out_edge(a, b);
+  }
+  /// Non-owned profile rows stay zero: they are never served.
+  void write_profile(graph::NodeId u, PackedProfile& slot) const {
+    if (owned(u)) slot = full.profile(u);
+  }
+};
+
 /// Builds shard `s` as a self-contained v2 snapshot over the global id
-/// space, holding exactly E_s = {(a,b) : owner(a)==s or owner(b)==s}.
+/// space, holding exactly E_s. Shards never carry the country index.
 SnapshotBuffer build_shard_buffer(const SnapshotView& full,
                                   const std::vector<std::uint8_t>& owner,
                                   std::size_t s) {
-  const std::size_t n = full.node_count();
-  const auto mine = static_cast<std::uint8_t>(s);
-
-  // Filtered per-node degrees (parallel, disjoint writes), then serial
-  // prefix sums. Membership is symmetric in (a,b), so both CSRs hold the
-  // same arc count — the flat-open validation the view enforces.
-  std::vector<std::uint64_t> out_deg(n, 0);
-  std::vector<std::uint64_t> in_deg(n, 0);
-  core::parallel_for(n, 1024, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t u = begin; u < end; ++u) {
-      const auto id = static_cast<graph::NodeId>(u);
-      if (owner[u] == mine) {
-        out_deg[u] = full.out_degree(id);
-        in_deg[u] = full.in_degree(id);
-        continue;
-      }
-      NeighborScan out = full.out_scan(id);
-      graph::NodeId v = 0;
-      std::uint64_t kept = 0;
-      while (out.next(v)) kept += owner[v] == mine ? 1 : 0;
-      out_deg[u] = kept;
-      NeighborScan in = full.in_scan(id);
-      kept = 0;
-      while (in.next(v)) kept += owner[v] == mine ? 1 : 0;
-      in_deg[u] = kept;
-    }
-  });
-
-  std::uint64_t m_s = 0;
-  std::uint64_t m_in = 0;
-  for (std::size_t u = 0; u < n; ++u) {
-    m_s += out_deg[u];
-    m_in += in_deg[u];
-  }
-  if (m_s != m_in) fail("shard split: out/in arc counts diverged");
-
-  // v2 layout, minus the country index (shards never serve it).
-  std::size_t at = kHeaderBytes;
-  const std::size_t off_out_offsets = at;
-  at += (n + 1) * 8;
-  const std::size_t off_out_targets = at;
-  at += pad8(m_s * 4);
-  const std::size_t off_in_offsets = at;
-  at += (n + 1) * 8;
-  const std::size_t off_in_targets = at;
-  at += pad8(m_s * 4);
-  const std::size_t off_recip = at;
-  const std::size_t recip_words = (m_s + 63) / 64;
-  at += recip_words * 8;
-  const std::size_t off_profiles = at;
-  at += pad8(n * sizeof(PackedProfile));
-  const std::size_t off_digests = at;
-  at += kSnapshotDigestBytes;
-  const std::size_t total = at;
-
-  SnapshotBuffer buffer(std::vector<std::uint64_t>((total + 7) / 8, 0), total);
-  std::byte* base = buffer.data();
-
-  std::memcpy(base, magic_for(kSnapshotVersion2), 8);
-  store_u32(base + 8, kSnapshotVersion2);
-  store_u32(base + 12, 0);
-  store_u64(base + 16, n);
-  store_u64(base + 24, m_s);
-  store_u64(base + 32, off_out_offsets);
-  store_u64(base + 40, off_out_targets);
-  store_u64(base + 48, off_in_offsets);
-  store_u64(base + 56, off_in_targets);
-  store_u64(base + 64, off_recip);
-  store_u64(base + 72, off_profiles);
-  store_u64(base + 80, 0);
-  store_u64(base + 88, 0);
-  store_u64(base + 96, total);
-  store_u64(base + kChecksumOffset, fnv1a64(base, kChecksumOffset));
-
-  auto* out_offsets = reinterpret_cast<std::uint64_t*>(base + off_out_offsets);
-  auto* in_offsets = reinterpret_cast<std::uint64_t*>(base + off_in_offsets);
-  for (std::size_t u = 0; u < n; ++u) {
-    out_offsets[u + 1] = out_offsets[u] + out_deg[u];
-    in_offsets[u + 1] = in_offsets[u] + in_deg[u];
-  }
-
-  // Targets and profiles: parallel, each node writes its own slices.
-  // Source scans are ascending, filtering preserves that, so shard rows
-  // keep the sorted-adjacency invariant the engine depends on.
-  auto* out_targets = reinterpret_cast<graph::NodeId*>(base + off_out_targets);
-  auto* in_targets = reinterpret_cast<graph::NodeId*>(base + off_in_targets);
-  auto* profiles = reinterpret_cast<PackedProfile*>(base + off_profiles);
-  core::parallel_for(n, 1024, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t u = begin; u < end; ++u) {
-      const auto id = static_cast<graph::NodeId>(u);
-      const bool owned = owner[u] == mine;
-      NeighborScan out = full.out_scan(id);
-      graph::NodeId v = 0;
-      std::size_t w = out_offsets[u];
-      while (out.next(v)) {
-        if (owned || owner[v] == mine) out_targets[w++] = v;
-      }
-      NeighborScan in = full.in_scan(id);
-      w = in_offsets[u];
-      while (in.next(v)) {
-        if (owned || owner[v] == mine) in_targets[w++] = v;
-      }
-      if (owned) profiles[u] = full.profile(id);
-      // Non-owned profile rows stay zero: they are never served.
-    }
-  });
-
-  // Reciprocal bitmap over the shard's out CSR, against the FULL graph:
-  // (a,b) in E_s and (b,a) in E implies (b,a) in E_s too (membership is
-  // symmetric), so owned rows report globally-correct reciprocity.
-  std::vector<std::uint8_t> recip_bytes(m_s, 0);
-  core::parallel_for(n, 256, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t u = begin; u < end; ++u) {
-      const auto id = static_cast<graph::NodeId>(u);
-      for (std::size_t e = out_offsets[u]; e < out_offsets[u + 1]; ++e) {
-        if (full.has_out_edge(out_targets[e], id)) recip_bytes[e] = 1;
-      }
-    }
-  });
-  auto* recip = reinterpret_cast<std::uint64_t*>(base + off_recip);
-  for (std::size_t e = 0; e < m_s; ++e) {
-    if (recip_bytes[e]) recip[e >> 6] |= std::uint64_t{1} << (e & 63);
-  }
-
-  const std::pair<std::size_t, std::size_t> sections[kSnapshotSectionCount] = {
-      {off_out_offsets, (n + 1) * 8},
-      {off_out_targets, pad8(m_s * 4)},
-      {off_in_offsets, (n + 1) * 8},
-      {off_in_targets, pad8(m_s * 4)},
-      {off_recip, recip_words * 8},
-      {off_profiles, pad8(n * sizeof(PackedProfile))},
-      {0, 0},
-      {0, 0},
-  };
-  auto* digests = base + off_digests;
-  for (std::size_t sec = 0; sec < kSnapshotSectionCount; ++sec) {
-    const auto [off, len] = sections[sec];
-    store_u64(digests + sec * 8, off == 0 ? 0 : fnv1a64(base + off, len));
-  }
-  store_u64(digests + kSnapshotSectionCount * 8,
-            fnv1a64(digests, kSnapshotSectionCount * 8));
-  return buffer;
+  const ShardRows rows{full, owner, static_cast<std::uint8_t>(s)};
+  // |E_s| = arcs out of owned nodes + arcs into them - arcs between two
+  // owned nodes (counted by both terms). The flat writer checks it
+  // against the per-row degrees.
+  const std::uint64_t edges = core::parallel_reduce(
+      full.node_count(), 1024, std::uint64_t{0},
+      [&](std::size_t begin, std::size_t end, std::uint64_t& acc) {
+        for (std::size_t u = begin; u < end; ++u) {
+          const auto id = static_cast<graph::NodeId>(u);
+          if (!rows.owned(id)) continue;
+          acc += full.out_degree(id) + full.in_degree(id) -
+                 rows.kept(full.out_scan(id));
+        }
+      },
+      [](std::uint64_t& into, std::uint64_t from) { into += from; });
+  return detail::write_flat_snapshot(rows, edges, nullptr);
 }
 
 }  // namespace

@@ -19,7 +19,10 @@
 // file is byte-identical to `build_snapshot(..., {.version = 3})` on the
 // same logical graph — a tested contract (tests/test_snapshot_equivalence)
 // that also makes crash-resume verifiable: a resumed build must reproduce
-// the uninterrupted bytes exactly.
+// the uninterrupted bytes exactly. Both v3 builders share one layout, rank
+// order, row-index builder and country index (snapshot_format.h); each
+// encodes its own rows, which is what keeps the in-memory build a useful
+// oracle for this one.
 //
 // Crash recovery: flushed runs and the ingest count are recorded in a
 // manifest (updated atomically after every flush). A new builder on the
@@ -127,7 +130,8 @@ class OutOfCoreSnapshotBuilder {
 //   kRankRange   contiguous rank ranges balanced by total-degree mass
 //
 // Shard s stores the edge set E_s = {(a,b) : owner(a)==s or owner(b)==s}
-// as a standard v2 snapshot with the GLOBAL node id space (node_count = n,
+// as a standard v2 snapshot — written by the same flat writer as
+// `build_snapshot` — with the GLOBAL node id space (node_count = n,
 // edge_count = |E_s|). That makes every owned row complete on both sides:
 // out/in circles, degrees and the reciprocal bitmap of an owned node are
 // bit-equal to the unsharded snapshot — the invariant that lets the
@@ -169,8 +173,8 @@ struct ShardedSnapshot {
 };
 
 /// Splits `full` into `options.shard_count` vertex shards. Deterministic
-/// in (snapshot bytes, options) at any GPLUS_THREADS; works on any
-/// readable snapshot version (v1/v2/v3). Throws std::runtime_error on
+/// in (snapshot bytes, options) at any GPLUS_THREADS; works on either
+/// snapshot version (v2/v3). Throws std::runtime_error on
 /// shard_count of 0, > 256, or > node_count.
 ShardedSnapshot split_snapshot(const SnapshotView& full,
                                const ShardingOptions& options);

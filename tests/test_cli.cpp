@@ -205,6 +205,15 @@ TEST_F(CliPipelineTest, H_SnapshotBuildAndInspect) {
   EXPECT_NE(inspect.str().find("Reciprocity"), std::string::npos);
   EXPECT_NE(inspect.str().find("Country index"), std::string::npos);
   std::filesystem::remove(snap);
+
+  // Format 1 is retired: asking for it fails with a message, writes nothing.
+  std::ostringstream v1;
+  EXPECT_NE(run_command({"snapshot", "--in", dataset_path().string(), "--out",
+                         snap.string(), "--format-version", "1"},
+                        v1),
+            0);
+  EXPECT_NE(v1.str().find("version 1"), std::string::npos) << v1.str();
+  EXPECT_FALSE(std::filesystem::exists(snap));
 }
 
 TEST_F(CliPipelineTest, I_ServeBenchReportsThroughput) {

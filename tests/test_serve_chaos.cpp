@@ -623,25 +623,5 @@ TEST(ChaosStormTest, RegistryDeltaReconcilesWithStormBookkeeping) {
             static_cast<std::int64_t>(report.accepted + 2 * probes_run));
 }
 
-TEST(ChaosStormTest, GPSNAP01SnapshotStillServesThroughTheStorm) {
-  // The acceptance guarantee: a legacy v1 snapshot opens and serves
-  // unchanged — including through the full resilience stack (validate
-  // simply has no digests to check).
-  SnapshotOptions options;
-  options.version = kSnapshotVersion1;
-  const SnapshotBuffer v1_a = build_snapshot(dataset_a(), options);
-  const SnapshotBuffer v1_b = build_snapshot(dataset_b(), options);
-  ASSERT_EQ(SnapshotManager::validate(v1_a), "");
-
-  const StormReport v1 = run_chaos_storm(v1_a, v1_b, storm_config());
-  EXPECT_TRUE(v1.violations.empty());
-  // Serving is version-independent: the v1 storm equals the v2 storm
-  // byte for byte (the digest table is metadata, not served data).
-  const StormReport v2 = run_chaos_storm(snapshot_a(), snapshot_b(), storm_config());
-  EXPECT_EQ(v1.checksum, v2.checksum);
-  EXPECT_EQ(v1.by_status, v2.by_status);
-  EXPECT_EQ(v1.post_probe_checksum, v2.post_probe_checksum);
-}
-
 }  // namespace
 }  // namespace gplus::serve

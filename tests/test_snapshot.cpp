@@ -3,6 +3,8 @@
 // magic, truncation, corrupt header, unknown version, rogue sections).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -12,6 +14,7 @@
 #include "core/parallel.h"
 #include "geo/countries.h"
 #include "serve/snapshot.h"
+#include "serve/snapshot_build.h"
 #include "serve/snapshot_file.h"
 
 namespace gplus::serve {
@@ -221,37 +224,50 @@ TEST_F(SnapshotRoundTrip, RejectsTruncation) {
   EXPECT_THROW(read_snapshot(garbage), std::runtime_error);
 }
 
-TEST_F(SnapshotRoundTrip, V1BuildsOpensAndServesUnchanged) {
-  SnapshotOptions options;
-  options.version = kSnapshotVersion1;
-  const SnapshotBuffer v1 = build_snapshot(dataset(), options);
-  EXPECT_EQ(std::memcmp(v1.bytes().data(), "GPSNAP01", 8), 0);
-  // v2 is exactly v1 plus the trailing digest table.
-  EXPECT_EQ(v1.size() + kSnapshotDigestBytes, snapshot().size());
-
-  const SnapshotView view(v1.bytes());
-  EXPECT_EQ(view.version(), kSnapshotVersion1);
-  EXPECT_FALSE(view.has_section_digests());
-  EXPECT_NO_THROW(view.verify_sections());  // nothing to verify on v1
-
-  // Same dataset, same serving surface: adjacency and profiles agree
-  // with the v2 view byte for byte.
-  const SnapshotView v2(snapshot().bytes());
-  ASSERT_EQ(view.node_count(), v2.node_count());
-  ASSERT_EQ(view.edge_count(), v2.edge_count());
-  for (graph::NodeId u = 0; u < view.node_count(); u += 97) {
-    const auto a = view.out_neighbors(u);
-    const auto b = v2.out_neighbors(u);
-    ASSERT_EQ(a.size(), b.size()) << u;
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin())) << u;
-    EXPECT_EQ(view.profile(u), v2.profile(u)) << u;
+TEST_F(SnapshotRoundTrip, RejectsRetiredV1Files) {
+  // A format-1 file as its writer laid it out: the v2 sections without the
+  // trailing digest table, under magic/version 1. Every open path refuses
+  // it with a typed error naming the format.
+  const std::size_t size = snapshot().size() - kSnapshotDigestBytes;
+  auto words = mutable_copy(snapshot());
+  auto* bytes = reinterpret_cast<std::byte*>(words.data());
+  bytes[7] = std::byte{'1'};
+  const std::uint32_t version = 1;
+  std::memcpy(bytes + 8, &version, 4);
+  const std::uint64_t total = size;
+  std::memcpy(bytes + 96, &total, 8);
+  reseal_header(words);
+  try {
+    SnapshotView view(as_bytes(words, size));
+    FAIL() << "v1 file accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("unsupported format"),
+              std::string::npos)
+        << error.what();
   }
+  const std::string file(reinterpret_cast<const char*>(bytes), size);
+  std::istringstream stream(file);
+  EXPECT_FALSE(sniff_snapshot_magic(stream));
+  std::istringstream in(file);
+  EXPECT_THROW(read_snapshot(in), std::runtime_error);
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("gplus_snapshot_v1_" + std::to_string(::getpid()) + ".snap");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(file.data(), static_cast<std::streamsize>(file.size()));
+  }
+  EXPECT_THROW(MappedSnapshot mapped(path), std::runtime_error);
+  std::filesystem::remove(path);
+
+  // Nor does any writer still emit it.
+  SnapshotOptions options;
+  options.version = 1;
+  EXPECT_THROW(build_snapshot(dataset(), options), std::runtime_error);
 }
 
 TEST_F(SnapshotRoundTrip, V2DigestTableVerifies) {
   const SnapshotView view(snapshot().bytes());
   EXPECT_EQ(view.version(), kSnapshotVersion2);
-  EXPECT_TRUE(view.has_section_digests());
   EXPECT_NO_THROW(view.verify_sections());
 }
 
@@ -308,11 +324,132 @@ TEST_F(SnapshotRoundTrip, RejectsTruncatedDigestTable) {
   }
 }
 
+TEST_F(SnapshotRoundTrip, RejectsNodeCountTheBodyCannotHold) {
+  // A 200-byte v2 file whose sealed header claims n = 2^61, m = 0. The
+  // flat section lengths (n+1)*8 and n*16 wrap to 8 and 0 in u64, so a
+  // per-section bounds check alone would accept every section and let
+  // out_degree() read the digest table as offsets. The layout check must
+  // refuse the count itself.
+  std::vector<std::uint64_t> words(25, 0);
+  auto* bytes = reinterpret_cast<std::byte*>(words.data());
+  std::memcpy(bytes, "GPSNAP02", 8);
+  const std::uint32_t version = 2;
+  std::memcpy(bytes + 8, &version, 4);
+  const std::uint64_t header[] = {
+      std::uint64_t{1} << 61,  // node_count
+      0,                       // edge_count
+      112, 120, 120, 128, 128, 128, 0, 0,  // section offsets
+      200,                     // total_bytes
+  };
+  std::memcpy(bytes + 16, header, sizeof header);
+  reseal_header(words);
+  // Digests the wrapped lengths would verify against: 8 zero bytes for
+  // each offsets array, the empty-input FNV basis for the others.
+  const std::uint64_t zero8 = fnv1a64(bytes + 112, 8);
+  const std::uint64_t empty = fnv1a64(bytes, 0);
+  const std::uint64_t digests[] = {zero8, empty, zero8, empty,
+                                   empty, empty, 0,     0};
+  std::memcpy(bytes + 128, digests, sizeof digests);
+  const std::uint64_t seal = fnv1a64(bytes + 128, sizeof digests);
+  std::memcpy(bytes + 192, &seal, 8);
+  try {
+    const SnapshotView view(as_bytes(words, 200));
+    view.verify_sections();
+    FAIL() << "impossible node count accepted (out_degree(7) = "
+           << view.out_degree(7) << ")";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("impossible"), std::string::npos)
+        << error.what();
+  }
+  // Nor an edge count: targets need 8 bytes per edge.
+  const std::uint64_t edge_header[] = {0, std::uint64_t{1} << 62};
+  std::memcpy(bytes + 16, edge_header, sizeof edge_header);
+  reseal_header(words);
+  try {
+    SnapshotView view(as_bytes(words, 200));
+    FAIL() << "impossible edge count accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("edge count impossible"),
+              std::string::npos)
+        << error.what();
+  }
+  // The same counts must not slip through on a v3 header either.
+  std::memcpy(bytes + 16, header, 16);
+  std::memcpy(bytes, "GPSNAP03", 8);
+  const std::uint32_t v3 = 3;
+  std::memcpy(bytes + 8, &v3, 4);
+  reseal_header(words);
+  EXPECT_THROW({ SnapshotView view(as_bytes(words, 200)); },
+               std::runtime_error);
+}
+
+// Digest of a whole buffer, for pinning writer output.
+std::uint64_t digest(std::span<const std::byte> bytes) {
+  return fnv1a64(bytes.data(), bytes.size());
+}
+
+TEST_F(SnapshotRoundTrip, EveryWriterEmitsItsPinnedBytes) {
+  // Whole-file FNV-1a digests of every writer's output, recorded before
+  // the writers were folded onto one layout. The out-of-core == in-memory
+  // v3 check in test_snapshot_equivalence cannot see both writers drift
+  // together; these pins can.
+  EXPECT_EQ(digest(snapshot().bytes()), 0x0d6b679bee439ffaULL) << "v2";
+  SnapshotOptions lean;
+  lean.country_index = false;
+  EXPECT_EQ(digest(build_snapshot(dataset(), lean).bytes()),
+            0x59f472dddbc583c9ULL)
+      << "v2 without country index";
+  SnapshotOptions v3;
+  v3.version = kSnapshotVersion3;
+  const SnapshotBuffer compressed = build_snapshot(dataset(), v3);
+  EXPECT_EQ(digest(compressed.bytes()), 0xeced18777f2a18beULL) << "v3";
+
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("gplus_pinned_ooc_" + std::to_string(::getpid()) + ".snap");
+  {
+    OutOfCoreOptions options;
+    options.work_dir = path.string() + ".work";
+    options.sort_buffer_edges = 4'096;  // several runs, a real merge
+    OutOfCoreSnapshotBuilder builder(dataset().graph().node_count(),
+                                     std::move(options));
+    const auto& g = dataset().graph();
+    for (graph::NodeId u = 0; u < g.node_count(); ++u) {
+      for (const graph::NodeId v : g.out_neighbors(u)) builder.add_edge(u, v);
+      builder.set_profile(u, dataset().profiles[u]);
+    }
+    EXPECT_GT(builder.finish(path).run_count, 1u);
+  }
+  EXPECT_EQ(digest(load_snapshot(path).bytes()), 0xeced18777f2a18beULL)
+      << "out-of-core v3";
+  std::filesystem::remove(path);
+  std::filesystem::remove_all(path.string() + ".work");
+
+  const SnapshotView full(snapshot().bytes());
+  const std::uint64_t stripe[] = {0x2753a4e746d35d77ULL, 0x10d08462302b27b2ULL,
+                                  0xecbc75ffccc4b1d1ULL, 0xd3208a4890b4084dULL};
+  const std::uint64_t range[] = {0xfb52b38b946dfc71ULL, 0xa8a7f7e2c7bd0d32ULL,
+                                 0xf2ba221fd573689fULL, 0xabb1a1189d8612d8ULL};
+  for (const auto policy :
+       {ShardingPolicy::kRankStripe, ShardingPolicy::kRankRange}) {
+    const ShardedSnapshot split =
+        split_snapshot(full, {.shard_count = 4, .policy = policy});
+    ASSERT_EQ(split.shards.size(), 4u);
+    for (std::size_t s = 0; s < 4; ++s) {
+      const std::uint64_t want =
+          policy == ShardingPolicy::kRankStripe ? stripe[s] : range[s];
+      EXPECT_EQ(digest(split.shards[s].bytes()), want)
+          << sharding_policy_name(policy) << " shard " << s;
+    }
+  }
+}
+
 TEST_F(SnapshotRoundTrip, SniffMagicIsShortReadSafe) {
   std::istringstream v2("GPSNAP02 plus trailing bytes");
   EXPECT_TRUE(sniff_snapshot_magic(v2));
-  std::istringstream v1("GPSNAP01");
-  EXPECT_TRUE(sniff_snapshot_magic(v1));
+  std::istringstream v3("GPSNAP03");
+  EXPECT_TRUE(sniff_snapshot_magic(v3));
+  std::istringstream v1("GPSNAP01");  // retired format
+  EXPECT_FALSE(sniff_snapshot_magic(v1));
   std::istringstream future("GPSNAP99");  // unknown version digits
   EXPECT_FALSE(sniff_snapshot_magic(future));
   std::istringstream shorter("GPS");  // shorter than the magic itself
@@ -339,7 +476,6 @@ TEST_F(SnapshotV3, CompressedAdjacencyMatchesGraph) {
   const SnapshotView view(v3().bytes());
   EXPECT_EQ(view.version(), kSnapshotVersion3);
   EXPECT_TRUE(view.adjacency_compressed());
-  EXPECT_TRUE(view.has_section_digests());
   EXPECT_NO_THROW(view.verify_sections());
   const auto& g = dataset().graph();
   ASSERT_EQ(view.node_count(), g.node_count());
@@ -380,7 +516,7 @@ TEST_F(SnapshotV3, PermutationIsDegreeOrderAndInverse) {
 TEST_F(SnapshotV3, MembershipAndReciprocityMatchGraph) {
   const SnapshotView view(v3().bytes());
   const auto& g = dataset().graph();
-  EXPECT_FALSE(view.edge_reciprocal(0));  // per-edge bitmap is v1/v2-only
+  EXPECT_FALSE(view.edge_reciprocal(0));  // per-edge bitmap is v2-only
   for (graph::NodeId u = 0; u < g.node_count(); u += 7) {
     std::uint64_t reciprocal = 0;
     for (const graph::NodeId v : g.out_neighbors(u)) {
