@@ -1,23 +1,25 @@
-// Microbenchmark for the shared sorted-set intersection kernels
-// (algo/intersect.h): scalar merge, galloping, SSE2/AVX2 block compare
-// and the bitset-window variant, swept across skewed list-length ratios.
+// Microbenchmark for the shared sorted-set intersection (algo/intersect.h):
+// scalar merge, galloping and SSE2/AVX2 block compare, each forced through
+// detail::intersect_with, plus an `auto` column — the per-call dispatch
+// every library call site runs — swept across skewed list-length ratios.
 //
 // The skew sweep is the point: the adjacency intersections behind the
 // triangle census, Jaccard scoring and the kSuggest mutual-count all hit
 // wildly asymmetric list pairs (a celebrity row against a leaf row), and
-// each kernel has a regime where it wins — merge at ratio ~1, galloping
-// once the ratio passes ~32, SIMD in between. `pick_auto` encodes that
-// heuristic; this bench is how its thresholds were calibrated.
+// each kernel has a regime where it wins — SIMD at low ratios, galloping
+// at high ones. The dispatch switches to galloping at a length ratio of
+// detail::kIntersectSkewThreshold (32); the r16/r32 rows bracket it, and
+// each row names the kernel `auto` picked.
 //
 // Every kernel must return the identical count on every pair — the
 // dispatch-invariance contract the serving checksums rely on — so the
 // bench asserts agreement and exits nonzero on divergence. Results are
 // published to BENCH_intersect.json (override GPLUS_BENCH_INTERSECT_JSON)
-// as Melem/s per (kernel, ratio) for the CI artifact; unavailable SIMD
-// tiers on the host are reported as 0 and skipped.
+// as Melem/s per (kernel, ratio) for the CI artifact; SIMD tiers the host
+// lacks are printed as n/a and left out of the JSON.
 //
-// GPLUS_SEED overrides the list-generation seed; GPLUS_INTERSECT_REPEAT
-// the measurement repeat count (default 7, best-of).
+// GPLUS_SEED overrides the list-generation seed. Each cell is the best of
+// 7 repeats.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -33,7 +35,8 @@
 namespace {
 
 using namespace gplus;
-using algo::IntersectKernel;
+using algo::detail::IntersectKernel;
+using algo::detail::intersect_kernel_name;
 
 // Sorted duplicate-free list of `count` values drawn from [0, universe).
 std::vector<graph::NodeId> make_sorted(stats::Rng& rng, std::size_t count,
@@ -68,7 +71,7 @@ int main() {
   bench::banner("micro_intersect",
                 "sorted-set intersection kernels across list-length skew");
   const std::uint64_t seed = bench::seed();
-  const std::size_t repeats = bench::env_or("GPLUS_INTERSECT_REPEAT", 7);
+  constexpr std::size_t repeats = 7;
 
   // Fixed work volume per scenario: the large list stays 64k entries and
   // the small side shrinks, so ratios isolate the skew effect rather than
@@ -77,20 +80,25 @@ int main() {
   const Scenario scenarios[] = {
       {"r1", kLarge, kLarge},
       {"r8", kLarge / 8, kLarge},
+      {"r16", kLarge / 16, kLarge},
+      {"r32", kLarge / 32, kLarge},
       {"r64", kLarge / 64, kLarge},
       {"r512", kLarge / 512, kLarge},
   };
+  // Scalar first: it is the reference every column must agree with.
   const IntersectKernel kernels[] = {
       IntersectKernel::kScalar, IntersectKernel::kGalloping,
-      IntersectKernel::kSse, IntersectKernel::kAvx2, IntersectKernel::kBitset,
+      IntersectKernel::kSse,    IntersectKernel::kAvx2,
+      IntersectKernel::kAuto,
   };
 
   std::printf("host SIMD: sse=%s avx2=%s  (repeats: best of %zu)\n\n",
-              algo::sse_intersect_available() ? "yes" : "no",
-              algo::avx2_intersect_available() ? "yes" : "no", repeats);
+              algo::detail::sse_intersect_available() ? "yes" : "no",
+              algo::detail::avx2_intersect_available() ? "yes" : "no",
+              repeats);
   std::printf("%-10s", "ratio");
   for (const IntersectKernel k : kernels) {
-    std::printf(" %12s", algo::intersect_kernel_name(k).data());
+    std::printf(" %12s", intersect_kernel_name(k).data());
   }
   std::printf("   (Melem/s)\n");
 
@@ -106,13 +114,17 @@ int main() {
     for (std::size_t k = 0; k < std::size(kernels); ++k) {
       const IntersectKernel kernel = kernels[k];
       if ((kernel == IntersectKernel::kSse &&
-           !algo::sse_intersect_available()) ||
+           !algo::detail::sse_intersect_available()) ||
           (kernel == IntersectKernel::kAvx2 &&
-           !algo::avx2_intersect_available())) {
+           !algo::detail::avx2_intersect_available())) {
         continue;
       }
+      // kAuto is exactly what algo::intersect_count runs.
+      const auto run = [&] {
+        return algo::detail::intersect_with(kernel, a, b, nullptr);
+      };
       cells[k].available = true;
-      cells[k].count = algo::intersect_count(a, b, kernel);
+      cells[k].count = run();
       double best_s = 1e300;
       for (std::size_t r = 0; r < repeats; ++r) {
         // Enough inner iterations to lift tiny pairs above timer noise.
@@ -120,7 +132,7 @@ int main() {
         volatile std::size_t sink = 0;
         const auto start = std::chrono::steady_clock::now();
         for (std::size_t i = 0; i < iters; ++i) {
-          sink = sink + algo::intersect_count(a, b, kernel);
+          sink = sink + run();
         }
         const auto stop = std::chrono::steady_clock::now();
         const double elapsed =
@@ -142,17 +154,19 @@ int main() {
       std::printf(" %12.1f", cells[k].melems_per_s);
       if (cells[k].count != reference) {
         std::printf("\nVIOLATION: %s count %zu != scalar %zu on %s\n",
-                    algo::intersect_kernel_name(kernels[k]).data(),
+                    intersect_kernel_name(kernels[k]).data(),
                     cells[k].count, reference, s.name);
         ++failures;
       }
       json_fields.emplace_back(
           std::string("melems_") +
-              std::string(algo::intersect_kernel_name(kernels[k])) + "_" +
-              s.name,
+              std::string(intersect_kernel_name(kernels[k])) + "_" + s.name,
           cells[k].melems_per_s);
     }
-    std::printf("   |a∩b|=%zu\n", reference);
+    std::printf("   |a∩b|=%zu  auto→%s\n", reference,
+                intersect_kernel_name(
+                    algo::detail::auto_intersect_kernel(a.size(), b.size()))
+                    .data());
   }
 
   const char* json_env = std::getenv("GPLUS_BENCH_INTERSECT_JSON");

@@ -1,5 +1,6 @@
 #include "algo/clustering.h"
 
+#include "algo/intersect.h"
 #include "core/parallel.h"
 #include "stats/sampling.h"
 
@@ -11,24 +12,17 @@ using graph::NodeId;
 std::optional<double> clustering_coefficient(const DiGraph& g, NodeId u) {
   const auto outs = g.out_neighbors(u);
   if (outs.size() <= 1) return std::nullopt;
+  // Directed edges from each out-neighbor a to the other out-neighbors:
+  // |outs ∩ out(a)| through the shared intersection, less the two common
+  // elements that are not "other" out-neighbors — a itself (a self-loop
+  // on a) and u (when u has a self-loop, so u ∈ outs, and a → u).
+  const bool u_looped = g.has_edge(u, u);
   std::uint64_t links = 0;
-  for (NodeId a : outs) {
+  for (const NodeId a : outs) {
     if (a == u) continue;
-    // Count directed edges from a to any other out-neighbor of u via merge
-    // of sorted lists (outs is sorted; a's out list is sorted).
-    const auto a_outs = g.out_neighbors(a);
-    std::size_t i = 0, j = 0;
-    while (i < outs.size() && j < a_outs.size()) {
-      if (outs[i] < a_outs[j]) {
-        ++i;
-      } else if (outs[i] > a_outs[j]) {
-        ++j;
-      } else {
-        if (outs[i] != a && outs[i] != u) ++links;
-        ++i;
-        ++j;
-      }
-    }
+    links += intersect_count(outs, g.out_neighbors(a));
+    if (g.has_edge(a, a)) --links;
+    if (u_looped && g.has_edge(a, u)) --links;
   }
   const auto k = static_cast<double>(outs.size());
   return static_cast<double>(links) / (k * (k - 1.0));

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <unordered_map>
 
+#include "algo/graph_view.h"
 #include "stats/expect.h"
 
 namespace gplus::algo {
@@ -35,30 +36,12 @@ Partition compact(std::vector<std::uint32_t> raw) {
   return p;
 }
 
-template <typename Fn>
-void for_each_undirected_neighbor(const DiGraph& g, NodeId u, Fn&& fn) {
-  const auto outs = g.out_neighbors(u);
-  const auto ins = g.in_neighbors(u);
-  std::size_t i = 0, j = 0;
-  while (i < outs.size() || j < ins.size()) {
-    NodeId next;
-    if (j >= ins.size() || (i < outs.size() && outs[i] < ins[j])) {
-      next = outs[i++];
-    } else if (i >= outs.size() || ins[j] < outs[i]) {
-      next = ins[j++];
-    } else {
-      next = outs[i++];
-      ++j;
-    }
-    if (next != u) fn(next);
-  }
-}
-
 }  // namespace
 
 Partition label_propagation(const DiGraph& g, stats::Rng& rng,
                             std::size_t max_rounds) {
   const std::size_t n = g.node_count();
+  const DiGraphView view(g);
   std::vector<std::uint32_t> label(n);
   std::iota(label.begin(), label.end(), 0U);
   if (n == 0) return compact(std::move(label));
@@ -73,7 +56,8 @@ Partition label_propagation(const DiGraph& g, stats::Rng& rng,
     bool changed = false;
     for (NodeId u : order) {
       votes.clear();
-      for_each_undirected_neighbor(g, u, [&](NodeId v) { ++votes[label[v]]; });
+      for_each_union_neighbor(
+          view, u, [&](NodeId v, std::uint8_t) { ++votes[label[v]]; });
       if (votes.empty()) continue;
       std::uint32_t best_count = 0;
       for (const auto& [l, c] : votes) best_count = std::max(best_count, c);
@@ -150,8 +134,9 @@ double modularity(const DiGraph& g, const Partition& partition) {
   std::uint64_t two_m = 0;
   std::vector<double> internal(partition.community_count, 0.0);
   std::vector<double> degree_sum(partition.community_count, 0.0);
+  const DiGraphView view(g);
   for (NodeId u = 0; u < n; ++u) {
-    for_each_undirected_neighbor(g, u, [&](NodeId v) {
+    for_each_union_neighbor(view, u, [&](NodeId v, std::uint8_t) {
       ++degree[u];
       ++two_m;
       if (partition.label[u] == partition.label[v]) {

@@ -12,11 +12,18 @@
 //     `entry` is past the end). `serve::NeighborScan` is the snapshot
 //     cursor; a suspended scan is resumed by re-opening the row and
 //     skipping, so callers keep a (node, position) pair, not a cursor.
-//   - `out_degree(u)` and `has_out_edge(u, v)`: used by the motif census.
+//   - `out_degree(u)` and `has_out_edge(u, v)`: used by the motif census;
+//     `in_degree(u)`: used to size union rows.
 //
 // Users: strongly_connected_components (algo/scc.h),
-// approximate_neighborhood_function (algo/anf.h) and the triad census
-// (algo/motifs.h). DiGraphView gives a DiGraph this interface.
+// approximate_neighborhood_function (algo/anf.h), the triad census
+// (algo/motifs.h) and the triangle census (algo/triangles.h). DiGraphView
+// gives a DiGraph this interface.
+//
+// for_each_union_neighbor below is the one out∪in merge in src/algo:
+// the triad census and wedge sampler, the triangle census, k-core
+// peeling, label propagation and modularity all walk undirected rows
+// through it.
 #pragma once
 
 #include <cstddef>
@@ -61,6 +68,7 @@ class DiGraphView {
     return Cursor(g_->in_neighbors(u));
   }
   std::uint64_t out_degree(graph::NodeId u) const { return g_->out_degree(u); }
+  std::uint64_t in_degree(graph::NodeId u) const { return g_->in_degree(u); }
   bool has_out_edge(graph::NodeId u, graph::NodeId v) const {
     return g_->has_edge(u, v);
   }
@@ -68,5 +76,37 @@ class DiGraphView {
  private:
   const graph::DiGraph* g_;
 };
+
+/// Visits u's distinct out∪in neighbors in ascending id order, self-loops
+/// dropped, as fn(v, code): code is the 2-bit dyad code of (u, v) —
+/// 1 = u→v only, 2 = v→u only, 3 = both.
+template <class View, class Fn>
+void for_each_union_neighbor(const View& view, graph::NodeId u, Fn&& fn) {
+  auto out = view.out_scan(u);
+  auto in = view.in_scan(u);
+  graph::NodeId a = 0;
+  graph::NodeId b = 0;
+  bool has_a = out.next(a);
+  bool has_b = in.next(b);
+  while (has_a || has_b) {
+    graph::NodeId v;
+    std::uint8_t code;
+    if (has_a && (!has_b || a < b)) {
+      v = a;
+      code = 1;
+      has_a = out.next(a);
+    } else if (has_b && (!has_a || b < a)) {
+      v = b;
+      code = 2;
+      has_b = in.next(b);
+    } else {
+      v = a;
+      code = 3;
+      has_a = out.next(a);
+      has_b = in.next(b);
+    }
+    if (v != u) fn(v, code);
+  }
+}
 
 }  // namespace gplus::algo

@@ -1,18 +1,16 @@
 #include "algo/intersect.h"
 
-#include <atomic>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
+#include <algorithm>
 
 #if defined(__x86_64__) || defined(__i386__)
-#define GPLUS_INTERSECT_X86 1
+#define GPLUS_X86_SIMD 1
 #include <immintrin.h>
 #endif
 
 namespace gplus::algo {
 
 using graph::NodeId;
+using detail::IntersectKernel;
 
 namespace {
 
@@ -77,50 +75,7 @@ std::size_t run_galloping(std::span<const NodeId> a, std::span<const NodeId> b,
   return count;
 }
 
-// 4096-value windows, 64 words each: bits set from one list, probed by the
-// other. Both cursors advance through windows in lockstep, so the probe
-// order (and thus the emitted sequence) stays ascending.
-constexpr std::uint64_t kWindowValues = 4096;
-
-std::size_t run_bitset(std::span<const NodeId> a, std::span<const NodeId> b,
-                       std::vector<NodeId>* out) {
-  std::uint64_t words[kWindowValues / 64];
-  std::size_t i = 0, j = 0, count = 0;
-  while (i < a.size() && j < b.size()) {
-    const std::uint64_t lead = std::max(a[i], b[j]);
-    const std::uint64_t base = lead - lead % kWindowValues;
-    const std::uint64_t limit = base + kWindowValues;
-    i = static_cast<std::size_t>(
-        std::lower_bound(a.begin() + static_cast<std::ptrdiff_t>(i), a.end(),
-                         static_cast<NodeId>(base)) -
-        a.begin());
-    j = static_cast<std::size_t>(
-        std::lower_bound(b.begin() + static_cast<std::ptrdiff_t>(j), b.end(),
-                         static_cast<NodeId>(base)) -
-        b.begin());
-    if (i >= a.size() || j >= b.size()) break;
-    if (a[i] >= limit || b[j] >= limit) continue;  // disjoint windows: re-aim
-    for (std::uint64_t& w : words) w = 0;
-    std::size_t i2 = i;
-    while (i2 < a.size() && a[i2] < limit) {
-      const std::uint64_t bit = a[i2] - base;
-      words[bit >> 6] |= std::uint64_t{1} << (bit & 63);
-      ++i2;
-    }
-    while (j < b.size() && b[j] < limit) {
-      const std::uint64_t bit = b[j] - base;
-      if ((words[bit >> 6] >> (bit & 63)) & 1U) {
-        ++count;
-        if (out != nullptr) out->push_back(b[j]);
-      }
-      ++j;
-    }
-    i = i2;
-  }
-  return count;
-}
-
-#if defined(GPLUS_INTERSECT_X86)
+#if defined(GPLUS_X86_SIMD)
 
 // Block-compare kernels: load one block from each list, compare all pairs
 // by rotating one operand through every lane, collect the per-lane match
@@ -197,74 +152,11 @@ __attribute__((target("avx2"))) std::size_t run_avx2(
   return count + run_scalar(a.subspan(i), b.subspan(j), out);
 }
 
-#endif  // GPLUS_INTERSECT_X86
-
-IntersectKernel env_default() {
-  const char* raw = std::getenv("GPLUS_INTERSECT");
-  if (raw == nullptr) return IntersectKernel::kAuto;
-  return intersect_kernel_from_env(raw);
-}
-
-std::atomic<IntersectKernel>& default_slot() {
-  static std::atomic<IntersectKernel> slot{env_default()};
-  return slot;
-}
-
-inline constexpr std::size_t kDefaultSkewThreshold = 32;
-
-std::size_t env_skew_default() {
-  const char* raw = std::getenv("GPLUS_INTERSECT_SKEW");
-  if (raw == nullptr || *raw == '\0') return kDefaultSkewThreshold;
-  return parse_intersect_skew_env(raw);
-}
-
-std::atomic<std::size_t>& skew_slot() {
-  static std::atomic<std::size_t> slot{env_skew_default()};
-  return slot;
-}
-
-// Heuristic for kAuto with no process override: galloping for strongly
-// skewed length ratios (small circle vs. celebrity list), else the widest
-// SIMD tier the host runs, else scalar. Pure performance choice — every
-// branch lands on a kernel producing identical results.
-IntersectKernel pick_auto(std::size_t na, std::size_t nb) noexcept {
-  const std::size_t small = std::min(na, nb);
-  const std::size_t large = std::max(na, nb);
-  if (small == 0) return IntersectKernel::kScalar;
-  if (large / small >= intersect_skew_threshold()) {
-    return IntersectKernel::kGalloping;
-  }
-  if (avx2_intersect_available()) return IntersectKernel::kAvx2;
-  if (sse_intersect_available()) return IntersectKernel::kSse;
-  return IntersectKernel::kScalar;
-}
-
-std::size_t run_kernel(std::span<const NodeId> a, std::span<const NodeId> b,
-                       std::vector<NodeId>* out, IntersectKernel kernel) {
-  if (kernel == IntersectKernel::kAuto) {
-    kernel = default_intersect_kernel();
-    if (kernel == IntersectKernel::kAuto) kernel = pick_auto(a.size(), b.size());
-  }
-  // SIMD tiers fall back down the ladder when the host lacks the feature,
-  // keeping explicit requests portable (and still result-identical).
-  if (kernel == IntersectKernel::kAvx2 && !avx2_intersect_available()) {
-    kernel = IntersectKernel::kSse;
-  }
-  if (kernel == IntersectKernel::kSse && !sse_intersect_available()) {
-    kernel = IntersectKernel::kScalar;
-  }
-  switch (kernel) {
-    case IntersectKernel::kGalloping: return run_galloping(a, b, out);
-    case IntersectKernel::kBitset: return run_bitset(a, b, out);
-#if defined(GPLUS_INTERSECT_X86)
-    case IntersectKernel::kSse: return run_sse(a, b, out);
-    case IntersectKernel::kAvx2: return run_avx2(a, b, out);
-#endif
-    default: return run_scalar(a, b, out);
-  }
-}
+#endif  // GPLUS_X86_SIMD
 
 }  // namespace
+
+namespace detail {
 
 std::string_view intersect_kernel_name(IntersectKernel kernel) noexcept {
   switch (kernel) {
@@ -273,57 +165,12 @@ std::string_view intersect_kernel_name(IntersectKernel kernel) noexcept {
     case IntersectKernel::kGalloping: return "galloping";
     case IntersectKernel::kSse: return "sse";
     case IntersectKernel::kAvx2: return "avx2";
-    case IntersectKernel::kBitset: return "bitset";
   }
   return "?";
 }
 
-IntersectKernel intersect_kernel_by_name(std::string_view name) noexcept {
-  for (std::size_t k = 0; k < kIntersectKernelCount; ++k) {
-    const auto kernel = static_cast<IntersectKernel>(k);
-    if (name == intersect_kernel_name(kernel)) return kernel;
-  }
-  return IntersectKernel::kAuto;
-}
-
-IntersectKernel intersect_kernel_from_env(const char* raw) {
-  for (std::size_t k = 0; k < kIntersectKernelCount; ++k) {
-    const auto kernel = static_cast<IntersectKernel>(k);
-    if (raw == intersect_kernel_name(kernel)) return kernel;
-  }
-  std::fprintf(stderr,
-               "gplus: invalid GPLUS_INTERSECT='%s' (want auto, scalar, "
-               "galloping, sse, avx2 or bitset)\n",
-               raw);
-  std::exit(2);
-}
-
-std::size_t parse_intersect_skew_env(const char* raw) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0' || errno == ERANGE || parsed < 2 ||
-      parsed > 1'000'000) {
-    std::fprintf(stderr,
-                 "gplus: invalid GPLUS_INTERSECT_SKEW='%s' (want integer "
-                 "in [2, 1000000])\n",
-                 raw);
-    std::exit(2);
-  }
-  return static_cast<std::size_t>(parsed);
-}
-
-void set_intersect_skew_threshold(std::size_t ratio) noexcept {
-  skew_slot().store(ratio == 0 ? env_skew_default() : ratio,
-                    std::memory_order_relaxed);
-}
-
-std::size_t intersect_skew_threshold() noexcept {
-  return skew_slot().load(std::memory_order_relaxed);
-}
-
 bool sse_intersect_available() noexcept {
-#if defined(GPLUS_INTERSECT_X86)
+#if defined(GPLUS_X86_SIMD)
   static const bool available = __builtin_cpu_supports("sse2") != 0;
   return available;
 #else
@@ -332,7 +179,7 @@ bool sse_intersect_available() noexcept {
 }
 
 bool avx2_intersect_available() noexcept {
-#if defined(GPLUS_INTERSECT_X86)
+#if defined(GPLUS_X86_SIMD)
   static const bool available = __builtin_cpu_supports("avx2") != 0;
   return available;
 #else
@@ -340,24 +187,54 @@ bool avx2_intersect_available() noexcept {
 #endif
 }
 
-void set_default_intersect_kernel(IntersectKernel kernel) noexcept {
-  default_slot().store(kernel, std::memory_order_relaxed);
+IntersectKernel auto_intersect_kernel(std::size_t na, std::size_t nb) noexcept {
+  const std::size_t small = std::min(na, nb);
+  const std::size_t large = std::max(na, nb);
+  if (small == 0) return IntersectKernel::kScalar;
+  if (large / small >= kIntersectSkewThreshold) {
+    return IntersectKernel::kGalloping;
+  }
+  if (avx2_intersect_available()) return IntersectKernel::kAvx2;
+  if (sse_intersect_available()) return IntersectKernel::kSse;
+  return IntersectKernel::kScalar;
 }
 
-IntersectKernel default_intersect_kernel() noexcept {
-  return default_slot().load(std::memory_order_relaxed);
+std::size_t intersect_with(IntersectKernel kernel, std::span<const NodeId> a,
+                           std::span<const NodeId> b,
+                           std::vector<NodeId>* out) {
+  // Every kernel lands on the same elements, so the choice is a pure
+  // performance decision. Forced SIMD tiers fall back down the ladder
+  // when the host lacks the feature.
+  if (kernel == IntersectKernel::kAuto) {
+    kernel = auto_intersect_kernel(a.size(), b.size());
+  }
+  if (kernel == IntersectKernel::kAvx2 && !avx2_intersect_available()) {
+    kernel = IntersectKernel::kSse;
+  }
+  if (kernel == IntersectKernel::kSse && !sse_intersect_available()) {
+    kernel = IntersectKernel::kScalar;
+  }
+  switch (kernel) {
+    case IntersectKernel::kGalloping: return run_galloping(a, b, out);
+#if defined(GPLUS_X86_SIMD)
+    case IntersectKernel::kSse: return run_sse(a, b, out);
+    case IntersectKernel::kAvx2: return run_avx2(a, b, out);
+#endif
+    default: return run_scalar(a, b, out);
+  }
 }
+
+}  // namespace detail
 
 std::size_t intersect_count(std::span<const NodeId> a,
-                            std::span<const NodeId> b,
-                            IntersectKernel kernel) noexcept {
-  return run_kernel(a, b, nullptr, kernel);
+                            std::span<const NodeId> b) noexcept {
+  return detail::intersect_with(detail::IntersectKernel::kAuto, a, b, nullptr);
 }
 
 std::size_t intersect(std::span<const NodeId> a, std::span<const NodeId> b,
-                      std::vector<NodeId>& out, IntersectKernel kernel) {
+                      std::vector<NodeId>& out) {
   out.clear();
-  return run_kernel(a, b, &out, kernel);
+  return detail::intersect_with(detail::IntersectKernel::kAuto, a, b, &out);
 }
 
 }  // namespace gplus::algo

@@ -1,29 +1,24 @@
-// Shared sorted-set intersection kernels (DESIGN.md §14).
+// Shared sorted-set intersection (DESIGN.md §14).
 //
-// One contract, many engines: every kernel below consumes two ascending,
-// duplicate-free id lists and produces the *same* count and the *same*
-// ascending output elements. Variant choice is a pure performance decision
-// — the serving payloads built on top (kSuggest, triangles, jaccard) are
-// bit-identical no matter which kernel ran, which CPU features exist, or
-// what GPLUS_THREADS is. That invariant is fuzzed in tests/test_intersect.
+// Every sorted-list intersection in src/algo and src/serve (suggest's
+// mutual counts, the triangle and triad-census passes, reciprocity,
+// clustering, jaccard) calls `intersect_count` or `intersect`. Both take
+// two ascending, duplicate-free id lists and return the same count and
+// the same ascending elements whichever kernel runs, so the payloads
+// built on top are identical on every host and at every GPLUS_THREADS.
 //
-// Variants:
-//   kScalar     textbook two-pointer merge — the reference everyone must
-//               match, and the portable fallback.
-//   kGalloping  iterate the shorter list, exponential+binary search the
-//               longer; wins when the length ratio is large (a user's
-//               small circle against a celebrity's million followers).
-//   kSse        4-lane SSE2 block compare (all-pairs via lane rotation);
-//               scalar fallback off x86-64.
-//   kAvx2       8-lane AVX2 block compare, compiled with a per-function
-//               target attribute (no global -mavx2) and dispatched off
-//               __builtin_cpu_supports; falls back to kSse, then scalar.
-//   kBitset     4096-value windows materialised as 64-bit words: set bits
-//               from one list, probe with the other; wins on dense,
-//               range-aligned lists.
-//   kAuto       runtime heuristic (skew ratio, then widest SIMD available),
-//               overridable process-wide for A/B runs via the
-//               GPLUS_INTERSECT env var or set_default_intersect_kernel().
+// The kernel is chosen per call from what the code can observe, and from
+// nothing a user sets:
+//   - the two lengths: a length ratio of kIntersectSkewThreshold or more
+//     picks galloping (iterate the shorter list, exponential + binary
+//     search the longer — a small circle against a celebrity's million
+//     followers);
+//   - otherwise the CPU: 8-lane AVX2 block compare (per-function target
+//     attribute, no global -mavx2), then 4-lane SSE2, then the scalar
+//     two-pointer merge.
+// The scalar merge is the reference the other three must match; tests
+// and bench/micro_intersect reach each kernel through
+// detail::intersect_with.
 #pragma once
 
 #include <cstddef>
@@ -36,65 +31,15 @@
 
 namespace gplus::algo {
 
-/// Kernel selector. kAuto resolves at call time; the rest force a variant
-/// (falling back down the SIMD ladder when the CPU lacks the feature).
-enum class IntersectKernel : std::uint8_t {
-  kAuto = 0,
-  kScalar,
-  kGalloping,
-  kSse,
-  kAvx2,
-  kBitset,
-};
-inline constexpr std::size_t kIntersectKernelCount = 6;
-
-/// Display name ("auto", "scalar", "galloping", "sse", "avx2", "bitset").
-std::string_view intersect_kernel_name(IntersectKernel kernel) noexcept;
-
-/// Parses a kernel name; returns kAuto for unknown strings.
-IntersectKernel intersect_kernel_by_name(std::string_view name) noexcept;
-
-/// Strict variant for environment input: an unknown name prints a
-/// one-line diagnostic (listing the valid names) to stderr and exits
-/// with status 2 instead of silently degrading to kAuto — a typo'd
-/// GPLUS_INTERSECT must not quietly benchmark the wrong kernel.
-IntersectKernel intersect_kernel_from_env(const char* raw);
-
-/// True when the named SIMD tier will actually run vectorised on this
-/// host (false means the variant silently falls back — still correct).
-bool sse_intersect_available() noexcept;
-bool avx2_intersect_available() noexcept;
-
-/// Process-wide default used when kAuto is requested. Initialised once
-/// from the GPLUS_INTERSECT env var (kernel name) if set, else kAuto
-/// (= pure heuristic). Setting kAuto restores the heuristic. Thread-safe;
-/// intended for benches and the variant-equivalence tests.
-void set_default_intersect_kernel(IntersectKernel kernel) noexcept;
-IntersectKernel default_intersect_kernel() noexcept;
-
-/// kAuto's skew threshold: length ratios at or above it pick galloping.
-/// Initialised once from the GPLUS_INTERSECT_SKEW env var (strictly
-/// parsed — integer in [2, 1000000], else a one-line stderr diagnostic
-/// and exit 2) when set, else 32. `set_intersect_skew_threshold(0)`
-/// restores that initial value. Thread-safe; for benches and tests.
-void set_intersect_skew_threshold(std::size_t ratio) noexcept;
-std::size_t intersect_skew_threshold() noexcept;
-
-/// Strict GPLUS_INTERSECT_SKEW parser (exposed for death tests).
-std::size_t parse_intersect_skew_env(const char* raw);
-
 /// |a ∩ b| for ascending duplicate-free lists.
 std::size_t intersect_count(std::span<const graph::NodeId> a,
-                            std::span<const graph::NodeId> b,
-                            IntersectKernel kernel =
-                                IntersectKernel::kAuto) noexcept;
+                            std::span<const graph::NodeId> b) noexcept;
 
 /// a ∩ b (ascending) assigned into `out` (cleared first, capacity kept);
-/// returns the element count. Same element sequence from every kernel.
+/// returns the element count.
 std::size_t intersect(std::span<const graph::NodeId> a,
                       std::span<const graph::NodeId> b,
-                      std::vector<graph::NodeId>& out,
-                      IntersectKernel kernel = IntersectKernel::kAuto);
+                      std::vector<graph::NodeId>& out);
 
 /// Generic scalar merge-intersection count for any ascending duplicate-free
 /// sequences (strings, ints, ...). The u32 kernels above are the fast path;
@@ -115,5 +60,41 @@ std::size_t merge_intersect_count(std::span<const T> a, std::span<const T> b) {
   }
   return count;
 }
+
+namespace detail {
+
+/// Length ratio (longer / shorter) at which dispatch switches to galloping.
+inline constexpr std::size_t kIntersectSkewThreshold = 32;
+
+/// The kernels. kAuto is the per-call dispatch `intersect_count` runs.
+enum class IntersectKernel : std::uint8_t {
+  kAuto = 0,
+  kScalar,
+  kGalloping,
+  kSse,
+  kAvx2,
+};
+inline constexpr std::size_t kIntersectKernelCount = 5;
+
+/// Display name ("auto", "scalar", "galloping", "sse", "avx2").
+std::string_view intersect_kernel_name(IntersectKernel kernel) noexcept;
+
+/// True when the SIMD tier runs vectorised on this host; a forced SIMD
+/// kernel the host lacks falls back down the ladder (still correct).
+bool sse_intersect_available() noexcept;
+bool avx2_intersect_available() noexcept;
+
+/// The kernel kAuto dispatches to for lists of these lengths.
+IntersectKernel auto_intersect_kernel(std::size_t na, std::size_t nb) noexcept;
+
+/// Runs one kernel; appends a ∩ b to `*out` when `out` is non-null.
+/// For tests and bench/micro_intersect only: library code calls
+/// intersect_count / intersect.
+std::size_t intersect_with(IntersectKernel kernel,
+                           std::span<const graph::NodeId> a,
+                           std::span<const graph::NodeId> b,
+                           std::vector<graph::NodeId>* out);
+
+}  // namespace detail
 
 }  // namespace gplus::algo

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "algo/graph_view.h"
+
 namespace gplus::algo {
 
 using graph::DiGraph;
@@ -13,33 +15,9 @@ std::uint64_t CoreDecomposition::core_size(std::uint32_t k) const noexcept {
   return n;
 }
 
-namespace {
-
-// Visits each distinct undirected neighbor of u exactly once (union of the
-// sorted out- and in-lists, self excluded).
-template <typename Fn>
-void for_each_undirected_neighbor(const DiGraph& g, NodeId u, Fn&& fn) {
-  const auto outs = g.out_neighbors(u);
-  const auto ins = g.in_neighbors(u);
-  std::size_t i = 0, j = 0;
-  while (i < outs.size() || j < ins.size()) {
-    NodeId next;
-    if (j >= ins.size() || (i < outs.size() && outs[i] < ins[j])) {
-      next = outs[i++];
-    } else if (i >= outs.size() || ins[j] < outs[i]) {
-      next = ins[j++];
-    } else {
-      next = outs[i++];
-      ++j;
-    }
-    if (next != u) fn(next);
-  }
-}
-
-}  // namespace
-
 CoreDecomposition k_core_decomposition(const DiGraph& g) {
   const std::size_t n = g.node_count();
+  const DiGraphView view(g);
   CoreDecomposition result;
   result.coreness.assign(n, 0);
   if (n == 0) return result;
@@ -49,7 +27,7 @@ CoreDecomposition k_core_decomposition(const DiGraph& g) {
   std::uint32_t max_degree = 0;
   for (NodeId u = 0; u < n; ++u) {
     std::uint32_t d = 0;
-    for_each_undirected_neighbor(g, u, [&](NodeId) { ++d; });
+    for_each_union_neighbor(view, u, [&](NodeId, std::uint8_t) { ++d; });
     degree[u] = d;
     max_degree = std::max(max_degree, d);
   }
@@ -81,7 +59,7 @@ CoreDecomposition k_core_decomposition(const DiGraph& g) {
     const NodeId v = vert[i];
     result.coreness[v] = degree[v];
     result.degeneracy = std::max(result.degeneracy, degree[v]);
-    for_each_undirected_neighbor(g, v, [&](NodeId u) {
+    for_each_union_neighbor(view, v, [&](NodeId u, std::uint8_t) {
       if (degree[u] <= degree[v]) return;  // peeled or at the current level
       const std::uint32_t du = degree[u];
       const std::uint64_t pu = pos[u];

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "algo/intersect.h"
+#include "algo/triangles.h"
 
 namespace gplus::algo {
 
@@ -213,24 +214,9 @@ TriadCensus census_from_union(const UnionAdjacency& adj) {
       },
       combine);
 
-  // Phase 2 — triangles. Forward lists in (degree, id) rank order count
-  // each triangle once at its lowest-ranked corner; the shared
-  // intersection kernel makes enumeration dispatch-invariant.
-  auto rank_less = [&](NodeId a, NodeId b) {
-    if (adj.nbr[a].size() != adj.nbr[b].size())
-      return adj.nbr[a].size() < adj.nbr[b].size();
-    return a < b;
-  };
-  std::vector<std::vector<NodeId>> forward(n);
-  core::parallel_for(n, kMotifRowGrain,
-                     [&](std::size_t begin, std::size_t end) {
-                       for (auto u = static_cast<NodeId>(begin); u < end; ++u) {
-                         for (NodeId v : adj.nbr[u]) {
-                           if (rank_less(u, v)) forward[u].push_back(v);
-                         }
-                         std::sort(forward[u].begin(), forward[u].end());
-                       }
-                     });
+  // Phase 2 — triangles. The triangle census's forward lists count each
+  // triangle once at its lowest-ranked corner.
+  const triangle_detail::Rows forward = triangle_detail::forward_lists(adj.nbr);
   const auto code_of = [&](NodeId u, NodeId v) {
     const auto& row = adj.nbr[u];
     const auto it = std::lower_bound(row.begin(), row.end(), v);

@@ -15,12 +15,14 @@
 // canonical table built once by minimizing over the 6 node permutations.
 //
 // The exact census never enumerates triples: per-center dyad-code pair
-// counts give the open-wedge classes, one triangle enumeration pass on
-// the shared intersection kernels (algo/intersect.h) classifies every
-// closed triad and repairs the wedge overcounts, and the two dyadic
-// classes follow from degree arithmetic. Everything runs on the
+// counts give the open-wedge classes, one triangle enumeration pass over
+// the triangle census's forward lists (algo/triangles.h) and the shared
+// intersection (algo/intersect.h) classifies every closed triad and
+// repairs the wedge overcounts, and the two dyadic classes follow from
+// degree arithmetic. Rows come from the one out∪in walk
+// (for_each_union_neighbor, algo/graph_view.h). Everything runs on the
 // deterministic parallel runtime (core/parallel.h), so counts are
-// identical at any GPLUS_THREADS and for any GPLUS_INTERSECT kernel.
+// identical at any GPLUS_THREADS and on every host.
 //
 // Census entry points are templated over a graph view (algo/graph_view.h)
 // so the same code runs on an in-RAM `graph::DiGraph` and on every serving
@@ -118,40 +120,6 @@ TriadCensus census_from_union(const UnionAdjacency& adj);
 /// per-row graph kernels).
 inline constexpr std::size_t kMotifRowGrain = 2048;
 
-/// Merges one node's out/in cursors into (neighbor, code) rows, dropping
-/// self-loops. OutScan/InScan follow the NeighborScan cursor contract.
-template <class Scan>
-void merge_direction_row(graph::NodeId u, Scan&& out, Scan&& in,
-                         std::vector<graph::NodeId>& nbr,
-                         std::vector<std::uint8_t>& code) {
-  graph::NodeId a = 0;
-  graph::NodeId b = 0;
-  bool has_a = out.next(a);
-  bool has_b = in.next(b);
-  while (has_a || has_b) {
-    graph::NodeId v;
-    std::uint8_t c;
-    if (has_a && (!has_b || a < b)) {
-      v = a;
-      c = 1;
-      has_a = out.next(a);
-    } else if (has_b && (!has_a || b < a)) {
-      v = b;
-      c = 2;
-      has_b = in.next(b);
-    } else {
-      v = a;
-      c = 3;
-      has_a = out.next(a);
-      has_b = in.next(b);
-    }
-    if (v != u) {
-      nbr.push_back(v);
-      code.push_back(c);
-    }
-  }
-}
-
 /// Mixes (seed, index) into an independent per-sample RNG seed, so the
 /// sample set is a pure function of the config — independent of
 /// evaluation order and thread count.
@@ -171,9 +139,11 @@ motif_detail::UnionAdjacency build_union_adjacency(const View& view) {
       n, motif_detail::kMotifRowGrain,
       [&](std::size_t begin, std::size_t end) {
         for (auto u = static_cast<graph::NodeId>(begin); u < end; ++u) {
-          motif_detail::merge_direction_row(u, view.out_scan(u),
-                                            view.in_scan(u), adj.nbr[u],
-                                            adj.code[u]);
+          for_each_union_neighbor(view, u,
+                                  [&](graph::NodeId v, std::uint8_t c) {
+                                    adj.nbr[u].push_back(v);
+                                    adj.code[u].push_back(c);
+                                  });
         }
       });
   return adj;
@@ -231,14 +201,9 @@ SampledTriadCensus sample_triad_census_of_view(const View& view,
   core::parallel_for(
       n, motif_detail::kMotifRowGrain,
       [&](std::size_t begin, std::size_t end) {
-        std::vector<graph::NodeId> nbr;
-        std::vector<std::uint8_t> code;
         for (auto u = static_cast<graph::NodeId>(begin); u < end; ++u) {
-          nbr.clear();
-          code.clear();
-          motif_detail::merge_direction_row(u, view.out_scan(u),
-                                            view.in_scan(u), nbr, code);
-          degree[u] = nbr.size();
+          for_each_union_neighbor(
+              view, u, [&](graph::NodeId, std::uint8_t) { ++degree[u]; });
         }
       });
   std::vector<std::uint64_t> cumulative(n + 1, 0);
@@ -311,8 +276,10 @@ SampledTriadCensus sample_triad_census_of_view(const View& view,
       const graph::NodeId u = wedges[order[groups[gi].begin]].center;
       nbr.clear();
       code.clear();
-      motif_detail::merge_direction_row(u, view.out_scan(u), view.in_scan(u),
-                                        nbr, code);
+      for_each_union_neighbor(view, u, [&](graph::NodeId v, std::uint8_t c) {
+        nbr.push_back(v);
+        code.push_back(c);
+      });
       for (std::size_t at = groups[gi].begin; at < groups[gi].end; ++at) {
         const Wedge& wedge = wedges[order[at]];
         const graph::NodeId a = nbr[wedge.first];

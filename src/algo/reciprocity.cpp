@@ -1,7 +1,6 @@
 #include "algo/reciprocity.h"
 
-#include <algorithm>
-
+#include "algo/intersect.h"
 #include "core/parallel.h"
 
 namespace gplus::algo {
@@ -11,23 +10,9 @@ using graph::NodeId;
 
 namespace {
 
-// |OS(u) ∩ IS(u)| via linear merge of the two sorted adjacency lists.
+// |OS(u) ∩ IS(u)| through the shared intersection (algo/intersect.h).
 std::size_t mutual_count(const DiGraph& g, NodeId u) {
-  const auto outs = g.out_neighbors(u);
-  const auto ins = g.in_neighbors(u);
-  std::size_t i = 0, j = 0, shared = 0;
-  while (i < outs.size() && j < ins.size()) {
-    if (outs[i] < ins[j]) {
-      ++i;
-    } else if (outs[i] > ins[j]) {
-      ++j;
-    } else {
-      ++shared;
-      ++i;
-      ++j;
-    }
-  }
-  return shared;
+  return intersect_count(g.out_neighbors(u), g.in_neighbors(u));
 }
 
 }  // namespace

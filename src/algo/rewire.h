@@ -111,9 +111,9 @@ double objective_error(const CalibrationMeasurement& measured,
 /// reciprocity) and plain configuration-model swaps (lower both) — are
 /// proposed in proportion to the sign and size of the current errors;
 /// each round is accepted only if the measured objective error drops.
-/// Deterministic in `config.seed` at any GPLUS_THREADS and for any
-/// GPLUS_INTERSECT kernel (proposals are serial; measurements run on the
-/// deterministic parallel runtime). Self-loops in the input are
+/// Deterministic in `config.seed` at any GPLUS_THREADS and on any host
+/// (proposals are serial; measurements run on the deterministic parallel
+/// runtime and the result-identical shared intersection). Self-loops in the input are
 /// preserved or retargeted but never created; isolated nodes are
 /// untouched.
 CalibrationResult calibrate_to_profile(const graph::DiGraph& g,

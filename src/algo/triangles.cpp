@@ -1,97 +1,72 @@
 #include "algo/triangles.h"
 
-#include <algorithm>
-#include <vector>
-
 #include "algo/intersect.h"
-#include "core/parallel.h"
 
 namespace gplus::algo {
 
-using graph::DiGraph;
 using graph::NodeId;
 
-namespace {
+namespace triangle_detail {
 
-// Rows are independent, so every per-node phase below runs on the shared
-// pool; counts are summed with the deterministic chunked reduction, so
-// the census is identical for every thread count.
-constexpr std::size_t kRowGrain = 2048;
-
-}  // namespace
-
-TriangleCensus count_triangles(const DiGraph& g) {
-  const std::size_t n = g.node_count();
-  TriangleCensus census;
-  if (n == 0) return census;
-
-  // Undirected adjacency: union of out- and in-lists, self-loops dropped.
-  std::vector<std::vector<NodeId>> adj(n);
+Rows forward_lists(const Rows& nbr) {
+  const std::size_t n = nbr.size();
+  auto rank_less = [&](NodeId a, NodeId b) {
+    if (nbr[a].size() != nbr[b].size()) return nbr[a].size() < nbr[b].size();
+    return a < b;
+  };
+  // Filtering an ascending row keeps it ascending.
+  Rows forward(n);
   core::parallel_for(n, kRowGrain, [&](std::size_t begin, std::size_t end) {
-    for (NodeId u = static_cast<NodeId>(begin); u < end; ++u) {
-      const auto outs = g.out_neighbors(u);
-      const auto ins = g.in_neighbors(u);
-      auto& row = adj[u];
-      row.reserve(outs.size() + ins.size());
-      std::size_t i = 0, j = 0;
-      while (i < outs.size() || j < ins.size()) {
-        NodeId next;
-        if (j >= ins.size() || (i < outs.size() && outs[i] < ins[j])) {
-          next = outs[i++];
-        } else if (i >= outs.size() || ins[j] < outs[i]) {
-          next = ins[j++];
-        } else {
-          next = outs[i++];
-          ++j;
-        }
-        if (next != u) row.push_back(next);
+    for (auto u = static_cast<NodeId>(begin); u < end; ++u) {
+      for (const NodeId v : nbr[u]) {
+        if (rank_less(u, v)) forward[u].push_back(v);
       }
     }
   });
+  return forward;
+}
+
+// Rows are independent, so every per-node phase runs on the shared pool;
+// counts are summed with the deterministic chunked reduction, so the
+// census is identical for every thread count.
+TriangleCensus census_from_rows(const Rows& nbr) {
+  const std::size_t n = nbr.size();
+  TriangleCensus census;
+  if (n == 0) return census;
+  const auto sum = [](std::uint64_t& into, const std::uint64_t& from) {
+    into += from;
+  };
 
   // Connected triples: sum over nodes of C(deg, 2).
   census.triples = core::parallel_reduce(
       n, kRowGrain, std::uint64_t{0},
       [&](std::size_t begin, std::size_t end, std::uint64_t& acc) {
-        for (NodeId u = static_cast<NodeId>(begin); u < end; ++u) {
-          const auto d = static_cast<std::uint64_t>(adj[u].size());
+        for (std::size_t u = begin; u < end; ++u) {
+          const auto d = static_cast<std::uint64_t>(nbr[u].size());
           acc += d * (d - 1) / 2;
         }
       },
-      [](std::uint64_t& into, const std::uint64_t& from) { into += from; });
+      sum);
 
-  // Triangle count via forward adjacency: keep only neighbors that are
-  // "later" in the (degree, id) total order; each triangle is then counted
-  // exactly once at its lowest-ranked corner.
-  auto rank_less = [&](NodeId a, NodeId b) {
-    if (adj[a].size() != adj[b].size()) return adj[a].size() < adj[b].size();
-    return a < b;
-  };
-  std::vector<std::vector<NodeId>> forward(n);
-  core::parallel_for(n, kRowGrain, [&](std::size_t begin, std::size_t end) {
-    for (NodeId u = static_cast<NodeId>(begin); u < end; ++u) {
-      for (NodeId v : adj[u]) {
-        if (rank_less(u, v)) forward[u].push_back(v);
-      }
-      std::sort(forward[u].begin(), forward[u].end());
-    }
-  });
   // Intersection cost varies wildly per node (hubs dominate), so the grain
   // is finer here to keep lanes balanced.
+  const Rows forward = forward_lists(nbr);
   census.triangles = core::parallel_reduce(
       n, kRowGrain / 8, std::uint64_t{0},
       [&](std::size_t begin, std::size_t end, std::uint64_t& acc) {
-        for (NodeId u = static_cast<NodeId>(begin); u < end; ++u) {
+        for (std::size_t u = begin; u < end; ++u) {
           const auto& fu = forward[u];
-          for (NodeId v : fu) {
-            // Shared intersection kernel (algo/intersect.h): every variant
-            // returns the same count, so the census is dispatch-invariant.
-            acc += intersect_count(fu, forward[v]);
-          }
+          for (const NodeId v : fu) acc += intersect_count(fu, forward[v]);
         }
       },
-      [](std::uint64_t& into, const std::uint64_t& from) { into += from; });
+      sum);
   return census;
+}
+
+}  // namespace triangle_detail
+
+TriangleCensus count_triangles(const graph::DiGraph& g) {
+  return count_triangles_of_view(DiGraphView(g));
 }
 
 }  // namespace gplus::algo

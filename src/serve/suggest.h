@@ -14,11 +14,12 @@
 // order and scans each 2-hop row in ascending id order; Adamic-Adar
 // accumulates in that fixed order and is frozen to micro-unit fixed point
 // before ranking; ranking is the total order (aa desc, cn desc, id asc).
-// Payload bytes are therefore identical across intersection-kernel
-// variants (same counts by the kernel contract), GPLUS_THREADS values
-// (execution is pure), v2-vs-v3 snapshots (NeighborScan yields the same
-// lists) and K=1-vs-K=4 clusters (the shard row source reads owned rows,
-// which are bit-equal to the unsharded snapshot).
+// Payload bytes are therefore identical whichever intersection kernel the
+// per-call dispatch picks (same counts by the kernel contract), across
+// GPLUS_THREADS values (execution is pure), v2-vs-v3 snapshots
+// (NeighborScan yields the same lists) and K=1-vs-K=4 clusters (the shard
+// row source reads owned rows, which are bit-equal to the unsharded
+// snapshot).
 //
 // Cost model (virtual clock): 1 unit per 1-hop neighbor expanded, 1 per
 // 2-hop edge scanned, 1 per suggestion scored+emitted — on top of the

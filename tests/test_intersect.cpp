@@ -1,10 +1,12 @@
-// Kernel-variant equivalence for the shared sorted-set intersection layer
+// Kernel equivalence for the shared sorted-set intersection
 // (algo/intersect.h). The load-bearing property: every kernel — scalar,
-// galloping, SSE, AVX2, bitset — returns the same count and the same
-// ascending element sequence as std::set_intersection on every input, so
-// variant dispatch can never change a serving payload. Edge cases (empty,
-// disjoint, identical, subset, extreme skew, window boundaries) are pinned
-// explicitly; a seeded fuzz sweep covers the space in between.
+// galloping, SSE, AVX2 — returns the same count and the same ascending
+// element sequence as std::set_intersection on every input, so the
+// per-call dispatch can never change a serving payload or a census.
+// Edge cases (empty, disjoint, identical, subset, extreme skew, window
+// boundaries) are pinned explicitly; a seeded fuzz sweep covers the space
+// in between, and real adjacency-row pairs — the rows Suggest and the
+// triangle passes intersect — cover the inputs production sees.
 #include <algorithm>
 #include <cstdint>
 #include <limits>
@@ -13,20 +15,26 @@
 
 #include <gtest/gtest.h>
 
+#include "algo/graph_view.h"
 #include "algo/intersect.h"
+#include "algo/triangles.h"
+#include "core/dataset.h"
 #include "stats/rng.h"
 
 namespace {
 
-using gplus::algo::IntersectKernel;
+using gplus::algo::detail::IntersectKernel;
+using gplus::algo::detail::intersect_kernel_name;
+using gplus::algo::detail::intersect_with;
 using gplus::graph::NodeId;
 
-// Every concrete variant (kAuto exercised separately — it resolves to one
+// Every concrete kernel (kAuto exercised separately — it resolves to one
 // of these, so equivalence of the concrete set covers it).
 const IntersectKernel kAllKernels[] = {
-    IntersectKernel::kScalar, IntersectKernel::kGalloping,
-    IntersectKernel::kSse,    IntersectKernel::kAvx2,
-    IntersectKernel::kBitset,
+    IntersectKernel::kScalar,
+    IntersectKernel::kGalloping,
+    IntersectKernel::kSse,
+    IntersectKernel::kAvx2,
 };
 
 std::vector<NodeId> reference_intersection(const std::vector<NodeId>& a,
@@ -45,15 +53,17 @@ void expect_all_kernels_match(const std::vector<NodeId>& a,
   const std::vector<NodeId> want = reference_intersection(a, b);
   std::vector<NodeId> got;
   for (const IntersectKernel kernel : kAllKernels) {
-    const auto name = std::string(gplus::algo::intersect_kernel_name(kernel));
-    EXPECT_EQ(gplus::algo::intersect_count(a, b, kernel), want.size())
+    const auto name = std::string(intersect_kernel_name(kernel));
+    EXPECT_EQ(intersect_with(kernel, a, b, nullptr), want.size())
         << label << ": count(" << name << ")";
-    EXPECT_EQ(gplus::algo::intersect_count(b, a, kernel), want.size())
+    EXPECT_EQ(intersect_with(kernel, b, a, nullptr), want.size())
         << label << ": reversed count(" << name << ")";
-    EXPECT_EQ(gplus::algo::intersect(a, b, got, kernel), want.size())
+    got.clear();
+    EXPECT_EQ(intersect_with(kernel, a, b, &got), want.size())
         << label << ": intersect(" << name << ")";
     EXPECT_EQ(got, want) << label << ": elements(" << name << ")";
-    EXPECT_EQ(gplus::algo::intersect(b, a, got, kernel), want.size())
+    got.clear();
+    EXPECT_EQ(intersect_with(kernel, b, a, &got), want.size())
         << label << ": reversed intersect(" << name << ")";
     EXPECT_EQ(got, want) << label << ": reversed elements(" << name << ")";
   }
@@ -86,7 +96,7 @@ TEST(IntersectKernels, EmptyInputs) {
 TEST(IntersectKernels, DisjointLists) {
   expect_all_kernels_match({1, 3, 5, 7}, {2, 4, 6, 8}, "interleaved disjoint");
   expect_all_kernels_match({1, 2, 3, 4}, {100, 200, 300}, "range disjoint");
-  // Disjoint across distant bitset windows (window = 4096 values).
+  // Disjoint across distant 4096-value windows.
   expect_all_kernels_match({1, 2, 3}, {40'960, 81'920, 123'456},
                            "window disjoint");
 }
@@ -109,8 +119,7 @@ TEST(IntersectKernels, SingleElementAndBoundaryValues) {
 }
 
 TEST(IntersectKernels, BitsetWindowBoundaries) {
-  // Values straddling multiples of the 4096-value bitset window, including
-  // runs that fill a window edge-to-edge.
+  // Values straddling multiples of 4096, including a run across one.
   std::vector<NodeId> a;
   std::vector<NodeId> b;
   for (NodeId base : {0u, 4095u, 4096u, 8191u, 8192u, 12'288u}) {
@@ -162,100 +171,101 @@ TEST(IntersectKernels, OutputVectorIsClearedAndRefilled) {
 }
 
 TEST(IntersectKernels, NamesRoundTrip) {
-  using gplus::algo::intersect_kernel_by_name;
-  using gplus::algo::intersect_kernel_name;
-  for (const IntersectKernel kernel : kAllKernels) {
-    EXPECT_EQ(intersect_kernel_by_name(intersect_kernel_name(kernel)), kernel);
+  const std::string want[] = {"auto", "scalar", "galloping", "sse", "avx2"};
+  for (std::size_t k = 0; k < gplus::algo::detail::kIntersectKernelCount;
+       ++k) {
+    EXPECT_EQ(intersect_kernel_name(static_cast<IntersectKernel>(k)), want[k]);
   }
-  EXPECT_EQ(intersect_kernel_by_name("auto"), IntersectKernel::kAuto);
-  EXPECT_EQ(intersect_kernel_by_name("no-such-kernel"), IntersectKernel::kAuto);
-  EXPECT_EQ(intersect_kernel_by_name(""), IntersectKernel::kAuto);
-}
-
-TEST(IntersectKernels, ProcessDefaultOverridesAuto) {
-  // Every concrete default must leave kAuto results unchanged — that is
-  // the whole point of the dispatch-invariance contract.
-  gplus::stats::Rng rng(7);
-  const auto a = random_sorted(rng, 200, 4'000);
-  const auto b = random_sorted(rng, 60, 4'000);
-  const auto want = reference_intersection(a, b);
-  for (const IntersectKernel kernel : kAllKernels) {
-    gplus::algo::set_default_intersect_kernel(kernel);
-    EXPECT_EQ(gplus::algo::default_intersect_kernel(), kernel);
-    std::vector<NodeId> got;
-    EXPECT_EQ(gplus::algo::intersect(a, b, got), want.size());
-    EXPECT_EQ(got, want);
-  }
-  gplus::algo::set_default_intersect_kernel(IntersectKernel::kAuto);
-  EXPECT_EQ(gplus::algo::default_intersect_kernel(), IntersectKernel::kAuto);
 }
 
 TEST(IntersectKernels, AvailabilityImpliesSseWhenAvx2) {
   // The fallback ladder (avx2 -> sse -> scalar) requires SSE whenever
   // AVX2 reports available.
-  if (gplus::algo::avx2_intersect_available()) {
-    EXPECT_TRUE(gplus::algo::sse_intersect_available());
+  if (gplus::algo::detail::avx2_intersect_available()) {
+    EXPECT_TRUE(gplus::algo::detail::sse_intersect_available());
   }
 }
 
-TEST(IntersectKernels, SkewThresholdOverrideSteersAutoDispatch) {
-  using gplus::algo::intersect_skew_threshold;
-  using gplus::algo::set_intersect_skew_threshold;
-  const std::size_t initial = intersect_skew_threshold();
-  EXPECT_GE(initial, 2u);
+TEST(IntersectKernels, AutoDispatchFollowsLengthsAndCpu) {
+  using gplus::algo::detail::auto_intersect_kernel;
+  using gplus::algo::detail::kIntersectSkewThreshold;
+  ASSERT_EQ(kIntersectSkewThreshold, 32u);
+  const IntersectKernel simd =
+      gplus::algo::detail::avx2_intersect_available() ? IntersectKernel::kAvx2
+      : gplus::algo::detail::sse_intersect_available() ? IntersectKernel::kSse
+                                                       : IntersectKernel::kScalar;
+  EXPECT_EQ(auto_intersect_kernel(0, 100), IntersectKernel::kScalar);
+  EXPECT_EQ(auto_intersect_kernel(100, 0), IntersectKernel::kScalar);
+  EXPECT_EQ(auto_intersect_kernel(10, 10), simd);
+  EXPECT_EQ(auto_intersect_kernel(10, 319), simd);  // ratio 31
+  EXPECT_EQ(auto_intersect_kernel(10, 320), IntersectKernel::kGalloping);
+  EXPECT_EQ(auto_intersect_kernel(320, 10), IntersectKernel::kGalloping);
+  EXPECT_EQ(auto_intersect_kernel(1, 1'000'000), IntersectKernel::kGalloping);
+}
 
-  set_intersect_skew_threshold(7);
-  EXPECT_EQ(intersect_skew_threshold(), 7u);
-
-  // Dispatch stays result-invariant at any threshold — only speed moves.
-  gplus::stats::Rng rng(11);
-  const auto a = random_sorted(rng, 900, 50'000);
-  const auto b = random_sorted(rng, 30, 50'000);
-  const auto want = reference_intersection(a, b);
-  for (const std::size_t ratio : {2u, 7u, 1'000'000u}) {
-    set_intersect_skew_threshold(ratio);
-    std::vector<NodeId> got;
-    EXPECT_EQ(gplus::algo::intersect(a, b, got), want.size()) << ratio;
-    EXPECT_EQ(got, want) << ratio;
+// Every kernel against std::set_intersection on the adjacency-row pairs
+// the library intersects on the standard dataset. Hub rows make many of
+// them strongly skewed, so the galloping side of the dispatch runs too.
+class IntersectAdjacencyRows : public ::testing::Test {
+ protected:
+  static const gplus::core::Dataset& dataset() {
+    static const gplus::core::Dataset instance =
+        gplus::core::make_standard_dataset(2'000, 11);
+    return instance;
   }
+};
 
-  set_intersect_skew_threshold(0);  // restore the env/default value
-  EXPECT_EQ(intersect_skew_threshold(), initial);
+TEST_F(IntersectAdjacencyRows, SuggestFriendAndTwoHopRows) {
+  // Suggest intersects out(u) with out(c) for every 2-hop candidate c:
+  // a friend of a friend of u that is neither u nor a friend of u.
+  const auto& g = dataset().graph();
+  std::size_t pairs = 0;
+  for (NodeId u = 0; u < 150; ++u) {
+    const auto friends = g.out_neighbors(u);
+    std::vector<NodeId> candidates;
+    for (const NodeId v : friends) {
+      for (const NodeId c : g.out_neighbors(v)) {
+        if (c != u && !std::binary_search(friends.begin(), friends.end(), c)) {
+          candidates.push_back(c);
+        }
+      }
+    }
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
+    const std::vector<NodeId> mine(friends.begin(), friends.end());
+    for (const NodeId c : candidates) {
+      const auto theirs = g.out_neighbors(c);
+      expect_all_kernels_match(mine, {theirs.begin(), theirs.end()},
+                               std::to_string(u) + " vs " + std::to_string(c));
+      if (HasFailure()) return;  // one diagnostic is enough
+      ++pairs;
+    }
+  }
+  EXPECT_GT(pairs, 10'000u);
 }
 
-TEST(IntersectEnv, StrictParsersAcceptValidInput) {
-  using gplus::algo::intersect_kernel_from_env;
-  using gplus::algo::parse_intersect_skew_env;
-  EXPECT_EQ(intersect_kernel_from_env("auto"), IntersectKernel::kAuto);
-  EXPECT_EQ(intersect_kernel_from_env("galloping"),
-            IntersectKernel::kGalloping);
-  EXPECT_EQ(intersect_kernel_from_env("bitset"), IntersectKernel::kBitset);
-  EXPECT_EQ(parse_intersect_skew_env("2"), 2u);
-  EXPECT_EQ(parse_intersect_skew_env("32"), 32u);
-  EXPECT_EQ(parse_intersect_skew_env("1000000"), 1'000'000u);
-}
-
-// Typo'd env overrides fail fast with a one-line diagnostic rather than
-// silently benchmarking the wrong kernel (the old behaviour mapped any
-// unknown GPLUS_INTERSECT name to kAuto).
-TEST(IntersectEnvDeathTest, InvalidEnvValuesFailFast) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  using gplus::algo::intersect_kernel_from_env;
-  using gplus::algo::parse_intersect_skew_env;
-  const auto died = ::testing::ExitedWithCode(2);
-  EXPECT_EXIT(intersect_kernel_from_env("gallopping"), died,
-              "invalid GPLUS_INTERSECT");
-  EXPECT_EXIT(intersect_kernel_from_env("AVX2"), died,
-              "invalid GPLUS_INTERSECT");
-  EXPECT_EXIT(intersect_kernel_from_env(""), died, "invalid GPLUS_INTERSECT");
-  EXPECT_EXIT(parse_intersect_skew_env("1"), died,
-              "invalid GPLUS_INTERSECT_SKEW");
-  EXPECT_EXIT(parse_intersect_skew_env("1000001"), died,
-              "invalid GPLUS_INTERSECT_SKEW");
-  EXPECT_EXIT(parse_intersect_skew_env("32x"), died,
-              "invalid GPLUS_INTERSECT_SKEW");
-  EXPECT_EXIT(parse_intersect_skew_env("-8"), died,
-              "invalid GPLUS_INTERSECT_SKEW");
+TEST_F(IntersectAdjacencyRows, TriangleForwardRows) {
+  // The triangle and triad censuses intersect forward[u] with forward[v]
+  // for every v in forward[u].
+  const auto& g = dataset().graph();
+  const gplus::algo::DiGraphView view(g);
+  gplus::algo::triangle_detail::Rows nbr(g.node_count());
+  for (NodeId u = 0; u < g.node_count(); ++u) {
+    gplus::algo::for_each_union_neighbor(
+        view, u, [&](NodeId v, std::uint8_t) { nbr[u].push_back(v); });
+  }
+  const auto forward = gplus::algo::triangle_detail::forward_lists(nbr);
+  std::size_t pairs = 0;
+  for (NodeId u = 0; u < g.node_count(); ++u) {
+    for (const NodeId v : forward[u]) {
+      expect_all_kernels_match(forward[u], forward[v],
+                               std::to_string(u) + " vs " + std::to_string(v));
+      if (HasFailure()) return;
+      ++pairs;
+    }
+  }
+  EXPECT_GT(pairs, 10'000u);
 }
 
 TEST(IntersectKernels, MergeIntersectCountGeneric) {

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "algo/intersect.h"
 #include "algo/motifs.h"
 #include "algo/rewire.h"
 #include "core/dataset.h"
@@ -246,19 +245,6 @@ TEST(TriadCensusDeterminism, ThreadCountInvariant) {
   const TriadCensus lane5 = algo::triad_census(ds.graph());
   core::set_thread_count(0);
   EXPECT_EQ(lane1, lane5);
-}
-
-TEST(TriadCensusDeterminism, IntersectKernelInvariant) {
-  const DiGraph g = random_digraph(200, 0.08, 0.5, 77);
-  const TriadCensus baseline = algo::triad_census(g);
-  for (std::size_t k = 0; k < algo::kIntersectKernelCount; ++k) {
-    const auto kernel = static_cast<algo::IntersectKernel>(k);
-    algo::set_default_intersect_kernel(kernel);
-    const TriadCensus census = algo::triad_census(g);
-    algo::set_default_intersect_kernel(algo::IntersectKernel::kAuto);
-    EXPECT_EQ(census, baseline)
-        << "kernel " << algo::intersect_kernel_name(kernel);
-  }
 }
 
 class TriadSamplerTest : public ::testing::Test {

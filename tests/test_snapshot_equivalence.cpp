@@ -17,7 +17,6 @@
 #include <cstring>
 #include <filesystem>
 
-#include "algo/intersect.h"
 #include "algo/motifs.h"
 #include "core/dataset.h"
 #include "core/parallel.h"
@@ -213,8 +212,10 @@ TEST_F(SnapshotEquivalence, ScanAndLookupSurfacesAgree) {
 
 TEST_F(SnapshotEquivalence, TriadCensusIdenticalAcrossFormatsAndKernels) {
   // The exact census must not care where the adjacency lives: in-RAM
-  // CSR, flat v2, compressed v3 or the same v3 bytes off mmap — and must
-  // not care which intersection kernel enumerates the triangles.
+  // CSR, flat v2, compressed v3 or the same v3 bytes off mmap. Each
+  // triangle-pass intersection is dispatched per call (AVX2/SSE/scalar or
+  // galloping by length ratio); test_intersect checks every kernel on
+  // these forward-row pairs.
   const algo::TriadCensus want = algo::triad_census(dataset().graph());
   ASSERT_GT(want.closed(), 0u);
 
@@ -228,14 +229,6 @@ TEST_F(SnapshotEquivalence, TriadCensusIdenticalAcrossFormatsAndKernels) {
   {
     MappedSnapshot mapped(path);
     EXPECT_EQ(algo::triad_census_of_view(mapped.view()), want) << "v3 mmap";
-    for (std::size_t k = 0; k < algo::kIntersectKernelCount; ++k) {
-      const auto kernel = static_cast<algo::IntersectKernel>(k);
-      algo::set_default_intersect_kernel(kernel);
-      const algo::TriadCensus got = algo::triad_census_of_view(mapped.view());
-      algo::set_default_intersect_kernel(algo::IntersectKernel::kAuto);
-      EXPECT_EQ(got, want) << "kernel "
-                           << algo::intersect_kernel_name(kernel);
-    }
   }
   std::filesystem::remove(path);
 }

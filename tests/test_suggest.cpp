@@ -2,9 +2,10 @@
 //
 // Covers the full determinism contract: hand-checked scores on a tiny
 // graph, payload-layout invariants on the standard dataset, bit-identity
-// across every intersection-kernel variant and across the v2/v3 snapshot
-// formats (including mmap), deadline partials with patched counts,
-// error statuses, LRU-cache interaction and 1-vs-N lane equivalence.
+// across the v2/v3 snapshot formats (including mmap), deadline partials
+// with patched counts, error statuses, LRU-cache interaction and 1-vs-N
+// lane equivalence. Kernel agreement on Suggest's row pairs is checked
+// per call in test_intersect.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -13,7 +14,6 @@
 #include <filesystem>
 #include <vector>
 
-#include "algo/intersect.h"
 #include "core/dataset.h"
 #include "core/parallel.h"
 #include "graph/builder.h"
@@ -246,34 +246,6 @@ TEST_F(SuggestStandard, PayloadInvariantsHold) {
     EXPECT_GE(r.cost, 1 + d.scanned + d.entries.size()) << u;
   }
   EXPECT_GT(non_empty, 10u) << "dataset produced almost no suggestions";
-}
-
-TEST_F(SuggestStandard, BitIdenticalAcrossIntersectKernelVariants) {
-  const RequestEngine engine(&view());
-  const auto requests = batch();
-  std::vector<Response> want(requests.size());
-  algo::set_default_intersect_kernel(algo::IntersectKernel::kScalar);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    engine.execute(requests[i], want[i]);
-  }
-  const algo::IntersectKernel variants[] = {
-      algo::IntersectKernel::kGalloping, algo::IntersectKernel::kSse,
-      algo::IntersectKernel::kAvx2, algo::IntersectKernel::kBitset,
-      algo::IntersectKernel::kAuto,
-  };
-  for (const algo::IntersectKernel kernel : variants) {
-    algo::set_default_intersect_kernel(kernel);
-    const auto name = std::string(algo::intersect_kernel_name(kernel));
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      Response got;
-      engine.execute(requests[i], got);
-      EXPECT_EQ(got.status, want[i].status) << name << " slot " << i;
-      EXPECT_EQ(got.flags, want[i].flags) << name << " slot " << i;
-      EXPECT_EQ(got.cost, want[i].cost) << name << " slot " << i;
-      ASSERT_EQ(got.payload, want[i].payload) << name << " slot " << i;
-    }
-  }
-  algo::set_default_intersect_kernel(algo::IntersectKernel::kAuto);
 }
 
 TEST_F(SuggestStandard, BitIdenticalAcrossSnapshotFormats) {
