@@ -6,6 +6,7 @@
 #include "algo/reciprocity.h"
 #include "algo/anf.h"
 #include "algo/betweenness.h"
+#include "algo/bfs.h"
 #include "algo/communities.h"
 #include "algo/kcore.h"
 #include "algo/pagerank.h"
@@ -77,6 +78,21 @@ void BM_StronglyConnectedComponents(benchmark::State& state) {
                           static_cast<std::int64_t>(g.edge_count()));
 }
 BENCHMARK(BM_StronglyConnectedComponents)->Range(1 << 12, 1 << 15);
+
+// One BFS from a fixed source; arg 0 follows edge direction, arg 1 walks
+// out∪in.
+void BM_BfsDistances(benchmark::State& state) {
+  const auto& g = preset_graph(1 << 15);
+  const bool undirected = state.range(0) != 0;
+  for (auto _ : state) {
+    const auto dist = undirected ? algo::bfs_distances_undirected(g, 7)
+                                 : algo::bfs_distances(g, 7);
+    benchmark::DoNotOptimize(dist.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(g.edge_count()));
+}
+BENCHMARK(BM_BfsDistances)->Arg(0)->Arg(1);
 
 void BM_SampledClustering(benchmark::State& state) {
   const auto& g = preset_graph(1 << 14);

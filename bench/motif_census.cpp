@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
   sconfig.seed = seed + 1;
   start = std::chrono::steady_clock::now();
   const algo::SampledTriadCensus sampled =
-      algo::sample_triad_census_of_view(view, sconfig);
+      algo::sample_triad_census(view, sconfig);
   const double sampled_s = seconds_since(start);
   const double wedges_per_s =
       static_cast<double>(sampled.sampled) / sampled_s;

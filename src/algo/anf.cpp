@@ -10,8 +10,6 @@
 
 namespace gplus::algo {
 
-using graph::DiGraph;
-
 void add_hash_to_registers(std::uint8_t* regs, unsigned p,
                            std::uint64_t hash) noexcept {
   const std::size_t index = hash >> (64 - p);
@@ -101,11 +99,6 @@ void anf_detail::summarize_distances(NeighborhoodFunction& out) noexcept {
       break;
     }
   }
-}
-
-NeighborhoodFunction approximate_neighborhood_function(
-    const DiGraph& g, const AnfOptions& options) {
-  return approximate_neighborhood_function(DiGraphView(g), options);
 }
 
 }  // namespace gplus::algo

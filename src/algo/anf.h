@@ -148,8 +148,4 @@ NeighborhoodFunction approximate_neighborhood_function(
   return out;
 }
 
-/// HyperANF over an in-RAM graph.
-NeighborhoodFunction approximate_neighborhood_function(
-    const graph::DiGraph& g, const AnfOptions& options = {});
-
 }  // namespace gplus::algo

@@ -2,43 +2,7 @@
 
 #include <algorithm>
 
-#include "core/parallel.h"
-
-namespace gplus::algo {
-
-using graph::DiGraph;
-using graph::NodeId;
-
-namespace {
-
-// Degree fills are pure per-slot writes; one coarse grain fits both.
-constexpr std::size_t kDegreeGrain = 8192;
-
-}  // namespace
-
-std::vector<std::uint64_t> in_degrees(const DiGraph& g) {
-  std::vector<std::uint64_t> d(g.node_count());
-  core::parallel_for(d.size(), kDegreeGrain,
-                     [&](std::size_t begin, std::size_t end) {
-                       for (NodeId u = static_cast<NodeId>(begin); u < end; ++u) {
-                         d[u] = g.in_degree(u);
-                       }
-                     });
-  return d;
-}
-
-std::vector<std::uint64_t> out_degrees(const DiGraph& g) {
-  std::vector<std::uint64_t> d(g.node_count());
-  core::parallel_for(d.size(), kDegreeGrain,
-                     [&](std::size_t begin, std::size_t end) {
-                       for (NodeId u = static_cast<NodeId>(begin); u < end; ++u) {
-                         d[u] = g.out_degree(u);
-                       }
-                     });
-  return d;
-}
-
-namespace {
+namespace gplus::algo::degree_detail {
 
 DegreeDistribution make_distribution(const std::vector<std::uint64_t>& degrees,
                                      std::uint64_t fit_x_min) {
@@ -77,14 +41,4 @@ DegreeDistribution make_distribution(const std::vector<std::uint64_t>& degrees,
   return out;
 }
 
-}  // namespace
-
-DegreeDistribution in_degree_distribution(const DiGraph& g, std::uint64_t fit_x_min) {
-  return make_distribution(in_degrees(g), fit_x_min);
-}
-
-DegreeDistribution out_degree_distribution(const DiGraph& g, std::uint64_t fit_x_min) {
-  return make_distribution(out_degrees(g), fit_x_min);
-}
-
-}  // namespace gplus::algo
+}  // namespace gplus::algo::degree_detail

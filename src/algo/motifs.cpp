@@ -274,13 +274,4 @@ TriadCensus census_from_union(const UnionAdjacency& adj) {
 
 }  // namespace motif_detail
 
-TriadCensus triad_census(const graph::DiGraph& g) {
-  return triad_census_of_view(DiGraphView(g));
-}
-
-SampledTriadCensus sample_triad_census(const graph::DiGraph& g,
-                                       const TriadSampleConfig& config) {
-  return sample_triad_census_of_view(DiGraphView(g), config);
-}
-
 }  // namespace gplus::algo

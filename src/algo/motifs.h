@@ -151,12 +151,17 @@ motif_detail::UnionAdjacency build_union_adjacency(const View& view) {
 
 /// Exact census of any view (DiGraph, flat v2, compressed v3, mmap).
 template <class View>
-TriadCensus triad_census_of_view(const View& view) {
+TriadCensus triad_census(const View& view) {
   return motif_detail::census_from_union(build_union_adjacency(view));
 }
 
-/// Exact census of an in-RAM graph.
-TriadCensus triad_census(const graph::DiGraph& g);
+/// Forward kept only because the repository benchmark
+/// (gplus_bench/gplus_bench.cpp) calls this name; everything else calls
+/// triad_census.
+template <class View>
+TriadCensus triad_census_of_view(const View& view) {
+  return triad_census(view);
+}
 
 /// Wedge-sampling estimator knobs.
 struct TriadSampleConfig {
@@ -188,11 +193,11 @@ struct SampledTriadCensus {
 
 /// Seeded wedge-sampling census estimate over any view. Centers are drawn
 /// proportional to C(d_u, 2); the far-pair arcs are probed with
-/// `has_out_edge`, which on a v3 snapshot exercises the compressed
+/// `has_edge`, which on a v3 snapshot exercises the compressed
 /// `NeighborScan` path end to end.
 template <class View>
-SampledTriadCensus sample_triad_census_of_view(const View& view,
-                                               const TriadSampleConfig& config) {
+SampledTriadCensus sample_triad_census(const View& view,
+                                       const TriadSampleConfig& config) {
   const std::size_t n = view.node_count();
   SampledTriadCensus result;
 
@@ -286,8 +291,8 @@ SampledTriadCensus sample_triad_census_of_view(const View& view,
         const graph::NodeId b = nbr[wedge.second];
         unsigned mask = code[wedge.first] |
                         (static_cast<unsigned>(code[wedge.second]) << 2);
-        if (view.has_out_edge(a, b)) mask |= 1U << 4;
-        if (view.has_out_edge(b, a)) mask |= 1U << 5;
+        if (view.has_edge(a, b)) mask |= 1U << 4;
+        if (view.has_edge(b, a)) mask |= 1U << 5;
         sample_class[order[at]] =
             static_cast<std::uint8_t>(triad_class_of_mask(mask));
       }
@@ -315,9 +320,5 @@ SampledTriadCensus sample_triad_census_of_view(const View& view,
   }
   return result;
 }
-
-/// Sampling estimate for an in-RAM graph.
-SampledTriadCensus sample_triad_census(const graph::DiGraph& g,
-                                       const TriadSampleConfig& config);
 
 }  // namespace gplus::algo

@@ -30,10 +30,6 @@ double SccResult::giant_fraction() const noexcept { return fraction_of(sizes); }
 std::uint64_t WccResult::giant_size() const noexcept { return largest(sizes); }
 double WccResult::giant_fraction() const noexcept { return fraction_of(sizes); }
 
-SccResult strongly_connected_components(const DiGraph& g) {
-  return strongly_connected_components(DiGraphView(g));
-}
-
 std::vector<stats::CurvePoint> scc_size_ccdf(const SccResult& sccs) {
   return stats::integer_ccdf(sccs.sizes);
 }

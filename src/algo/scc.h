@@ -106,9 +106,6 @@ SccResult strongly_connected_components(const View& view) {
   return result;
 }
 
-/// Tarjan over an in-RAM graph.
-SccResult strongly_connected_components(const graph::DiGraph& g);
-
 /// Figure 4(c): CCDF of SCC sizes (one sample per component).
 std::vector<stats::CurvePoint> scc_size_ccdf(const SccResult& sccs);
 

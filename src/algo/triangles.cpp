@@ -65,8 +65,4 @@ TriangleCensus census_from_rows(const Rows& nbr) {
 
 }  // namespace triangle_detail
 
-TriangleCensus count_triangles(const graph::DiGraph& g) {
-  return count_triangles_of_view(DiGraphView(g));
-}
-
 }  // namespace gplus::algo

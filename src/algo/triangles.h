@@ -59,7 +59,7 @@ TriangleCensus census_from_rows(const Rows& nbr);
 /// Counts undirected triangles and connected triples of any view
 /// (DiGraph, flat v2, compressed v3, mmap).
 template <class View>
-TriangleCensus count_triangles_of_view(const View& view) {
+TriangleCensus count_triangles(const View& view) {
   const std::size_t n = view.node_count();
   triangle_detail::Rows nbr(n);
   core::parallel_for(
@@ -73,8 +73,5 @@ TriangleCensus count_triangles_of_view(const View& view) {
       });
   return triangle_detail::census_from_rows(nbr);
 }
-
-/// Counts undirected triangles and connected triples.
-TriangleCensus count_triangles(const graph::DiGraph& g);
 
 }  // namespace gplus::algo

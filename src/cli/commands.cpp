@@ -715,7 +715,7 @@ int cmd_motifs(const std::vector<std::string>& args, std::ostream& out) {
       options.country_index = false;
       const serve::SnapshotBuffer snapshot =
           serve::build_snapshot(dataset, options);
-      census = algo::triad_census_of_view(serve::SnapshotView(snapshot.bytes()));
+      census = algo::triad_census(serve::SnapshotView(snapshot.bytes()));
     } else {
       census = algo::triad_census(g);
     }

@@ -158,7 +158,6 @@ StructuralSummary structural_summary(const graph::DiGraph& g,
   algo::PathLengthOptions opt;
   opt.initial_sources = std::max<std::size_t>(1, path_sources / 5);
   opt.max_sources = path_sources;
-  opt.threads = 0;  // shared pool; the estimate is thread-count independent
   const auto paths = algo::estimate_path_lengths(g, opt, rng);
   s.path_length = paths.mean;
   s.diameter_lower_bound = paths.diameter_lower_bound;

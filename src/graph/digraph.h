@@ -5,6 +5,11 @@
 // in CSR form with sorted neighbor lists, giving O(1) degree queries,
 // cache-friendly traversal, and O(log deg) membership tests — the same
 // layout SNAP and other large-graph toolkits use.
+//
+// A DiGraph is a graph view natively (algo/graph_view.h): `out_scan` /
+// `in_scan` hand out span cursors with the same contract as the snapshot
+// layer's `serve::NeighborScan`, so every view-templated algorithm runs on
+// it as it is.
 #pragma once
 
 #include <cstddef>
@@ -20,6 +25,30 @@ namespace gplus::graph {
 /// deduplicates and sorts) or directly from pre-validated CSR arrays.
 class DiGraph {
  public:
+  /// Forward cursor over one sorted neighbor span: the graph-view cursor
+  /// contract (`next`, `skip_to`) that `serve::NeighborScan` also meets.
+  class Cursor {
+   public:
+    explicit Cursor(std::span<const NodeId> list) noexcept : list_(list) {}
+    /// Yields the next entry; false at end of list.
+    bool next(NodeId& v) noexcept {
+      if (at_ >= list_.size()) return false;
+      v = list_[at_++];
+      return true;
+    }
+    /// Positions so the next `next()` yields entry `entry`; false when
+    /// `entry` is past the end.
+    bool skip_to(std::uint64_t entry) noexcept {
+      if (entry > list_.size()) return false;
+      at_ = entry;
+      return true;
+    }
+
+   private:
+    std::span<const NodeId> list_;
+    std::size_t at_ = 0;
+  };
+
   /// Empty graph with zero nodes.
   DiGraph() = default;
 
@@ -37,6 +66,10 @@ class DiGraph {
   std::span<const NodeId> out_neighbors(NodeId u) const;
   /// In-neighbors of `u` ("Have user in circles" list), sorted ascending.
   std::span<const NodeId> in_neighbors(NodeId u) const;
+
+  /// View cursors over the same lists.
+  Cursor out_scan(NodeId u) const { return Cursor(out_neighbors(u)); }
+  Cursor in_scan(NodeId u) const { return Cursor(in_neighbors(u)); }
 
   std::size_t out_degree(NodeId u) const;
   std::size_t in_degree(NodeId u) const;

@@ -39,6 +39,9 @@ struct ServeMetricsRefs {
 
 namespace {
 
+// Requests per chunk in the drain's parallel miss pass.
+constexpr std::size_t kBatchGrain = 64;
+
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -215,7 +218,7 @@ void QueryServer::drain(std::vector<Response>& responses,
   // Phase 2 (parallel): execute the misses. Pure per-slot writes on the
   // static chunk grid — payloads are lane-count independent.
   core::parallel_for(
-      miss_index_.size(), config_.batch_grain,
+      miss_index_.size(), kBatchGrain,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t j = begin; j < end; ++j) {
           const std::uint32_t i = miss_index_[j];

@@ -54,8 +54,6 @@ struct ServerConfig {
   /// Result-cache entries (0 disables) and shards.
   std::size_t cache_capacity = 1 << 16;
   std::size_t cache_shards = 16;
-  /// Parallel grain: requests per chunk in the drain's miss pass.
-  std::size_t batch_grain = 64;
   /// Per-priority default deadline (virtual cost units, 0 = unlimited),
   /// applied at submit to requests that carry no explicit cost_budget.
   std::array<std::uint32_t, kPriorityCount> default_cost_budget{};

@@ -481,9 +481,9 @@ void SnapshotView::verify_sections() const {
   }
 }
 
-bool SnapshotView::has_out_edge(graph::NodeId u, graph::NodeId v) const noexcept {
+bool SnapshotView::has_edge(graph::NodeId u, graph::NodeId v) const noexcept {
   if (out_offsets_ != nullptr) {
-    const auto out = out_neighbors(u);
+    const auto out = flat_row(out_offsets_, out_targets_, u);
     return std::binary_search(out.begin(), out.end(), v);
   }
   AdjacencyListDecoder dec(out_adj_.row(perm_[u]), out_adj_.end());

@@ -253,25 +253,19 @@ class SnapshotView {
   /// constructor does not.
   void verify_sections() const;
 
-  /// Flat in-place adjacency spans. v2 only — compressed snapshots have
-  /// no flat array to point into; use `out_scan` / `in_scan` instead.
-  std::span<const graph::NodeId> out_neighbors(graph::NodeId u) const noexcept {
-    return {out_targets_ + out_offsets_[u],
-            static_cast<std::size_t>(out_offsets_[u + 1] - out_offsets_[u])};
-  }
-  std::span<const graph::NodeId> in_neighbors(graph::NodeId u) const noexcept {
-    return {in_targets_ + in_offsets_[u],
-            static_cast<std::size_t>(in_offsets_[u + 1] - in_offsets_[u])};
-  }
-
   /// Format-agnostic neighbor cursors (ascending original ids, both
-  /// formats). The view must outlive the scan.
+  /// formats): the graph-view cursors of algo/graph_view.h. The view must
+  /// outlive the scan.
   NeighborScan out_scan(graph::NodeId u) const noexcept {
-    if (out_offsets_ != nullptr) return NeighborScan(out_neighbors(u));
+    if (out_offsets_ != nullptr) {
+      return NeighborScan(flat_row(out_offsets_, out_targets_, u));
+    }
     return NeighborScan(out_adj_.row(perm_[u]), out_adj_.end());
   }
   NeighborScan in_scan(graph::NodeId u) const noexcept {
-    if (in_offsets_ != nullptr) return NeighborScan(in_neighbors(u));
+    if (in_offsets_ != nullptr) {
+      return NeighborScan(flat_row(in_offsets_, in_targets_, u));
+    }
     return NeighborScan(in_adj_.row(perm_[u]), in_adj_.end());
   }
 
@@ -296,18 +290,11 @@ class SnapshotView {
 
   /// True when u -> v exists. O(log out_degree(u)) flat; O(log blocks +
   /// one block decode) compressed.
-  bool has_out_edge(graph::NodeId u, graph::NodeId v) const noexcept;
+  bool has_edge(graph::NodeId u, graph::NodeId v) const noexcept;
 
   /// Number of u's out-edges whose reverse edge exists (v2: popcount
   /// over the reciprocal bitmap range; v3: precomputed per-node count).
   std::uint64_t reciprocal_out_degree(graph::NodeId u) const noexcept;
-
-  /// True when out-edge index e (global flat CSR position) is reciprocal.
-  /// v2 only — v3 has no flat edge index (always false there).
-  bool edge_reciprocal(std::uint64_t e) const noexcept {
-    if (recip_ == nullptr) return false;
-    return (recip_[e >> 6] >> (e & 63)) & 1U;
-  }
 
   const PackedProfile& profile(graph::NodeId u) const noexcept {
     return profiles_[u];
@@ -337,6 +324,14 @@ class SnapshotView {
       return degree;
     }
   };
+
+  /// Row u of a flat (v2) CSR direction.
+  static std::span<const graph::NodeId> flat_row(
+      const std::uint64_t* offsets, const graph::NodeId* targets,
+      graph::NodeId u) noexcept {
+    return {targets + offsets[u],
+            static_cast<std::size_t>(offsets[u + 1] - offsets[u])};
+  }
 
   /// One data section's place in the file; offset 0 when absent.
   struct Extent {

@@ -642,7 +642,7 @@ struct ShardRows {
   /// implies (b,a) in E_s too (membership is symmetric), so owned rows
   /// report globally-correct reciprocity.
   bool has_edge(graph::NodeId a, graph::NodeId b) const {
-    return full.has_out_edge(a, b);
+    return full.has_edge(a, b);
   }
   /// Non-owned profile rows stay zero: they are never served.
   void write_profile(graph::NodeId u, PackedProfile& slot) const {

@@ -1,13 +1,13 @@
-// Degree statistics straight off a SnapshotView (§3.3 at paper scale).
+// Degree histograms straight off a SnapshotView (§3.3 at paper scale).
 //
-// The analysis pipeline computes degree distributions, SCCs and the hop
-// distribution (ANF) from an in-RAM DiGraph; a 35M-node snapshot never
-// materializes one. SCC and ANF are view templates in src/algo (scc.h,
-// anf.h) that run on a SnapshotView directly — flat or compressed, heap
-// or mmap — so the paper's §3.3 figures come out of the same artifact the
-// request engine serves. The degree histograms, which have no algo twin,
-// live here: one sequential rank-order pass (on a compressed snapshot each
-// degree is the first varint of a row — no decode).
+// A 35M-node snapshot never materializes a DiGraph. Every §3.3 statistic
+// in src/algo is a view template (algo/graph_view.h) that runs on a
+// SnapshotView directly — flat or compressed, heap or mmap — so the
+// paper's figures come out of the same artifact the request engine
+// serves. The (degree, count) histograms live here because they are one
+// sequential rank-order pass (on a compressed snapshot each degree is the
+// first varint of a row — no decode), where algo's degree templates fill
+// a per-node vector in id order.
 #pragma once
 
 #include <cstdint>

@@ -134,34 +134,6 @@ TEST(EstimatePathLengths, RejectsBadOptions) {
                std::invalid_argument);
 }
 
-TEST(EstimatePathLengths, ParallelMatchesSerialExactly) {
-  // Sources are drawn once and summed, so the thread count must not
-  // change a single digit of the estimate.
-  GraphBuilder b;
-  stats::Rng gen(6);
-  for (int i = 0; i < 6000; ++i) {
-    b.add_edge(static_cast<NodeId>(gen.next_below(800)),
-               static_cast<NodeId>(gen.next_below(800)));
-  }
-  const auto g = b.build();
-  PathLengthOptions serial;
-  serial.initial_sources = 50;
-  serial.max_sources = 200;
-  serial.threads = 1;
-  PathLengthOptions parallel = serial;
-  parallel.threads = 4;
-  stats::Rng rng1(7), rng2(7);
-  const auto a = estimate_path_lengths(g, serial, rng1);
-  const auto c = estimate_path_lengths(g, parallel, rng2);
-  ASSERT_EQ(a.pmf.size(), c.pmf.size());
-  for (std::size_t h = 0; h < a.pmf.size(); ++h) {
-    EXPECT_DOUBLE_EQ(a.pmf[h], c.pmf[h]) << h;
-  }
-  EXPECT_DOUBLE_EQ(a.mean, c.mean);
-  EXPECT_EQ(a.sources_used, c.sources_used);
-  EXPECT_EQ(a.diameter_lower_bound, c.diameter_lower_bound);
-}
-
 TEST(DoubleSweepDiameter, PathGraphExact) {
   const auto g = path_graph(10);
   EXPECT_EQ(double_sweep_diameter(g, 5, /*undirected=*/true), 9u);

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "algo/graph_view.h"
+
 namespace gplus::graph {
 namespace {
 
@@ -100,6 +102,30 @@ TEST(DiGraph, NodeAccessorsValidateIds) {
   EXPECT_THROW(g.in_neighbors(2), std::invalid_argument);
   EXPECT_THROW(g.out_degree(2), std::invalid_argument);
   EXPECT_THROW((void)g.has_edge(0, 2), std::invalid_argument);
+}
+
+TEST(DiGraph, ViewCursorsAndRowsUseTheCsrSpans) {
+  const auto edges = kite_edges();
+  const auto g = DiGraph::from_edges(4, edges);
+  auto scan = g.out_scan(0);
+  NodeId v = 0;
+  ASSERT_TRUE(scan.next(v));
+  EXPECT_EQ(v, 1u);
+  ASSERT_TRUE(scan.skip_to(0));  // resume from the start of the row
+  ASSERT_TRUE(scan.next(v));
+  EXPECT_EQ(v, 1u);
+  ASSERT_TRUE(scan.next(v));
+  EXPECT_EQ(v, 2u);
+  EXPECT_FALSE(scan.next(v));
+  EXPECT_TRUE(scan.skip_to(2));   // one past the last entry: at end
+  EXPECT_FALSE(scan.skip_to(3));  // past the end
+  EXPECT_THROW(g.in_scan(4), std::invalid_argument);
+
+  // The intersect kernel gets the graph's own span, never a copy.
+  std::vector<NodeId> scratch;
+  EXPECT_EQ(algo::out_row(g, 0, scratch).data(), g.out_neighbors(0).data());
+  EXPECT_EQ(algo::in_row(g, 2, scratch).data(), g.in_neighbors(2).data());
+  EXPECT_TRUE(scratch.empty());
 }
 
 TEST(DiGraph, MeanDegree) {

@@ -249,11 +249,10 @@ TEST_F(IntersectAdjacencyRows, TriangleForwardRows) {
   // The triangle and triad censuses intersect forward[u] with forward[v]
   // for every v in forward[u].
   const auto& g = dataset().graph();
-  const gplus::algo::DiGraphView view(g);
   gplus::algo::triangle_detail::Rows nbr(g.node_count());
   for (NodeId u = 0; u < g.node_count(); ++u) {
     gplus::algo::for_each_union_neighbor(
-        view, u, [&](NodeId v, std::uint8_t) { nbr[u].push_back(v); });
+        g, u, [&](NodeId v, std::uint8_t) { nbr[u].push_back(v); });
   }
   const auto forward = gplus::algo::triangle_detail::forward_lists(nbr);
   std::size_t pairs = 0;

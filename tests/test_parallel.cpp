@@ -185,7 +185,6 @@ TEST_F(ParallelTest, ConcurrentBfsCallsDoNotExplodeThreadCount) {
       algo::PathLengthOptions opt;
       opt.initial_sources = 40;
       opt.max_sources = 80;
-      opt.threads = 0;  // shared pool
       stats::Rng rng(123);
       results[c] = algo::estimate_path_lengths(g, opt, rng);
     });

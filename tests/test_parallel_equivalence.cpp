@@ -167,7 +167,6 @@ TEST_P(ParallelEquivalence, PathLengthEstimateExact) {
     PathLengthOptions opt;
     opt.initial_sources = 50;
     opt.max_sources = 150;
-    opt.threads = 0;  // shared pool
     stats::Rng rng(41);
     return estimate_path_lengths(g_, opt, rng);
   };

@@ -7,7 +7,7 @@
 // algo::strongly_connected_components yields the same component vector,
 // and the degree histograms account for every edge. Pinned values,
 // recorded when the DiGraph and snapshot implementations were still
-// separate code, hold on the DiGraphView and on every snapshot view. The
+// separate code, hold on the DiGraph and on every snapshot view. The
 // shared HyperLogLog register kernel is pinned against scalar oracles.
 // The CTest suite runs this binary at the default and at GPLUS_THREADS=1;
 // tools/run_tsan.sh races it under TSan.
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "algo/anf.h"
-#include "algo/graph_view.h"
 #include "algo/scc.h"
 #include "core/dataset.h"
 #include "serve/snapshot.h"
@@ -198,7 +197,7 @@ TEST_F(SnapshotStats, OutputsMatchPinnedValuesOnEveryView) {
     EXPECT_EQ(scc.component_count(), kPinnedSccCount);
     EXPECT_EQ(fnv1a(scc.component), kPinnedSccDigest);
   };
-  check(algo::DiGraphView(dataset().graph()), "DiGraphView");
+  check(dataset().graph(), "DiGraph");
   for_each_view(check);
 }
 

@@ -12,10 +12,10 @@ SRC_DIR="$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)"
 # Default to an absolute path inside the repo so the build lands under the
 # gitignored build*/ pattern no matter where the script is invoked from.
 BUILD_DIR="${1:-$SRC_DIR/build-$SANITIZER}"
-TARGETS="test_parallel test_parallel_equivalence test_bfs test_serve test_serve_equivalence test_intersect test_motifs test_rewire test_suggest test_triangles_anf test_reciprocity test_clustering test_algo_pinned test_snapshot test_snapshot_equivalence test_snapshot_stats test_serve_chaos test_cluster test_cluster_equivalence test_transport test_obs test_golden_trace"
+TARGETS="test_parallel test_parallel_equivalence test_bfs test_degrees test_kcore_pagerank test_communities test_serve test_serve_equivalence test_intersect test_motifs test_rewire test_suggest test_triangles_anf test_reciprocity test_clustering test_algo_pinned test_snapshot test_snapshot_equivalence test_snapshot_stats test_serve_chaos test_cluster test_cluster_equivalence test_transport test_obs test_golden_trace"
 # Lane-equivalence binaries get a second pass pinned to one lane, so the
 # serial fallback is sanitized too (mirrors the CTest ".threads1" variants).
-SINGLE_THREAD_TARGETS="test_cluster test_cluster_equivalence test_serve_equivalence test_motifs test_snapshot_stats test_rewire test_suggest test_transport"
+SINGLE_THREAD_TARGETS="test_cluster test_cluster_equivalence test_serve_equivalence test_motifs test_snapshot_stats test_rewire test_suggest test_transport test_algo_pinned test_bfs"
 
 cmake -B "$BUILD_DIR" -S "$SRC_DIR" -DGPLUS_SANITIZE="$SANITIZER" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
