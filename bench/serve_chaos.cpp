@@ -1,6 +1,6 @@
 // Seeded kill/swap/overload storm against the resilient serving stack.
 //
-// The storm script (src/serve/resilience.h): serve snapshot A under
+// The storm script (bench/storm/storm.h): serve snapshot A under
 // injected engine faults, forced slowdown deadlines and queue pressure;
 // attempt a doomed install of snapshot B (forced canary failure → must
 // roll back to A); hot-swap to B for real; kill the active snapshot (a
@@ -21,19 +21,19 @@
 //      bit-identical between GPLUS_THREADS=1 and GPLUS_THREADS=N.
 //
 // `--shards K` additionally runs the sharded-cluster storm
-// (src/serve/cluster.h): K shards × 2 replicas under scripted replica
+// (bench/storm/storm.h): K shards × 2 replicas under scripted replica
 // kills, a fully-dark shard window, recovery, and the same chaos
 // channels — asserting one terminal status per request, zero silent
-// drops, per-replica registry reconciliation, and byte-identical state
-// (including the deterministic metrics JSON) at 1 vs N lanes.
+// drops, and byte-identical state (including the deterministic metrics
+// JSON) at 1 vs N lanes.
 //
 // `--transport` additionally runs the cluster storm over a seeded faulty
 // transport (drops, delays, duplicates, reordering between router and
 // replicas): timeouts, capped retries, hedged sends, circuit breakers and
 // quorum-degraded answers all fire, and the same invariants must still
-// hold — every accepted request one terminal status, serve.transport.*
-// registry deltas reconciling exactly, the whole storm byte-identical at
-// 1 vs N lanes.
+// hold — every accepted request one terminal status, the whole storm
+// (serve.transport.* registry deltas included) byte-identical at 1 vs N
+// lanes.
 //
 // `--smoke` shrinks the dataset and round count for the CI matrix. Every
 // run writes a machine-readable report (default BENCH_chaos.json,
@@ -53,6 +53,7 @@
 #include "serve/resilience.h"
 #include "serve/snapshot.h"
 #include "serve/snapshot_build.h"
+#include "storm/storm.h"
 
 namespace {
 
@@ -195,64 +196,22 @@ void print_cluster_report(const char* label,
               static_cast<unsigned long long>(t.ticks));
 }
 
-bool equal_transport_stats(const serve::TransportStats& a,
-                           const serve::TransportStats& b) {
-  return a.rpcs == b.rpcs && a.attempts == b.attempts &&
-         a.delivered == b.delivered && a.failed == b.failed &&
-         a.dropped == b.dropped && a.delayed == b.delayed &&
-         a.timeouts == b.timeouts && a.retries == b.retries &&
-         a.hedges == b.hedges && a.hedge_wins == b.hedge_wins &&
-         a.duplicates == b.duplicates && a.dup_suppressed == b.dup_suppressed &&
-         a.reorders == b.reorders && a.breaker_open == b.breaker_open &&
-         a.breaker_close == b.breaker_close &&
-         a.breaker_probes == b.breaker_probes &&
-         a.breaker_skips == b.breaker_skips && a.ticks == b.ticks;
-}
-
 bool equal_cluster_state(const serve::ClusterStormReport& a,
                          const serve::ClusterStormReport& b) {
-  if (a.checksum != b.checksum || a.by_status != b.by_status ||
-      a.offered != b.offered || a.accepted != b.accepted ||
-      a.rejected != b.rejected || a.dark_answers != b.dark_answers ||
-      a.quorum_answers != b.quorum_answers ||
-      a.post_probe_checksum != b.post_probe_checksum ||
-      a.cluster.scatter != b.cluster.scatter ||
-      a.cluster.messages != b.cluster.messages ||
-      a.cluster.quorum_answers != b.cluster.quorum_answers ||
-      !equal_transport_stats(a.transport, b.transport) ||
-      a.replica_stats.size() != b.replica_stats.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.replica_stats.size(); ++i) {
-    const auto& ra = a.replica_stats[i];
-    const auto& rb = b.replica_stats[i];
-    if (ra.accepted != rb.accepted || ra.served != rb.served ||
-        ra.shed != rb.shed || ra.deadline_exceeded != rb.deadline_exceeded ||
-        ra.fault_injected != rb.fault_injected ||
-        ra.cache.hits != rb.cache.hits || ra.cache.misses != rb.cache.misses ||
-        ra.cache.evictions != rb.cache.evictions ||
-        ra.cache.entries != rb.cache.entries) {
-      return false;
-    }
-  }
-  return true;
+  return a.checksum == b.checksum && a.by_status == b.by_status &&
+         a.offered == b.offered && a.accepted == b.accepted &&
+         a.rejected == b.rejected && a.dark_answers == b.dark_answers &&
+         a.quorum_answers == b.quorum_answers &&
+         a.post_probe_checksum == b.post_probe_checksum &&
+         a.cluster == b.cluster && a.transport == b.transport &&
+         a.replica_stats == b.replica_stats;
 }
 
 bool equal_state(const serve::StormReport& a, const serve::StormReport& b) {
   return a.checksum == b.checksum && a.by_status == b.by_status &&
          a.offered == b.offered && a.accepted == b.accepted &&
          a.rejected == b.rejected && a.final_epoch == b.final_epoch &&
-         a.post_probe_checksum == b.post_probe_checksum &&
-         a.server.cache.hits == b.server.cache.hits &&
-         a.server.cache.stale_hits == b.server.cache.stale_hits &&
-         a.server.cache.misses == b.server.cache.misses &&
-         a.server.cache.evictions == b.server.cache.evictions &&
-         a.server.cache.entries == b.server.cache.entries &&
-         a.server.shed == b.server.shed &&
-         a.server.deadline_exceeded == b.server.deadline_exceeded &&
-         a.server.fault_injected == b.server.fault_injected &&
-         a.server.stale_served == b.server.stale_served &&
-         a.server.unavailable == b.server.unavailable;
+         a.post_probe_checksum == b.post_probe_checksum && a.server == b.server;
 }
 
 }  // namespace

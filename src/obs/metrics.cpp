@@ -128,24 +128,32 @@ namespace {
 
 }  // namespace
 
-Counter& MetricsRegistry::counter(std::string_view name, Determinism det) {
-  const std::lock_guard<std::mutex> lock(mutex_);
+MetricsRegistry::Metric& MetricsRegistry::counter_metric(std::string_view name,
+                                                         Determinism det) {
   auto it = metrics_.find(name);
   if (it == metrics_.end()) {
-    Metric m{MetricKind::kCounter, det, std::make_unique<Counter>(), nullptr, nullptr};
+    Metric m{MetricKind::kCounter, det, nullptr, nullptr, nullptr, {}, 0};
     it = metrics_.emplace(std::string(name), std::move(m)).first;
   } else {
     if (it->second.kind != MetricKind::kCounter) throw_mismatch(name, "kind");
     if (it->second.determinism != det) throw_mismatch(name, "determinism tag");
   }
-  return *it->second.counter;
+  return it->second;
+}
+
+Counter& MetricsRegistry::counter(std::string_view name, Determinism det) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  Metric& metric = counter_metric(name, det);
+  if (!metric.counter) metric.counter = std::make_unique<Counter>();
+  return *metric.counter;
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name, Determinism det) {
   const std::lock_guard<std::mutex> lock(mutex_);
   auto it = metrics_.find(name);
   if (it == metrics_.end()) {
-    Metric m{MetricKind::kGauge, det, nullptr, std::make_unique<Gauge>(), nullptr};
+    Metric m{MetricKind::kGauge, det, nullptr, std::make_unique<Gauge>(), nullptr,
+             {}, 0};
     it = metrics_.emplace(std::string(name), std::move(m)).first;
   } else {
     if (it->second.kind != MetricKind::kGauge) throw_mismatch(name, "kind");
@@ -161,7 +169,7 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
   auto it = metrics_.find(name);
   if (it == metrics_.end()) {
     Metric m{MetricKind::kHistogram, det, nullptr, nullptr,
-             std::make_unique<Histogram>(std::move(bounds))};
+             std::make_unique<Histogram>(std::move(bounds)), {}, 0};
     it = metrics_.emplace(std::string(name), std::move(m)).first;
   } else {
     if (it->second.kind != MetricKind::kHistogram) throw_mismatch(name, "kind");
@@ -182,9 +190,15 @@ MetricsSnapshot MetricsRegistry::snapshot(bool deterministic_only) const {
     entry.kind = metric.kind;
     entry.determinism = metric.determinism;
     switch (metric.kind) {
-      case MetricKind::kCounter:
-        entry.value = static_cast<std::int64_t>(metric.counter->value());
+      case MetricKind::kCounter: {
+        std::uint64_t total = metric.retired;
+        if (metric.counter) total += metric.counter->value();
+        for (const auto* cell : metric.cells) {
+          total += cell->load(std::memory_order_relaxed);
+        }
+        entry.value = static_cast<std::int64_t>(total);
         break;
+      }
       case MetricKind::kGauge:
         entry.value = metric.gauge->value();
         break;
@@ -203,6 +217,36 @@ MetricsSnapshot MetricsRegistry::snapshot(bool deterministic_only) const {
 std::size_t MetricsRegistry::size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return metrics_.size();
+}
+
+CounterStore::CounterStore(std::size_t cells, MetricsRegistry& registry)
+    : registry_(&registry),
+      cell_count_(cells),
+      cells_(std::make_unique<std::atomic<std::uint64_t>[]>(cells)) {}
+
+CounterStore::~CounterStore() {
+  if (exports_.empty()) return;
+  const std::lock_guard<std::mutex> lock(registry_->mutex_);
+  for (const Export& e : exports_) {
+    e.metric->retired += value(e.cell);
+    std::erase(e.metric->cells, &cells_[e.cell]);
+  }
+}
+
+void CounterStore::export_cell(std::size_t cell, std::string_view name) {
+  const std::lock_guard<std::mutex> lock(registry_->mutex_);
+  MetricsRegistry::Metric& metric =
+      registry_->counter_metric(name, Determinism::kDeterministic);
+  metric.cells.push_back(&cells_[cell]);
+  exports_.push_back(Export{&metric, cell});
+}
+
+void CounterStore::reset() {
+  const std::lock_guard<std::mutex> lock(registry_->mutex_);
+  for (const Export& e : exports_) e.metric->retired += value(e.cell);
+  for (std::size_t i = 0; i < cell_count_; ++i) {
+    cells_[i].store(0, std::memory_order_relaxed);
+  }
 }
 
 }  // namespace gplus::obs

@@ -6,38 +6,20 @@
 
 namespace gplus::serve {
 
-namespace detail {
-
-// Registry mirror of the per-instance shard counters. Cache mutations all
-// happen on the serving coordinator in request order (DESIGN.md §9), so
-// these are deterministic. Unlike the per-instance stats, which clear()
-// resets, the registry counters are monotonic for the process lifetime.
-// Each cache instance resolves its own scope-qualified refs at
-// construction: two instances with the same scope share cells (the
-// registry is name-keyed), differently-scoped instances never collide.
-struct CacheMetricsRefs {
-  obs::Counter& hits;
-  obs::Counter& stale_hits;
-  obs::Counter& misses;
-  obs::Counter& evictions;
-};
-
-}  // namespace detail
-
 namespace {
 
-std::shared_ptr<detail::CacheMetricsRefs> resolve_cache_metrics(
-    const std::string& scope) {
-  auto& reg = obs::MetricsRegistry::global();
-  const std::string prefix =
-      scope.empty() ? "serve.cache." : "serve." + scope + ".cache.";
-  return std::make_shared<detail::CacheMetricsRefs>(detail::CacheMetricsRefs{
-      reg.counter(prefix + "hits"),
-      reg.counter(prefix + "stale_hits"),
-      reg.counter(prefix + "misses"),
-      reg.counter(prefix + "evictions"),
-  });
-}
+// Every CacheStats count, once, and its name under the owner's
+// "serve[.<scope>].cache." prefix. Cache mutations all happen on the
+// serving coordinator in request order (DESIGN.md §9), so the counts are
+// deterministic.
+constexpr obs::CounterField<CacheStats> kCounters[] = {
+    {"hits", &CacheStats::hits},
+    {"stale_hits", &CacheStats::stale_hits},
+    {"misses", &CacheStats::misses},
+    {"evictions", &CacheStats::evictions},
+};
+template <auto Field>
+constexpr std::size_t kCell = obs::cell_of(kCounters, Field);
 
 }  // namespace
 
@@ -45,7 +27,10 @@ ShardedLruCache::ShardedLruCache(std::size_t capacity, std::size_t shards,
                                  const std::string& metrics_scope)
     : capacity_(capacity),
       shards_(std::max<std::size_t>(1, shards)),
-      metrics_(resolve_cache_metrics(metrics_scope)) {
+      counts_(std::size(kCounters)) {
+  counts_.export_fields(kCounters, metrics_scope.empty()
+                                       ? "serve.cache."
+                                       : "serve." + metrics_scope + ".cache.");
   per_shard_ = (capacity_ + shards_.size() - 1) / shards_.size();
   for (auto& shard : shards_) {
     shard.index.reserve(per_shard_ + 1);
@@ -57,12 +42,11 @@ bool ShardedLruCache::lookup(std::uint64_t key, std::vector<std::uint8_t>& out,
   Shard& shard = shard_for(key);
   const auto hit = shard.index.find(key);
   if (hit == shard.index.end()) {
-    ++shard.misses;
-    metrics_->misses.add(1);
+    counts_.add(kCell<&CacheStats::misses>);
     return false;
   }
-  ++(stale ? shard.stale_hits : shard.hits);
-  (stale ? metrics_->stale_hits : metrics_->hits).add(1);
+  counts_.add(stale ? kCell<&CacheStats::stale_hits>
+                    : kCell<&CacheStats::hits>);
   shard.lru.splice(shard.lru.begin(), shard.lru, hit->second);
   out.assign(hit->second->payload.begin(), hit->second->payload.end());
   return true;
@@ -82,20 +66,14 @@ void ShardedLruCache::insert(std::uint64_t key,
   if (shard.lru.size() > per_shard_) {
     shard.index.erase(shard.lru.back().key);
     shard.lru.pop_back();
-    ++shard.evictions;
-    metrics_->evictions.add(1);
+    counts_.add(kCell<&CacheStats::evictions>);
   }
 }
 
 CacheStats ShardedLruCache::stats() const noexcept {
   CacheStats total;
-  for (const auto& shard : shards_) {
-    total.hits += shard.hits;
-    total.stale_hits += shard.stale_hits;
-    total.misses += shard.misses;
-    total.evictions += shard.evictions;
-    total.entries += shard.lru.size();
-  }
+  counts_.read_fields(kCounters, total);
+  for (const auto& shard : shards_) total.entries += shard.lru.size();
   return total;
 }
 
@@ -103,11 +81,8 @@ void ShardedLruCache::clear() {
   for (auto& shard : shards_) {
     shard.lru.clear();
     shard.index.clear();
-    shard.hits = 0;
-    shard.stale_hits = 0;
-    shard.misses = 0;
-    shard.evictions = 0;
   }
+  counts_.reset();
 }
 
 }  // namespace gplus::serve

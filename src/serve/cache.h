@@ -15,18 +15,15 @@
 
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "obs/metrics.h"
+
 namespace gplus::serve {
 
-namespace detail {
-struct CacheMetricsRefs;
-}  // namespace detail
-
-/// Aggregated cache counters. `stale_hits` counts hits served while the
+/// Cache counters, built from the cache's counter store. `stale_hits` counts hits served while the
 /// server was degraded (no live snapshot): those answers may lag the graph,
 /// so they are tallied separately from fresh `hits`.
 struct CacheStats {
@@ -36,6 +33,7 @@ struct CacheStats {
   std::uint64_t evictions = 0;
   std::uint64_t entries = 0;
 
+  bool operator==(const CacheStats&) const = default;
   double hit_rate() const noexcept {
     const std::uint64_t probes = hits + stale_hits + misses;
     return probes == 0 ? 0.0
@@ -50,10 +48,9 @@ class ShardedLruCache {
  public:
   /// `capacity` total entries spread evenly over `shards` (both >= 1;
   /// capacity 0 disables caching — every probe misses, inserts drop).
-  /// `metrics_scope` qualifies the registry counter names: "" keeps the
-  /// process-wide "serve.cache.*" names; a scope like "s0.r0" resolves
-  /// "serve.s0.r0.cache.*" instead, so every cluster replica reconciles
-  /// its own registry slice exactly (no cross-shard double counting).
+  /// `metrics_scope` qualifies the names the registry exports the counts
+  /// under: "" gives "serve.cache.*"; a scope like "s0.r0" gives
+  /// "serve.s0.r0.cache.*", so each cluster replica has its own slice.
   ShardedLruCache(std::size_t capacity, std::size_t shards,
                   const std::string& metrics_scope = "");
 
@@ -67,15 +64,16 @@ class ShardedLruCache {
   /// of the shard when over capacity. No-op when capacity is 0.
   void insert(std::uint64_t key, const std::vector<std::uint8_t>& payload);
 
-  /// Aggregated counters across shards.
+  /// This cache's counts since construction or the last clear().
   CacheStats stats() const noexcept;
 
   std::size_t shard_count() const noexcept { return shards_.size(); }
   std::size_t capacity() const noexcept { return capacity_; }
 
-  /// Drops every entry AND resets every shard's counters: after clear()
-  /// the cache is indistinguishable from a freshly constructed one, which
-  /// is what makes post-hot-swap state comparable across runs.
+  /// Drops every entry AND resets the counts: after clear() the cache is
+  /// indistinguishable from a freshly constructed one, which is what makes
+  /// post-hot-swap state comparable across runs. The registry's
+  /// serve*.cache.* totals keep the cleared counts.
   void clear();
 
  private:
@@ -86,10 +84,6 @@ class ShardedLruCache {
   struct Shard {
     std::list<Entry> lru;  // front = most recent
     std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index;
-    std::uint64_t hits = 0;
-    std::uint64_t stale_hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
   };
 
   Shard& shard_for(std::uint64_t key) noexcept {
@@ -100,10 +94,7 @@ class ShardedLruCache {
   std::size_t capacity_ = 0;
   std::size_t per_shard_ = 0;
   std::vector<Shard> shards_;
-  // Scope-resolved registry counters (shared_ptr so the header needs no
-  // complete type; the refs target registry-owned cells, which are
-  // process-lifetime stable).
-  std::shared_ptr<detail::CacheMetricsRefs> metrics_;
+  obs::CounterStore counts_;  // one cell per CacheStats counter
 };
 
 }  // namespace gplus::serve

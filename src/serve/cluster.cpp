@@ -10,7 +10,6 @@
 #include "obs/trace.h"
 #include "serve/row_source.h"
 #include "serve/suggest.h"
-#include "stats/rng.h"
 
 namespace gplus::serve {
 
@@ -23,44 +22,23 @@ std::uint64_t now_ns() {
           .count());
 }
 
-// Router-level registry mirror. All increments happen on the drain
-// coordinator in admission order, hence deterministic at any lane count.
-// Cluster instances share these names (storm legs compare registry
-// *deltas*, so sharing is what makes the legs byte-comparable).
-struct ClusterMetrics {
-  obs::Counter& accepted;
-  obs::Counter& rejected;
-  obs::Counter& served;
-  obs::Counter& scatter;
-  obs::Counter& messages;
-  obs::Counter& dark;
-  obs::Counter& quorum;
-  std::array<obs::Counter*, kServeStatusCount> status;
-
-  static ClusterMetrics& get() {
-    static ClusterMetrics* m = [] {
-      auto& reg = obs::MetricsRegistry::global();
-      auto* out = new ClusterMetrics{
-          reg.counter("serve.cluster.accepted"),
-          reg.counter("serve.cluster.rejected"),
-          reg.counter("serve.cluster.served"),
-          reg.counter("serve.cluster.scatter"),
-          reg.counter("serve.cluster.messages"),
-          reg.counter("serve.cluster.dark"),
-          reg.counter("serve.cluster.quorum"),
-          {},
-      };
-      for (std::size_t s = 0; s < kServeStatusCount; ++s) {
-        const std::string name =
-            "serve.cluster.status." +
-            std::string(serve_status_name(static_cast<ServeStatus>(s)));
-        out->status[s] = &reg.counter(name);
-      }
-      return out;
-    }();
-    return *m;
-  }
+// Every scalar ClusterStats count, once, and its name under
+// "serve.cluster.". The per-status cells follow the table in the store and
+// are exported as "serve.cluster.status.<status>". All counts are taken on
+// the coordinator in admission order, hence deterministic at any lane
+// count.
+constexpr obs::CounterField<ClusterStats> kCounters[] = {
+    {"accepted", &ClusterStats::accepted},
+    {"rejected", &ClusterStats::rejected},
+    {"served", &ClusterStats::served},
+    {"scatter", &ClusterStats::scatter},
+    {"messages", &ClusterStats::messages},
+    {"dark", &ClusterStats::dark_answers},
+    {"quorum", &ClusterStats::quorum_answers},
 };
+template <auto Field>
+constexpr std::size_t kCell = obs::cell_of(kCounters, Field);
+constexpr std::size_t kStatusCell = std::size(kCounters);
 
 }  // namespace
 
@@ -79,6 +57,7 @@ ClusterServer::ClusterServer(const RoutingTable* routing,
     : routing_(routing),
       views_(std::move(shard_views)),
       config_(config),
+      counts_(kStatusCell + kServeStatusCount),
       transport_(config_.transport, views_.size(),
                  config_.replicas > 0 ? config_.replicas : 1) {
   if (routing_ == nullptr) {
@@ -176,6 +155,27 @@ void ClusterServer::heal_transport() {
   if (transport_.enabled()) transport_.heal();
 }
 
+ClusterStats ClusterServer::stats_snapshot() const {
+  ClusterStats s;
+  counts_.read_fields(kCounters, s);
+  counts_.read_array(kStatusCell, s.by_status);
+  return s;
+}
+
+void ClusterServer::export_counts() {
+  counts_.export_fields(kCounters, "serve.cluster.");
+  for (std::size_t s = 0; s < kServeStatusCount; ++s) {
+    counts_.export_cell(
+        kStatusCell + s,
+        "serve.cluster.status." +
+            std::string(serve_status_name(static_cast<ServeStatus>(s))));
+  }
+  // Router rejections never drain, so they count toward the rejected
+  // status here rather than in by_status.
+  counts_.export_cell(kCell<&ClusterStats::rejected>,
+                      "serve.cluster.status.rejected");
+}
+
 ServerStats ClusterServer::replica_stats(std::size_t shard,
                                          std::size_t replica) const {
   return replicas_[replica_index(shard, replica)].stats_snapshot();
@@ -202,11 +202,12 @@ ServerStats ClusterServer::aggregate_server_stats() const {
   }
   // Admission and terminal-outcome counts come from the router: it sees
   // every request (terminal-at-router answers never reach a replica).
-  total.accepted = stats_.accepted;
-  total.rejected = stats_.rejected;
-  total.served = stats_.served;
+  const ClusterStats router = stats_snapshot();
+  total.accepted = router.accepted;
+  total.rejected = router.rejected;
+  total.served = router.served;
   const auto status_of = [&](ServeStatus st) {
-    return stats_.by_status[static_cast<std::size_t>(st)];
+    return router.by_status[static_cast<std::size_t>(st)];
   };
   total.shed = status_of(ServeStatus::kShed);
   total.deadline_exceeded = status_of(ServeStatus::kDeadlineExceeded);
@@ -216,7 +217,11 @@ ServerStats ClusterServer::aggregate_server_stats() const {
 }
 
 ServeStatus ClusterServer::submit(const Request& request, bool inject_fault) {
-  ClusterMetrics& metrics = ClusterMetrics::get();
+  if (!counts_.exported()) export_counts();
+  const auto reject = [this] {
+    counts_.add(kCell<&ClusterStats::rejected>);
+    return ServeStatus::kRejected;
+  };
   Slot slot;
   // Every submit consumes one router sequence number — the transport
   // fault stream is keyed on it, so a client retry of the same request
@@ -250,10 +255,7 @@ ServeStatus ClusterServer::submit(const Request& request, bool inject_fault) {
       slot.terminal = ServeStatus::kInvalidNode;
       slot.terminal_cost = 1;
     } else if (router_queued_ >= router_capacity()) {
-      ++stats_.rejected;
-      metrics.rejected.add(1);
-      metrics.status[static_cast<std::size_t>(ServeStatus::kRejected)]->add(1);
-      return ServeStatus::kRejected;
+      return reject();
     } else {
       slot.route = Route::kScatter;
       ++router_queued_;
@@ -290,13 +292,7 @@ ServeStatus ClusterServer::submit(const Request& request, bool inject_fault) {
           unreachable ? kResponseQuorumPartial : kResponseShardDark;
     } else {
       QueryServer& qs = replicas_[replica_index(shard, replica)];
-      if (qs.submit(slot.request) == ServeStatus::kRejected) {
-        ++stats_.rejected;
-        metrics.rejected.add(1);
-        metrics.status[static_cast<std::size_t>(ServeStatus::kRejected)]->add(
-            1);
-        return ServeStatus::kRejected;
-      }
+      if (qs.submit(slot.request) == ServeStatus::kRejected) return reject();
       slot.route = Route::kReplica;
       slot.shard = static_cast<std::uint16_t>(shard);
       slot.replica = static_cast<std::uint16_t>(replica);
@@ -309,8 +305,7 @@ ServeStatus ClusterServer::submit(const Request& request, bool inject_fault) {
   if (pending_.back().route == Route::kScatter) {
     scatter_slots_.push_back(static_cast<std::uint32_t>(pending_.size() - 1));
   }
-  ++stats_.accepted;
-  metrics.accepted.add(1);
+  counts_.add(kCell<&ClusterStats::accepted>);
   return ServeStatus::kOk;
 }
 
@@ -326,7 +321,6 @@ void ClusterServer::drain(std::vector<Response>& responses,
     return;
   }
 
-  ClusterMetrics& metrics = ClusterMetrics::get();
   auto& trace = obs::TraceLog::global();
   obs::TraceLog::Scope drain_span(trace, "serve.cluster.drain");
 
@@ -421,27 +415,20 @@ void ClusterServer::drain(std::vector<Response>& responses,
         resp.cost = slot.terminal_cost;
         break;
     }
-    ++stats_.by_status[static_cast<std::size_t>(resp.status) %
-                       kServeStatusCount];
-    metrics.status[static_cast<std::size_t>(resp.status) % kServeStatusCount]
-        ->add(1);
+    counts_.add(kStatusCell +
+                static_cast<std::size_t>(resp.status) % kServeStatusCount);
     if ((resp.flags & kResponseShardDark) != 0) {
-      ++stats_.dark_answers;
-      metrics.dark.add(1);
+      counts_.add(kCell<&ClusterStats::dark_answers>);
     }
     if ((resp.flags & kResponseQuorumPartial) != 0) {
-      ++stats_.quorum_answers;
-      metrics.quorum.add(1);
+      counts_.add(kCell<&ClusterStats::quorum_answers>);
     }
   }
   std::uint64_t message_total = 0;
   for (const std::uint64_t m : scatter_messages_) message_total += m;
-  stats_.messages += message_total;
-  stats_.scatter += scatter_slots_.size();
-  stats_.served += batch;
-  metrics.messages.add(message_total);
-  metrics.scatter.add(scatter_slots_.size());
-  metrics.served.add(batch);
+  counts_.add(kCell<&ClusterStats::messages>, message_total);
+  counts_.add(kCell<&ClusterStats::scatter>, scatter_slots_.size());
+  counts_.add(kCell<&ClusterStats::served>, batch);
 
   // Replica drains advanced the virtual clock by their own batch costs;
   // the router adds the scatter work it executed itself, plus whatever
@@ -490,259 +477,6 @@ void ClusterServer::execute_scatter(const Request& request, std::uint64_t seq,
     top_k_core(rows, config, shard_topk_, request.limit, response, meter);
   }
   response.cost = meter.spent;
-}
-
-// --- Cluster storm --------------------------------------------------------
-
-namespace {
-
-void expect(std::vector<std::string>& violations, bool ok,
-            const std::string& what) {
-  if (!ok) violations.push_back(what);
-}
-
-void expect_metric(std::vector<std::string>& violations,
-                   const obs::MetricsSnapshot& d, const std::string& name,
-                   std::uint64_t want) {
-  const auto got = static_cast<std::uint64_t>(d.value(name));
-  if (got != want) {
-    violations.push_back("registry " + name + " = " + std::to_string(got) +
-                         ", bookkeeping says " + std::to_string(want));
-  }
-}
-
-}  // namespace
-
-ClusterStormReport run_cluster_storm(const ShardedSnapshot& sharded,
-                                     const SnapshotView& full,
-                                     const ClusterStormConfig& config) {
-  ClusterStormReport report;
-  const std::size_t shards = sharded.shards.size();
-  std::vector<SnapshotView> views;
-  views.reserve(shards);
-  for (const SnapshotBuffer& shard : sharded.shards) {
-    views.emplace_back(shard.bytes());
-  }
-  std::vector<const SnapshotView*> view_ptrs;
-  view_ptrs.reserve(shards);
-  for (const SnapshotView& view : views) view_ptrs.push_back(&view);
-
-  ClusterConfig cc;
-  cc.server = config.server;
-  cc.replicas = config.replicas;
-  cc.transport = config.transport;
-  ClusterServer cluster(&sharded.routing, view_ptrs, cc);
-  const ChaosSchedule chaos(config.chaos);
-  const std::size_t n = cluster.node_count();
-
-  // Scripted shard events: replica-0 kills (failover window) at R/4, one
-  // shard fully dark at R/2, dark shard back at 5R/8, everything back at
-  // 3R/4 — chaos faults/slowdowns/pressure run throughout. With the
-  // transport enabled, a network brownout (drop 0.9) runs over
-  // [R/8, R/4): heavy enough to open breakers, exhaust retries and force
-  // quorum-partial gathers, lifted exactly when the replica-0 kills land.
-  const std::uint64_t kill_primaries = config.rounds / 4;
-  const std::uint64_t kill_dark = config.rounds / 2;
-  const std::uint64_t recover_dark = config.rounds * 5 / 8;
-  const std::uint64_t recover_all = config.rounds * 3 / 4;
-  const std::uint64_t brownout_start = config.rounds / 8;
-  const std::size_t dark_shard = 1 % shards;
-
-  auto& registry = obs::MetricsRegistry::global();
-  const auto before = registry.snapshot();
-
-  stats::Rng rng(config.seed);
-  std::vector<Response> responses;
-  std::uint64_t checksum = 0xcbf29ce484222325ULL;
-  std::uint64_t seq = 0;
-
-  for (std::uint64_t round = 0; round < config.rounds; ++round) {
-    if (config.transport.enabled && round == brownout_start) {
-      FaultProfile heavy = config.transport.profile;
-      heavy.drop_rate = 0.9;
-      cluster.set_transport_profile(heavy);
-    }
-    if (config.transport.enabled && round == kill_primaries) {
-      cluster.set_transport_profile(config.transport.profile);
-    }
-    if (round == kill_primaries && config.replicas >= 2) {
-      for (std::size_t s = 0; s < shards; ++s) cluster.kill_replica(s, 0);
-    }
-    if (round == kill_dark) {
-      for (std::size_t r = 0; r < config.replicas; ++r) {
-        cluster.kill_replica(dark_shard, r);
-      }
-    }
-    if (round == recover_dark) {
-      // Replica 0 stays in its failover window (when there is one).
-      const std::size_t first = config.replicas >= 2 ? 1 : 0;
-      for (std::size_t r = first; r < config.replicas; ++r) {
-        cluster.recover_replica(dark_shard, r);
-      }
-    }
-    if (round == recover_all) {
-      for (std::size_t s = 0; s < shards; ++s) {
-        for (std::size_t r = 0; r < config.replicas; ++r) {
-          cluster.recover_replica(s, r);
-        }
-      }
-    }
-    cluster.set_queue_pressure(chaos.pressure(round));
-    for (std::size_t c = 0; c < config.clients; ++c) {
-      Request q = storm_request(rng, n);
-      const ChaosSchedule::RequestEvents events = chaos.request_events(seq++);
-      if (events.slow) q.cost_budget = chaos.config().slow_budget;
-      ++report.offered;
-      if (cluster.submit(q, events.fault) == ServeStatus::kRejected) {
-        ++report.rejected;
-      } else {
-        ++report.accepted;
-      }
-    }
-    cluster.drain(responses);
-    report.responses += responses.size();
-    for (const Response& r : responses) {
-      ++report.by_status[static_cast<std::size_t>(r.status) %
-                         kServeStatusCount];
-      if ((r.flags & kResponseShardDark) != 0) ++report.dark_answers;
-      if ((r.flags & kResponseQuorumPartial) != 0) ++report.quorum_answers;
-      checksum = fold_response(checksum, r);
-    }
-    expect(report.violations, cluster.queued() == 0,
-           "queue not empty after drain");
-  }
-  report.checksum = checksum;
-
-  // Reconcile registry deltas BEFORE the probe traffic muddies them:
-  // every replica's scoped slice must equal its own stats exactly (the
-  // no-double-counting contract), and the router counters must equal the
-  // cluster's bookkeeping.
-  const auto after = registry.snapshot();
-  const auto d = obs::delta(after, before);
-  report.cluster = cluster.stats_snapshot();
-  for (std::size_t s = 0; s < shards; ++s) {
-    for (std::size_t r = 0; r < config.replicas; ++r) {
-      const ServerStats st = cluster.replica_stats(s, r);
-      report.replica_stats.push_back(st);
-      const std::string prefix =
-          "serve." + ClusterServer::replica_scope(s, r) + ".";
-      expect_metric(report.violations, d, prefix + "accepted", st.accepted);
-      expect_metric(report.violations, d, prefix + "served", st.served);
-      expect_metric(report.violations, d, prefix + "rejected", st.rejected);
-      expect_metric(report.violations, d, prefix + "shed", st.shed);
-      expect_metric(report.violations, d, prefix + "deadline_exceeded",
-                    st.deadline_exceeded);
-      expect_metric(report.violations, d, prefix + "fault_injected",
-                    st.fault_injected);
-      expect_metric(report.violations, d, prefix + "stale_served",
-                    st.stale_served);
-      expect_metric(report.violations, d, prefix + "unavailable",
-                    st.unavailable);
-      expect_metric(report.violations, d, prefix + "cache.hits",
-                    st.cache.hits);
-      expect_metric(report.violations, d, prefix + "cache.stale_hits",
-                    st.cache.stale_hits);
-      expect_metric(report.violations, d, prefix + "cache.misses",
-                    st.cache.misses);
-      expect_metric(report.violations, d, prefix + "cache.evictions",
-                    st.cache.evictions);
-    }
-  }
-  expect_metric(report.violations, d, "serve.cluster.accepted",
-                report.cluster.accepted);
-  expect_metric(report.violations, d, "serve.cluster.rejected",
-                report.cluster.rejected);
-  expect_metric(report.violations, d, "serve.cluster.served",
-                report.cluster.served);
-  expect_metric(report.violations, d, "serve.cluster.scatter",
-                report.cluster.scatter);
-  expect_metric(report.violations, d, "serve.cluster.messages",
-                report.cluster.messages);
-  expect_metric(report.violations, d, "serve.cluster.dark",
-                report.cluster.dark_answers);
-  expect_metric(report.violations, d, "serve.cluster.quorum",
-                report.cluster.quorum_answers);
-  report.transport = cluster.transport_stats();
-  if (config.transport.enabled) {
-    const TransportStats& t = report.transport;
-    expect_metric(report.violations, d, "serve.transport.rpcs", t.rpcs);
-    expect_metric(report.violations, d, "serve.transport.attempts",
-                  t.attempts);
-    expect_metric(report.violations, d, "serve.transport.delivered",
-                  t.delivered);
-    expect_metric(report.violations, d, "serve.transport.failed", t.failed);
-    expect_metric(report.violations, d, "serve.transport.dropped", t.dropped);
-    expect_metric(report.violations, d, "serve.transport.delayed", t.delayed);
-    expect_metric(report.violations, d, "serve.transport.timeouts",
-                  t.timeouts);
-    expect_metric(report.violations, d, "serve.transport.retries", t.retries);
-    expect_metric(report.violations, d, "serve.transport.hedges", t.hedges);
-    expect_metric(report.violations, d, "serve.transport.hedge_wins",
-                  t.hedge_wins);
-    expect_metric(report.violations, d, "serve.transport.duplicates",
-                  t.duplicates);
-    expect_metric(report.violations, d, "serve.transport.dup_suppressed",
-                  t.dup_suppressed);
-    expect_metric(report.violations, d, "serve.transport.reorders",
-                  t.reorders);
-    expect_metric(report.violations, d, "serve.transport.breaker_open",
-                  t.breaker_open);
-    expect_metric(report.violations, d, "serve.transport.breaker_close",
-                  t.breaker_close);
-    expect_metric(report.violations, d, "serve.transport.breaker_probes",
-                  t.breaker_probes);
-    expect_metric(report.violations, d, "serve.transport.breaker_skips",
-                  t.breaker_skips);
-    expect_metric(report.violations, d, "serve.transport.ticks", t.ticks);
-  }
-
-  // Core storm invariants: every admitted request reached exactly one
-  // terminal status; nothing dropped silently.
-  expect(report.violations, report.offered == report.accepted + report.rejected,
-         "offered != accepted + rejected");
-  expect(report.violations, report.responses == report.accepted,
-         "responses != accepted (silent drop or duplicate)");
-  std::uint64_t by_status_total = 0;
-  for (const std::uint64_t v : report.by_status) by_status_total += v;
-  expect(report.violations, by_status_total == report.responses,
-         "per-status totals != responses");
-  if (config.rounds >= 16 && config.replicas >= 1) {
-    expect(report.violations, report.dark_answers > 0,
-           "dark window produced no kShardDark answers");
-  }
-  if (config.transport.enabled && config.rounds >= 32) {
-    expect(report.violations, report.quorum_answers > 0,
-           "transport brownout produced no quorum-partial answers");
-    expect(report.violations, report.transport.breaker_open > 0,
-           "transport brownout opened no breakers");
-    expect(report.violations, report.transport.breaker_close > 0,
-           "no breaker recovered (half-open probe never closed one)");
-  }
-
-  // Post-storm probes: fully recovered cluster vs a fresh unsharded
-  // server — every request family must answer identically. A healed
-  // zero-rate transport delivers every message first try to the lowest
-  // live replica, so transport-routed probe answers match the unsharded
-  // engine byte for byte.
-  if (config.probes > 0) {
-    for (std::size_t s = 0; s < shards; ++s) {
-      for (std::size_t r = 0; r < config.replicas; ++r) {
-        cluster.recover_replica(s, r);
-      }
-    }
-    cluster.heal_transport();
-    cluster.set_queue_pressure(0);
-    const std::uint64_t probe_seed = config.seed ^ 0x9E3779B97F4A7C15ULL;
-    report.post_probe_checksum =
-        run_probe_stream(cluster, probe_seed, config.probes, n);
-    QueryServer fresh(&full, config.server);
-    report.unsharded_probe_checksum =
-        run_probe_stream(fresh, probe_seed, config.probes, n);
-    expect(report.violations,
-           report.post_probe_checksum == report.unsharded_probe_checksum,
-           "cluster probe answers diverged from the unsharded engine");
-  }
-  return report;
 }
 
 }  // namespace gplus::serve

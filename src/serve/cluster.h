@@ -43,7 +43,6 @@
 #include <string>
 #include <vector>
 
-#include "serve/resilience.h"
 #include "serve/server.h"
 #include "serve/snapshot_build.h"
 #include "serve/transport.h"
@@ -63,8 +62,10 @@ struct ClusterConfig {
   TransportConfig transport;
 };
 
-/// Router-level lifetime counters. Replica-level counters live in each
-/// replica's ServerStats (and its scoped registry slice).
+/// Router-level lifetime counters, built from the router's counter store
+/// and exported as serve.cluster.* from the first submit on. Replica-level
+/// counters live in each replica's ServerStats (and its scoped registry
+/// slice).
 struct ClusterStats {
   std::uint64_t accepted = 0;       // admitted into this drain cycle
   std::uint64_t rejected = 0;       // replica queue full or router full
@@ -74,6 +75,8 @@ struct ClusterStats {
   std::uint64_t dark_answers = 0;   // responses flagged kResponseShardDark
   std::uint64_t quorum_answers = 0; // responses flagged kResponseQuorumPartial
   std::array<std::uint64_t, kServeStatusCount> by_status{};
+
+  bool operator==(const ClusterStats&) const = default;
 };
 
 /// K-shard × R-replica cluster with one coordinator-thread submit/drain
@@ -126,9 +129,7 @@ class ClusterServer {
   BreakerState transport_breaker(std::size_t shard, std::size_t replica) const {
     return transport_.breaker_state(shard, replica);
   }
-  const TransportStats& transport_stats() const noexcept {
-    return transport_.stats();
-  }
+  TransportStats transport_stats() const { return transport_.stats(); }
 
   std::size_t shard_count() const noexcept { return views_.size(); }
   std::size_t replicas_per_shard() const noexcept { return config_.replicas; }
@@ -141,7 +142,7 @@ class ClusterServer {
     return config_.server.queue_capacity;
   }
 
-  ClusterStats stats_snapshot() const { return stats_; }
+  ClusterStats stats_snapshot() const;
   /// One replica's lifetime counters (cache state included).
   ServerStats replica_stats(std::size_t shard, std::size_t replica) const;
   /// Sum of every replica's counters plus router-level rejections —
@@ -194,13 +195,15 @@ class ClusterServer {
   void execute_scatter(const Request& request, std::uint64_t seq,
                        Response& response, std::uint64_t& messages,
                        std::vector<ShardRpc>& rpcs) const;
+  /// Exports the router counts to the registry (on the first submit).
+  void export_counts();
 
   const RoutingTable* routing_;
   std::vector<const SnapshotView*> views_;
   ClusterConfig config_;
   std::vector<QueryServer> replicas_;
   std::vector<std::uint8_t> up_;
-  ClusterStats stats_;
+  obs::CounterStore counts_;  // every ClusterStats count
   std::vector<Slot> pending_;
   std::vector<std::uint32_t> scatter_slots_;  // indices into pending_
   std::size_t router_queued_ = 0;
@@ -223,58 +226,6 @@ class ClusterServer {
   std::vector<std::uint64_t> scatter_messages_;
   std::vector<std::vector<ShardRpc>> scatter_rpcs_;
 };
-
-/// Cluster chaos storm knobs. The storm scripts staggered replica kills
-/// (failover window), a fully-dark shard window, and recovery, on top of
-/// the usual fault/slow/pressure chaos channels.
-struct ClusterStormConfig {
-  std::uint64_t seed = 1;
-  std::size_t clients = 64;
-  std::uint64_t rounds = 240;
-  /// Post-storm probes, answered by the recovered cluster AND a fresh
-  /// unsharded server over the full snapshot — checksums must match.
-  std::uint64_t probes = 256;
-  std::size_t replicas = 2;
-  ChaosConfig chaos;
-  ServerConfig server;
-  /// Transport fault model for the storm. When enabled, the storm also
-  /// scripts a heavy-loss *brownout* window ([rounds/8, rounds/4): drop
-  /// rate 0.9) so circuit breakers demonstrably open and then close
-  /// again via half-open probes once the window lifts.
-  TransportConfig transport;
-};
-
-/// What the cluster storm produced. Empty `violations` means every
-/// invariant held: one terminal status per admitted request, zero silent
-/// drops, per-replica registry slices reconciling exactly against replica
-/// stats, dark answers observed, and probe equivalence vs the unsharded
-/// engine after recovery.
-struct ClusterStormReport {
-  std::uint64_t offered = 0;
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t responses = 0;
-  std::array<std::uint64_t, kServeStatusCount> by_status{};
-  /// FNV-1a over the terminal response stream (status, flags, payload).
-  std::uint64_t checksum = 0;
-  std::uint64_t dark_answers = 0;
-  std::uint64_t quorum_answers = 0;
-  std::uint64_t post_probe_checksum = 0;      // recovered cluster
-  std::uint64_t unsharded_probe_checksum = 0; // fresh unsharded server
-  ClusterStats cluster;
-  /// Transport counters at end-of-storm (pre-probe; zero when disabled).
-  TransportStats transport;
-  std::vector<ServerStats> replica_stats;     // shard-major order
-  std::vector<std::string> violations;
-};
-
-/// Runs the seeded shard-kill/recover storm over `sharded`, with chaos
-/// faults/slowdowns/pressure, then probes the recovered cluster against a
-/// fresh unsharded QueryServer over `full`. Deterministic in (config,
-/// snapshot bytes) at any GPLUS_THREADS.
-ClusterStormReport run_cluster_storm(const ShardedSnapshot& sharded,
-                                     const SnapshotView& full,
-                                     const ClusterStormConfig& config);
 
 /// Closed-loop workload over a cluster (declared here, implemented with
 /// the QueryServer harness in workload.cpp): `ranking_view` supplies the

@@ -1,6 +1,5 @@
-// Resilience layer for the query server: snapshot hot-swap with rollback,
-// a seeded chaos schedule, and the storm driver that proves the terminal-
-// status invariant.
+// Resilience layer for the query server: snapshot hot-swap with rollback
+// and a seeded chaos schedule.
 //
 // Three pieces (DESIGN.md §10):
 //
@@ -25,15 +24,10 @@
 //   drops to degraded stale-cache serving, rollback() restores the
 //   previous generation.
 //
-// `run_chaos_storm` drives a seeded kill/swap/overload storm against a
-// ResilientServer and checks the invariants the bench and tests assert:
-// every admitted request reaches exactly one terminal status, nothing is
-// silently dropped, and the storm-worn server answers a fixed probe set
-// byte-identically to a fresh server over the same final generation.
+// The storm harnesses that drive this stack and check its invariants live
+// outside the serving library, in bench/storm/storm.h.
 #pragma once
 
-#include <algorithm>
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -41,7 +35,6 @@
 
 #include "serve/server.h"
 #include "serve/snapshot.h"
-#include "stats/rng.h"
 
 namespace gplus::serve {
 
@@ -236,7 +229,6 @@ class ResilientServer {
   const QueryServer& server() const noexcept { return server_; }
   SnapshotManager& manager() noexcept { return manager_; }
   ServerStats stats_snapshot() const { return server_.stats_snapshot(); }
-  ServerStats stats() const { return stats_snapshot(); }
 
  private:
   /// Self-consistency canary over the freshly bound engine: profile
@@ -263,88 +255,5 @@ class ResilientServer {
   /// Epoch whose answers fill the result cache (0 = empty/neutral).
   std::uint64_t cache_epoch_ = 0;
 };
-
-/// Storm knobs. The storm script is fixed relative to `rounds`: a forced-
-/// rollback install attempt at rounds/4, a real hot-swap at rounds/2, a
-/// kill (degraded stretch) at 5·rounds/8 and a rollback at 3·rounds/4.
-struct StormConfig {
-  std::uint64_t seed = 1;
-  /// Closed-loop clients (one request per round each).
-  std::size_t clients = 64;
-  /// Submit/drain rounds.
-  std::uint64_t rounds = 240;
-  /// Post-storm probe requests (the storm-free equivalence check).
-  std::uint64_t probes = 256;
-  ChaosConfig chaos;
-  ServerConfig server;
-};
-
-/// What the storm produced. `violations` lists every broken invariant —
-/// empty means the storm passed.
-struct StormReport {
-  std::uint64_t offered = 0;   // submit attempts
-  std::uint64_t accepted = 0;  // admissions (== terminal responses)
-  std::uint64_t rejected = 0;  // explicit queue-full rejections
-  std::uint64_t responses = 0; // terminal statuses delivered by drains
-  std::array<std::uint64_t, kServeStatusCount> by_status{};
-  /// FNV-1a over the terminal response stream (status, flags, payload).
-  std::uint64_t checksum = 0;
-  /// Probe-set checksum through the storm-worn server vs a fresh server
-  /// over the same final generation — equal unless state was corrupted.
-  std::uint64_t post_probe_checksum = 0;
-  std::uint64_t fresh_probe_checksum = 0;
-  std::uint64_t final_epoch = 0;
-  bool forced_rollback_fired = false;
-  ServerStats server;
-  std::vector<std::string> violations;
-};
-
-/// Runs the seeded kill/swap/overload storm: serve `primary`, attempt a
-/// doomed install of `candidate` (forced canary failure → rollback), then
-/// hot-swap to `candidate` for real, kill it (degraded stale-cache
-/// stretch), roll back, and keep serving — all while the chaos schedule
-/// injects faults, slowdowns and queue pressure. Deterministic in
-/// (config, snapshots) at any GPLUS_THREADS.
-StormReport run_chaos_storm(const SnapshotBuffer& primary,
-                            const SnapshotBuffer& candidate,
-                            const StormConfig& config);
-
-// --- Storm helpers, shared with run_cluster_storm (serve/cluster.h) -------
-
-/// Folds one response — status, flags, payload size, payload bytes —
-/// into the FNV-1a state `h` (the storms' response-stream checksum).
-std::uint64_t fold_response(std::uint64_t h, const Response& r) noexcept;
-
-/// Draws one storm request: every type, all three priority classes, a
-/// well-formed limit/target per family, and ~2% out-of-range ids (an
-/// invalid-node probe).
-Request storm_request(stats::Rng& rng, std::size_t n);
-
-/// Feeds `count` seeded probe requests — chaos-free: high priority,
-/// unlimited budgets — through `server` (a QueryServer or ClusterServer)
-/// in queue-capacity batches and checksums the response stream, so two
-/// servers can be compared answer for answer.
-template <typename ServerT>
-std::uint64_t run_probe_stream(ServerT& server, std::uint64_t seed,
-                               std::uint64_t count, std::size_t n) {
-  stats::Rng rng(seed);
-  std::vector<Response> responses;
-  std::uint64_t checksum = 0xcbf29ce484222325ULL;
-  std::uint64_t issued = 0;
-  while (issued < count) {
-    const std::uint64_t batch =
-        std::min<std::uint64_t>(count - issued, server.queue_capacity());
-    for (std::uint64_t i = 0; i < batch; ++i) {
-      Request q = storm_request(rng, n);
-      q.priority = Priority::kHigh;
-      q.cost_budget = ~std::uint32_t{0};
-      server.submit(q);
-    }
-    server.drain(responses);
-    for (const Response& r : responses) checksum = fold_response(checksum, r);
-    issued += batch;
-  }
-  return checksum;
-}
 
 }  // namespace gplus::serve

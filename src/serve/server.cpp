@@ -10,37 +10,31 @@
 
 namespace gplus::serve {
 
-namespace detail {
-
-// Every ServerStats increment is mirrored into the global registry so
-// tests/benches can reconcile server bookkeeping against one uniform
-// surface. All serve counters are coordinator-ordered (drain phases 1 and
-// 3 run serially in request order), hence deterministic at any lane count;
-// the per-type histograms record virtual cost, never wall time. Each
-// server resolves its own refs under `ServerConfig::metrics_scope`: the
-// default "" scope keeps the historical process-wide "serve.*" names,
-// while cluster replicas get disjoint "serve.s<i>.r<j>.*" slices that
-// reconcile one-to-one against that replica's ServerStats.
-struct ServeMetricsRefs {
-  obs::Counter& accepted;
-  obs::Counter& rejected;
-  obs::Counter& served;
-  obs::Counter& shed;
-  obs::Counter& deadline_exceeded;
-  obs::Counter& fault_injected;
-  obs::Counter& stale_served;
-  obs::Counter& unavailable;
-  obs::Gauge& queue_depth;
-  std::array<obs::Counter*, kServeStatusCount> status;
-  std::array<obs::Histogram*, kRequestTypeCount> cost;
-};
-
-}  // namespace detail
-
 namespace {
 
 // Requests per chunk in the drain's parallel miss pass.
 constexpr std::size_t kBatchGrain = 64;
+
+// Every scalar ServerStats count, once, and its name under the server's
+// "serve[.<scope>]." prefix. The per-type and per-class arrays follow the
+// table in the store, unexported.
+constexpr obs::CounterField<ServerStats> kCounters[] = {
+    {"accepted", &ServerStats::accepted},
+    {"rejected", &ServerStats::rejected},
+    {"served", &ServerStats::served},
+    {"shed", &ServerStats::shed},
+    {"deadline_exceeded", &ServerStats::deadline_exceeded},
+    {"fault_injected", &ServerStats::fault_injected},
+    {"stale_served", &ServerStats::stale_served},
+    {"unavailable", &ServerStats::unavailable},
+};
+template <auto Field>
+constexpr std::size_t kCell = obs::cell_of(kCounters, Field);
+constexpr std::size_t kPerTypeCell = std::size(kCounters);
+constexpr std::size_t kAdmittedCell = kPerTypeCell + kRequestTypeCount;
+constexpr std::size_t kRejectedCell = kAdmittedCell + kPriorityCount;
+constexpr std::size_t kShedCell = kRejectedCell + kPriorityCount;
+constexpr std::size_t kCellCount = kShedCell + kPriorityCount;
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
@@ -49,51 +43,34 @@ std::uint64_t now_ns() {
           .count());
 }
 
-std::shared_ptr<detail::ServeMetricsRefs> resolve_serve_metrics(
-    const std::string& scope) {
+}  // namespace
+
+QueryServer::QueryServer(const SnapshotView* snapshot, ServerConfig config)
+    : config_(config),
+      counts_(kCellCount),
+      cache_(config.cache_capacity, config.cache_shards,
+             config.metrics_scope) {
+  const std::string prefix = config_.metrics_scope.empty()
+                                 ? "serve."
+                                 : "serve." + config_.metrics_scope + ".";
+  counts_.export_fields(kCounters, prefix);
   auto& reg = obs::MetricsRegistry::global();
-  const std::string prefix =
-      scope.empty() ? "serve." : "serve." + scope + ".";
-  auto out = std::make_shared<detail::ServeMetricsRefs>(
-      detail::ServeMetricsRefs{
-          reg.counter(prefix + "accepted"),
-          reg.counter(prefix + "rejected"),
-          reg.counter(prefix + "served"),
-          reg.counter(prefix + "shed"),
-          reg.counter(prefix + "deadline_exceeded"),
-          reg.counter(prefix + "fault_injected"),
-          reg.counter(prefix + "stale_served"),
-          reg.counter(prefix + "unavailable"),
-          reg.gauge(prefix + "queue.depth"),
-          {},
-          {},
-      });
+  queue_depth_ = &reg.gauge(prefix + "queue.depth");
   for (std::size_t s = 0; s < kServeStatusCount; ++s) {
-    const std::string name =
+    status_[s] = &reg.counter(
         prefix + "status." +
-        std::string(serve_status_name(static_cast<ServeStatus>(s)));
-    out->status[s] = &reg.counter(name);
+        std::string(serve_status_name(static_cast<ServeStatus>(s))));
   }
   // Virtual-cost buckets: 1 dispatch unit up through BFS-sized walks.
   const std::vector<std::uint64_t> bounds{1,   2,   4,    8,    16,   32,
                                           64,  128, 256,  512,  1024, 4096,
                                           16384, 65536};
   for (std::size_t t = 0; t < kRequestTypeCount; ++t) {
-    const std::string name =
+    cost_[t] = &reg.histogram(
         prefix + "cost." +
-        std::string(request_type_name(static_cast<RequestType>(t)));
-    out->cost[t] = &reg.histogram(name, bounds);
+            std::string(request_type_name(static_cast<RequestType>(t))),
+        bounds);
   }
-  return out;
-}
-
-}  // namespace
-
-QueryServer::QueryServer(const SnapshotView* snapshot, ServerConfig config)
-    : config_(config),
-      metrics_(resolve_serve_metrics(config.metrics_scope)),
-      cache_(config.cache_capacity, config.cache_shards,
-             config.metrics_scope) {
   if (snapshot != nullptr) engine_.emplace(snapshot, config_.engine);
   queue_.reserve(config_.queue_capacity);
 }
@@ -113,7 +90,6 @@ std::size_t QueryServer::find_victim(Priority incoming) const noexcept {
 }
 
 ServeStatus QueryServer::submit(const Request& request, bool inject_fault) {
-  detail::ServeMetricsRefs& metrics = *metrics_;
   Request admitted = request;
   const auto cls = static_cast<std::size_t>(admitted.priority) % kPriorityCount;
   if (admitted.cost_budget == 0) {
@@ -124,27 +100,24 @@ ServeStatus QueryServer::submit(const Request& request, bool inject_fault) {
     // strictly below this one, or reject when nothing outranked is queued.
     const std::size_t victim = find_victim(admitted.priority);
     if (victim == queue_.size()) {
-      ++stats_.rejected;
-      ++stats_.rejected_by_class[cls];
-      metrics.rejected.add(1);
+      counts_.add(kCell<&ServerStats::rejected>);
+      counts_.add(kRejectedCell + cls);
       // Rejection is this request's terminal status — it never drains.
-      metrics.status[static_cast<std::size_t>(ServeStatus::kRejected)]->add(1);
+      status_[static_cast<std::size_t>(ServeStatus::kRejected)]->add(1);
       return ServeStatus::kRejected;
     }
     Pending& loser = queue_[victim];
     loser.shed = 1;
     --live_;
-    ++stats_.shed;
-    ++stats_.shed_by_class[static_cast<std::size_t>(loser.request.priority) %
-                           kPriorityCount];
-    metrics.shed.add(1);
+    counts_.add(kCell<&ServerStats::shed>);
+    counts_.add(kShedCell + static_cast<std::size_t>(loser.request.priority) %
+                                kPriorityCount);
   }
   queue_.push_back(
       Pending{admitted, 0, static_cast<std::uint8_t>(inject_fault ? 1 : 0)});
   ++live_;
-  ++stats_.accepted;
-  ++stats_.admitted_by_class[cls];
-  metrics.accepted.add(1);
+  counts_.add(kCell<&ServerStats::accepted>);
+  counts_.add(kAdmittedCell + cls);
   return ServeStatus::kOk;
 }
 
@@ -163,8 +136,7 @@ void QueryServer::drain(std::vector<Response>& responses,
   if (latency_ns != nullptr) latency_ns->assign(batch, 0);
   if (batch == 0) return;
 
-  detail::ServeMetricsRefs& metrics = *metrics_;
-  metrics.queue_depth.set(static_cast<std::int64_t>(batch));
+  queue_depth_->set(static_cast<std::int64_t>(batch));
   auto& trace = obs::TraceLog::global();
   obs::TraceLog::Scope drain_span(trace, "serve.drain");
 
@@ -182,34 +154,29 @@ void QueryServer::drain(std::vector<Response>& responses,
     r.flags = 0;
     r.cost = 0;
     r.payload.clear();
-    ++stats_.per_type[static_cast<std::size_t>(p.request.type) %
-                      kRequestTypeCount];
+    counts_.add(kPerTypeCell + static_cast<std::size_t>(p.request.type) %
+                                   kRequestTypeCount);
     if (p.shed) {
       r.status = ServeStatus::kShed;
       continue;
     }
     if (p.fault) {
       r.status = ServeStatus::kFaultInjected;
-      ++stats_.fault_injected;
-      metrics.fault_injected.add(1);
+      counts_.add(kCell<&ServerStats::fault_injected>);
       continue;
     }
     if (cacheable(p.request.type)) {
       const std::uint64_t start = latency_ns != nullptr ? now_ns() : 0;
       if (cache_.lookup(request_key(p.request), r.payload, degraded)) {
         r.status = degraded ? ServeStatus::kStaleCache : ServeStatus::kOk;
-        if (degraded) {
-          ++stats_.stale_served;
-          metrics.stale_served.add(1);
-        }
+        if (degraded) counts_.add(kCell<&ServerStats::stale_served>);
         if (latency_ns != nullptr) (*latency_ns)[i] = now_ns() - start;
         continue;
       }
     }
     if (degraded) {
       r.status = ServeStatus::kUnavailable;
-      ++stats_.unavailable;
-      metrics.unavailable.add(1);
+      counts_.add(kCell<&ServerStats::unavailable>);
       continue;
     }
     miss_index_.push_back(static_cast<std::uint32_t>(i));
@@ -235,12 +202,10 @@ void QueryServer::drain(std::vector<Response>& responses,
     const Request& q = queue_[i].request;
     Response& r = responses[i];
     if (r.status == ServeStatus::kDeadlineExceeded) {
-      ++stats_.deadline_exceeded;
-      metrics.deadline_exceeded.add(1);
+      counts_.add(kCell<&ServerStats::deadline_exceeded>);
     }
     // Virtual execution cost — deterministic, unlike wall latency.
-    metrics.cost[static_cast<std::size_t>(q.type) % kRequestTypeCount]->record(
-        r.cost);
+    cost_[static_cast<std::size_t>(q.type) % kRequestTypeCount]->record(r.cost);
     if (cacheable(q.type) && r.status == ServeStatus::kOk) {
       cache_.insert(request_key(q), r.payload);
     }
@@ -252,8 +217,7 @@ void QueryServer::drain(std::vector<Response>& responses,
   std::uint64_t batch_cost = 0;
   for (std::size_t i = 0; i < batch; ++i) {
     const Response& r = responses[i];
-    metrics.status[static_cast<std::size_t>(r.status) % kServeStatusCount]->add(
-        1);
+    status_[static_cast<std::size_t>(r.status) % kServeStatusCount]->add(1);
     batch_cost += r.cost;
   }
   trace.advance(batch_cost);
@@ -261,14 +225,18 @@ void QueryServer::drain(std::vector<Response>& responses,
   drain_span.attr("misses", miss_index_.size());
   drain_span.attr("cost", batch_cost);
 
-  stats_.served += batch;
-  metrics.served.add(batch);
+  counts_.add(kCell<&ServerStats::served>, batch);
   queue_.clear();
   live_ = 0;
 }
 
 ServerStats QueryServer::stats_snapshot() const {
-  ServerStats s = stats_;
+  ServerStats s;
+  counts_.read_fields(kCounters, s);
+  counts_.read_array(kPerTypeCell, s.per_type);
+  counts_.read_array(kAdmittedCell, s.admitted_by_class);
+  counts_.read_array(kRejectedCell, s.rejected_by_class);
+  counts_.read_array(kShedCell, s.shed_by_class);
   s.cache = cache_.stats();
   return s;
 }

@@ -43,10 +43,6 @@
 
 namespace gplus::serve {
 
-namespace detail {
-struct ServeMetricsRefs;
-}  // namespace detail
-
 /// Server knobs.
 struct ServerConfig {
   /// Bounded admission queue: submits past this are shed-or-rejected.
@@ -57,17 +53,18 @@ struct ServerConfig {
   /// Per-priority default deadline (virtual cost units, 0 = unlimited),
   /// applied at submit to requests that carry no explicit cost_budget.
   std::array<std::uint32_t, kPriorityCount> default_cost_budget{};
-  /// Registry name qualifier. "" keeps the historical process-wide
-  /// "serve.*" metric names; a cluster replica sets e.g. "s2.r0" so its
-  /// counters land under "serve.s2.r0.*" and per-shard registries
-  /// reconcile exactly against that replica's ServerStats — no
-  /// double-counting across shards (DESIGN.md §13).
+  /// Registry name qualifier. "" exports this server's counts under the
+  /// "serve.*" names, summed with every other default-scope server; a
+  /// cluster replica sets e.g. "s2.r0" so its counts are exported under
+  /// "serve.s2.r0.*" — one slice per replica, never double-counted across
+  /// shards (DESIGN.md §13).
   std::string metrics_scope;
   EngineConfig engine;
 };
 
-/// Lifetime counters. `accepted` counts queue admissions (some of which
-/// may later be shed); every admitted request reaches exactly one terminal
+/// Lifetime counters, built from the server's counter store by
+/// stats_snapshot(). `accepted` counts queue admissions (some of which may
+/// later be shed); every admitted request reaches exactly one terminal
 /// status, so accepted == served + currently-queued at all times.
 struct ServerStats {
   std::uint64_t accepted = 0;
@@ -83,6 +80,8 @@ struct ServerStats {
   std::array<std::uint64_t, kPriorityCount> rejected_by_class{};
   std::array<std::uint64_t, kPriorityCount> shed_by_class{};
   CacheStats cache;
+
+  bool operator==(const ServerStats&) const = default;
 };
 
 /// One server over one (rebindable) snapshot. Submit/drain/rebind are
@@ -133,15 +132,10 @@ class QueryServer {
              std::vector<std::uint64_t>* latency_ns = nullptr);
 
   /// Coherent one-call copy of the lifetime counters, cache statistics
-  /// included. Submit/drain/stats are coordinator-thread operations, so a
-  /// snapshot taken between drains is consistent: no field can move while
-  /// it is being assembled. This is the canonical accessor for every final
-  /// report — reading `stats()` and `cache().stats()` separately risks the
-  /// two disagreeing if work happens in between.
+  /// included. Submit/drain/stats_snapshot are coordinator-thread
+  /// operations, so a snapshot taken between drains is consistent: no
+  /// field can move while it is being assembled.
   ServerStats stats_snapshot() const;
-
-  /// Back-compat alias for stats_snapshot().
-  ServerStats stats() const { return stats_snapshot(); }
 
   const ServerConfig& config() const noexcept { return config_; }
   /// The bound engine, or nullptr while degraded.
@@ -177,15 +171,19 @@ class QueryServer {
   std::size_t find_victim(Priority incoming) const noexcept;
 
   ServerConfig config_;
-  // Scope-resolved registry refs (cells are registry-owned and live for
-  // the process; shared_ptr keeps the header free of obs types).
-  std::shared_ptr<detail::ServeMetricsRefs> metrics_;
+  obs::CounterStore counts_;  // every ServerStats count except `cache`
+  // Registry-owned metrics with no ServerStats field, under the same
+  // scope: the terminal-status tallies (rejections included), the
+  // per-type virtual-cost histograms and the queue depth. Written on the
+  // coordinator in request order, so deterministic at any lane count.
+  obs::Gauge* queue_depth_ = nullptr;
+  std::array<obs::Counter*, kServeStatusCount> status_{};
+  std::array<obs::Histogram*, kRequestTypeCount> cost_{};
   std::optional<RequestEngine> engine_;
   ShardedLruCache cache_;
   std::vector<Pending> queue_;
   std::size_t live_ = 0;       // queued entries not marked shed
   std::size_t pressure_ = 0;   // chaos queue-pressure override (0 = none)
-  ServerStats stats_;
   // Drain scratch, reused across batches.
   std::vector<std::uint32_t> miss_index_;
 };

@@ -25,56 +25,31 @@ constexpr std::uint64_t kSaltReorder = 0x5EC0;
 
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
-// Registry mirror for TransportStats — lazily registered once and shared
-// by every FaultyTransport instance, so storm legs compare registry
-// *deltas* exactly like the cluster counters.
-struct TransportMetrics {
-  obs::Counter& rpcs;
-  obs::Counter& attempts;
-  obs::Counter& delivered;
-  obs::Counter& failed;
-  obs::Counter& dropped;
-  obs::Counter& delayed;
-  obs::Counter& timeouts;
-  obs::Counter& retries;
-  obs::Counter& hedges;
-  obs::Counter& hedge_wins;
-  obs::Counter& duplicates;
-  obs::Counter& dup_suppressed;
-  obs::Counter& reorders;
-  obs::Counter& breaker_open;
-  obs::Counter& breaker_close;
-  obs::Counter& breaker_probes;
-  obs::Counter& breaker_skips;
-  obs::Counter& ticks;
-
-  static TransportMetrics& get() {
-    static TransportMetrics* m = [] {
-      auto& reg = obs::MetricsRegistry::global();
-      return new TransportMetrics{
-          reg.counter("serve.transport.rpcs"),
-          reg.counter("serve.transport.attempts"),
-          reg.counter("serve.transport.delivered"),
-          reg.counter("serve.transport.failed"),
-          reg.counter("serve.transport.dropped"),
-          reg.counter("serve.transport.delayed"),
-          reg.counter("serve.transport.timeouts"),
-          reg.counter("serve.transport.retries"),
-          reg.counter("serve.transport.hedges"),
-          reg.counter("serve.transport.hedge_wins"),
-          reg.counter("serve.transport.duplicates"),
-          reg.counter("serve.transport.dup_suppressed"),
-          reg.counter("serve.transport.reorders"),
-          reg.counter("serve.transport.breaker_open"),
-          reg.counter("serve.transport.breaker_close"),
-          reg.counter("serve.transport.breaker_probes"),
-          reg.counter("serve.transport.breaker_skips"),
-          reg.counter("serve.transport.ticks"),
-      };
-    }();
-    return *m;
-  }
+// Every TransportStats count, once, and its name under
+// "serve.transport.". Commits run on the coordinator in admission order,
+// so the counts are deterministic at any lane count.
+constexpr obs::CounterField<TransportStats> kCounters[] = {
+    {"rpcs", &TransportStats::rpcs},
+    {"attempts", &TransportStats::attempts},
+    {"delivered", &TransportStats::delivered},
+    {"failed", &TransportStats::failed},
+    {"dropped", &TransportStats::dropped},
+    {"delayed", &TransportStats::delayed},
+    {"timeouts", &TransportStats::timeouts},
+    {"retries", &TransportStats::retries},
+    {"hedges", &TransportStats::hedges},
+    {"hedge_wins", &TransportStats::hedge_wins},
+    {"duplicates", &TransportStats::duplicates},
+    {"dup_suppressed", &TransportStats::dup_suppressed},
+    {"reorders", &TransportStats::reorders},
+    {"breaker_open", &TransportStats::breaker_open},
+    {"breaker_close", &TransportStats::breaker_close},
+    {"breaker_probes", &TransportStats::breaker_probes},
+    {"breaker_skips", &TransportStats::breaker_skips},
+    {"ticks", &TransportStats::ticks},
 };
+template <auto Field>
+constexpr std::size_t kCell = obs::cell_of(kCounters, Field);
 
 void validate_rate(double rate, const char* what) {
   if (rate < 0.0 || rate > 1.0) {
@@ -87,7 +62,10 @@ void validate_rate(double rate, const char* what) {
 
 FaultyTransport::FaultyTransport(TransportConfig config, std::size_t shards,
                                  std::size_t replicas)
-    : config_(config), shards_(shards), replicas_(replicas) {
+    : config_(config),
+      shards_(shards),
+      replicas_(replicas),
+      counts_(std::size(kCounters)) {
   if (config_.enabled) {
     if (config_.timeout_ticks == 0) {
       throw std::invalid_argument("transport: timeout_ticks must be >= 1");
@@ -239,48 +217,40 @@ RpcOutcome FaultyTransport::probe_shard(std::uint64_t key,
   return roll_rpc(key, shard, frozen_[shard]);
 }
 
+TransportStats FaultyTransport::stats() const {
+  TransportStats s;
+  counts_.read_fields(kCounters, s);
+  return s;
+}
+
+void FaultyTransport::export_counts() {
+  if (!counts_.exported()) counts_.export_fields(kCounters, "serve.transport.");
+}
+
 void FaultyTransport::commit(std::size_t shard, const RpcOutcome& o) {
-  TransportMetrics& m = TransportMetrics::get();
+  export_counts();
   if (o.no_target) {
-    ++stats_.breaker_skips;
-    m.breaker_skips.add(1);
+    counts_.add(kCell<&TransportStats::breaker_skips>);
     return;
   }
-  ++stats_.rpcs;
-  m.rpcs.add(1);
-  stats_.attempts += o.attempts;
-  m.attempts.add(o.attempts);
-  stats_.retries += o.retries;
-  m.retries.add(o.retries);
-  stats_.hedges += o.hedges;
-  m.hedges.add(o.hedges);
-  stats_.timeouts += o.timeouts;
-  m.timeouts.add(o.timeouts);
-  stats_.dropped += o.dropped;
-  m.dropped.add(o.dropped);
-  stats_.delayed += o.delayed;
-  m.delayed.add(o.delayed);
-  stats_.duplicates += o.duplicates;
-  m.duplicates.add(o.duplicates);
-  stats_.dup_suppressed += o.duplicates;
-  m.dup_suppressed.add(o.duplicates);
-  stats_.ticks += o.ticks;
-  m.ticks.add(o.ticks);
+  counts_.add(kCell<&TransportStats::rpcs>);
+  counts_.add(kCell<&TransportStats::attempts>, o.attempts);
+  counts_.add(kCell<&TransportStats::retries>, o.retries);
+  counts_.add(kCell<&TransportStats::hedges>, o.hedges);
+  counts_.add(kCell<&TransportStats::timeouts>, o.timeouts);
+  counts_.add(kCell<&TransportStats::dropped>, o.dropped);
+  counts_.add(kCell<&TransportStats::delayed>, o.delayed);
+  counts_.add(kCell<&TransportStats::duplicates>, o.duplicates);
+  // The receiver discards every duplicate it is sent.
+  counts_.add(kCell<&TransportStats::dup_suppressed>, o.duplicates);
+  counts_.add(kCell<&TransportStats::ticks>, o.ticks);
   pending_ticks_ += o.ticks;
-  if (o.probe) {
-    ++stats_.breaker_probes;
-    m.breaker_probes.add(1);
-  }
+  if (o.probe) counts_.add(kCell<&TransportStats::breaker_probes>);
   if (o.ok) {
-    ++stats_.delivered;
-    m.delivered.add(1);
-    if (o.hedge_won) {
-      ++stats_.hedge_wins;
-      m.hedge_wins.add(1);
-    }
+    counts_.add(kCell<&TransportStats::delivered>);
+    if (o.hedge_won) counts_.add(kCell<&TransportStats::hedge_wins>);
   } else {
-    ++stats_.failed;
-    m.failed.add(1);
+    counts_.add(kCell<&TransportStats::failed>);
   }
   if (config_.breaker_threshold > 0) {
     if (o.ok) {
@@ -295,7 +265,6 @@ void FaultyTransport::commit(std::size_t shard, const RpcOutcome& o) {
 void FaultyTransport::breaker_result(std::size_t shard, std::size_t replica,
                                      bool ok) {
   Breaker& b = breakers_[shard * replicas_ + replica];
-  TransportMetrics& m = TransportMetrics::get();
   switch (b.state) {
     case BreakerState::kClosed:
       if (ok) {
@@ -308,8 +277,7 @@ void FaultyTransport::breaker_result(std::size_t shard, std::size_t replica,
       if (ok) {
         b.state = BreakerState::kClosed;
         b.failures = 0;
-        ++stats_.breaker_close;
-        m.breaker_close.add(1);
+        counts_.add(kCell<&TransportStats::breaker_close>);
       } else {
         open_breaker(b);
       }
@@ -326,8 +294,7 @@ void FaultyTransport::open_breaker(Breaker& breaker) {
   breaker.failures = 0;
   breaker.cooldown =
       config_.breaker_cooldown > 0 ? config_.breaker_cooldown : 1;
-  ++stats_.breaker_open;
-  TransportMetrics::get().breaker_open.add(1);
+  counts_.add(kCell<&TransportStats::breaker_open>);
 }
 
 bool FaultyTransport::reorder_batch(std::size_t shard, std::size_t replica,
@@ -346,8 +313,8 @@ bool FaultyTransport::reorder_batch(std::size_t shard, std::size_t replica,
   if (chaos_unit(config_.seed, stream, kSaltReorder) >= p.reorder_rate) {
     return false;
   }
-  ++stats_.reorders;
-  TransportMetrics::get().reorders.add(1);
+  export_counts();
+  counts_.add(kCell<&TransportStats::reorders>);
   return true;
 }
 

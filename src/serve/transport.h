@@ -32,13 +32,15 @@
 // (`commit`), so a storm is bit-identical at any GPLUS_THREADS.
 //
 // Disabled (the default) the transport is a perfect network: the cluster
-// behaves exactly as it did without one and no serve.transport.* counter
-// moves.
+// behaves exactly as it did without one and no serve.transport.* name is
+// ever registered.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "obs/metrics.h"
 
 namespace gplus::serve {
 
@@ -85,8 +87,9 @@ struct TransportConfig {
   std::uint32_t breaker_cooldown = 6;
 };
 
-/// Lifetime transport counters, mirrored 1:1 into the serve.transport.*
-/// registry scope — the storms reconcile the two exactly.
+/// Lifetime transport counters, built from the transport's counter store.
+/// The registry exports each one as serve.transport.<field>, summed over
+/// every transport in the process, from the first committed rpc on.
 struct TransportStats {
   std::uint64_t rpcs = 0;           // logical router->shard rpcs issued
   std::uint64_t attempts = 0;       // individual sends (retries + hedges)
@@ -106,6 +109,8 @@ struct TransportStats {
   std::uint64_t breaker_probes = 0; // rpcs sent to a half-open replica
   std::uint64_t breaker_skips = 0;  // sends skipped: every target open
   std::uint64_t ticks = 0;          // virtual clock consumed end to end
+
+  bool operator==(const TransportStats&) const = default;
 };
 
 enum class BreakerState : std::uint8_t { kClosed = 0, kOpen, kHalfOpen };
@@ -152,7 +157,7 @@ class FaultyTransport {
 
   bool enabled() const noexcept { return config_.enabled; }
   const TransportConfig& config() const noexcept { return config_; }
-  const TransportStats& stats() const noexcept { return stats_; }
+  TransportStats stats() const;
 
   /// Stable rpc key: (request sequence, scatter phase, shard) each get
   /// their own fault stream, so outcomes never depend on drain timing or
@@ -228,13 +233,16 @@ class FaultyTransport {
                       const Targets& targets) const;
   void breaker_result(std::size_t shard, std::size_t replica, bool ok);
   void open_breaker(Breaker& breaker);
+  /// Exports the counts to the registry on the first commit, so a
+  /// transport that never carries a message registers no names.
+  void export_counts();
 
   TransportConfig config_;
   std::size_t shards_ = 0;
   std::size_t replicas_ = 0;
   std::vector<Breaker> breakers_;       // shard-major, like cluster up_
   std::vector<Targets> frozen_;         // per shard, valid for one drain
-  TransportStats stats_;
+  obs::CounterStore counts_;            // one cell per TransportStats field
   std::uint64_t pending_ticks_ = 0;
   std::uint64_t drain_seq_ = 0;         // reorder stream index
 };

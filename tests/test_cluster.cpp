@@ -17,6 +17,7 @@
 #include "serve/cluster.h"
 #include "serve/snapshot.h"
 #include "serve/snapshot_build.h"
+#include "storm/storm.h"
 
 namespace gplus::serve {
 namespace {

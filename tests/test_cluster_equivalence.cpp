@@ -16,6 +16,7 @@
 #include "serve/snapshot.h"
 #include "serve/snapshot_build.h"
 #include "serve/workload.h"
+#include "storm/storm.h"
 
 namespace gplus::serve {
 namespace {

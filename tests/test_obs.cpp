@@ -1,13 +1,16 @@
 // Observability-layer tests: registry semantics (counter/gauge/histogram
-// math, registration collisions), sharded-counter exactness under the
-// parallel runtime, merge determinism between GPLUS_THREADS=1 and N,
+// math, registration collisions), instance counter stores (per-instance
+// reads, summed names, retirement on destroy and reset, concurrent
+// snapshots), sharded-counter exactness under the parallel runtime, merge determinism between GPLUS_THREADS=1 and N,
 // snapshot/delta algebra, deterministic-only filtering, exporter golden
 // output, and the virtual-clock trace log. The CTest ".threads1" variant
 // re-runs every case under GPLUS_THREADS=1.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 
 #include "core/parallel.h"
@@ -176,6 +179,120 @@ TEST(RegistryTest, DeterministicOnlyFiltersRunDependentMetrics) {
 
 TEST(RegistryTest, GlobalIsASingleProcessWideInstance) {
   EXPECT_EQ(&MetricsRegistry::global(), &MetricsRegistry::global());
+}
+
+// --- Counter store ---------------------------------------------------------
+
+struct PairStats {
+  std::uint64_t sent = 0;
+  std::uint64_t lost = 0;
+};
+constexpr CounterField<PairStats> kPairFields[] = {
+    {"sent", &PairStats::sent},
+    {"lost", &PairStats::lost},
+};
+
+TEST(CounterStoreTest, CellOfFindsEachRow) {
+  static_assert(cell_of(kPairFields, &PairStats::sent) == 0);
+  static_assert(cell_of(kPairFields, &PairStats::lost) == 1);
+}
+
+TEST(CounterStoreTest, EachInstanceReadsItsOwnCountsAndTheNameSumsThem) {
+  MetricsRegistry reg;
+  CounterStore a(2, reg);
+  CounterStore b(2, reg);
+  a.export_fields(kPairFields, "link.");
+  b.export_fields(kPairFields, "link.");
+  a.add(0, 3);
+  a.add(1);
+  b.add(0, 4);
+
+  PairStats sa;
+  PairStats sb;
+  a.read_fields(kPairFields, sa);
+  b.read_fields(kPairFields, sb);
+  EXPECT_EQ(sa.sent, 3u);
+  EXPECT_EQ(sa.lost, 1u);
+  EXPECT_EQ(sb.sent, 4u);
+  EXPECT_EQ(sb.lost, 0u);
+  const MetricsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.value("link.sent"), 7);
+  EXPECT_EQ(snap.value("link.lost"), 1);
+  EXPECT_EQ(snap.entries.at("link.sent").kind, MetricKind::kCounter);
+  EXPECT_EQ(reg.size(), 2u);
+}
+
+TEST(CounterStoreTest, DestroyAndResetRetireCountsIntoTheName) {
+  MetricsRegistry reg;
+  CounterStore kept(1, reg);
+  kept.export_cell(0, "n");
+  kept.add(0, 2);
+  {
+    CounterStore gone(1, reg);
+    gone.export_cell(0, "n");
+    gone.add(0, 5);
+    EXPECT_EQ(reg.snapshot().value("n"), 7);
+  }
+  EXPECT_EQ(reg.snapshot().value("n"), 7);  // monotonic past destruction
+
+  kept.reset();
+  EXPECT_EQ(kept.value(0), 0u);
+  EXPECT_EQ(reg.snapshot().value("n"), 7);  // and past a reset
+  kept.add(0);
+  EXPECT_EQ(reg.snapshot().value("n"), 8);
+}
+
+TEST(CounterStoreTest, SharesNamesWithRegistryCountersAndMovesKeepExports) {
+  MetricsRegistry reg;
+  reg.counter("mixed").add(10);
+  CounterStore first(2, reg);
+  EXPECT_FALSE(first.exported());
+  first.export_cell(0, "mixed");
+  first.export_cell(0, "alias");  // one cell under two names
+  first.export_cell(1, "mixed");
+  EXPECT_TRUE(first.exported());
+  first.add(0, 1);
+  first.add(1, 2);
+  CounterStore moved(std::move(first));
+  moved.add(0, 4);
+  EXPECT_EQ(reg.snapshot().value("mixed"), 17);
+  EXPECT_EQ(reg.snapshot().value("alias"), 5);
+  EXPECT_EQ(reg.counter("mixed").value(), 10u);  // only the shared part
+
+  std::array<std::uint64_t, 2> both{};
+  moved.read_array(0, both);
+  EXPECT_EQ(both, (std::array<std::uint64_t, 2>{5, 2}));
+}
+
+TEST(CounterStoreTest, ExportUnderAnotherKindOrTagThrows) {
+  MetricsRegistry reg;
+  reg.gauge("g");
+  reg.counter("sched", Determinism::kRunDependent);
+  CounterStore store(1, reg);
+  EXPECT_THROW(store.export_cell(0, "g"), std::logic_error);
+  EXPECT_THROW(store.export_cell(0, "sched"), std::logic_error);
+  EXPECT_FALSE(store.exported());
+}
+
+TEST(CounterStoreTest, SnapshotOnAnotherThreadWhileTheOwnerCounts) {
+  // The owner adds while a reader snapshots: every cell is atomic, so this
+  // is race-free (the TSan build runs it), and each read is a value the
+  // single writer actually passed through.
+  MetricsRegistry reg;
+  CounterStore store(1, reg);
+  store.export_cell(0, "hot");
+  constexpr std::uint64_t kAdds = 100'000;
+  std::thread reader([&] {
+    std::int64_t last = 0;
+    for (int i = 0; i < 200; ++i) {
+      const std::int64_t now = reg.snapshot().value("hot");
+      EXPECT_GE(now, last);
+      last = now;
+    }
+  });
+  for (std::uint64_t i = 0; i < kAdds; ++i) store.add(0);
+  reader.join();
+  EXPECT_EQ(reg.snapshot().value("hot"), static_cast<std::int64_t>(kAdds));
 }
 
 // --- Snapshot delta --------------------------------------------------------

@@ -1,15 +1,20 @@
 // Query-engine, LRU-cache and server tests: request semantics checked
 // against direct DiGraph/Dataset answers, pagination against the circle
-// cap, bounded shortest paths against reference BFS, and the bounded
-// queue's explicit overload rejection.
+// cap, bounded shortest paths against reference BFS, the bounded queue's
+// explicit overload rejection, and the counter store behind ServerStats
+// (per-instance counts, summed and monotonic registry names).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <string>
+#include <thread>
 
 #include "algo/bfs.h"
 #include "algo/topk.h"
 #include "core/dataset.h"
 #include "graph/digraph.h"
+#include "obs/metrics.h"
 #include "serve/cache.h"
 #include "serve/server.h"
 #include "serve/workload.h"
@@ -314,7 +319,7 @@ TEST_F(QueryServerTest, BoundedQueueRejectsExplicitly) {
   server.drain(responses);
   EXPECT_EQ(responses.size(), 4u);
   EXPECT_EQ(server.pending(), 0u);
-  const ServerStats stats = server.stats();
+  const ServerStats stats = server.stats_snapshot();
   EXPECT_EQ(stats.accepted, 4u);
   EXPECT_EQ(stats.rejected, 2u);
   EXPECT_EQ(stats.served, 4u);
@@ -347,7 +352,7 @@ TEST_F(QueryServerTest, CacheServesRepeatedProfiles) {
     }
     server.drain(responses);
   }
-  const ServerStats stats = server.stats();
+  const ServerStats stats = server.stats_snapshot();
   EXPECT_EQ(stats.cache.misses, 10u);  // first round only
   EXPECT_EQ(stats.cache.hits, 20u);    // rounds 2 and 3
   EXPECT_EQ(stats.per_type[static_cast<std::size_t>(RequestType::kGetProfile)],
@@ -372,8 +377,102 @@ TEST_F(QueryServerTest, ErrorsAreNotCached) {
     ASSERT_EQ(responses.size(), 1u);
     EXPECT_EQ(responses[0].status, ServeStatus::kInvalidNode);
   }
-  EXPECT_EQ(server.stats().cache.hits, 0u);
-  EXPECT_EQ(server.stats().cache.entries, 0u);
+  EXPECT_EQ(server.stats_snapshot().cache.hits, 0u);
+  EXPECT_EQ(server.stats_snapshot().cache.entries, 0u);
+}
+
+// --- One counter store: per-instance stats, summed registry names --------
+
+std::int64_t registry_value(const std::string& name) {
+  return obs::MetricsRegistry::global().snapshot().value(name);
+}
+
+void serve_profiles(QueryServer& server, graph::NodeId count) {
+  std::vector<Response> responses;
+  for (graph::NodeId u = 0; u < count; ++u) {
+    ASSERT_EQ(server.submit({RequestType::kGetProfile, u}), ServeStatus::kOk);
+  }
+  server.drain(responses);
+}
+
+TEST_F(QueryServerTest, DefaultScopeServersReportOwnCountsRegistrySums) {
+  const std::int64_t accepted0 = registry_value("serve.accepted");
+  const std::int64_t misses0 = registry_value("serve.cache.misses");
+  QueryServer a(&view());
+  QueryServer b(&view());
+  serve_profiles(a, 7);
+  serve_profiles(b, 5);
+  serve_profiles(b, 5);  // all cache hits
+
+  const ServerStats sa = a.stats_snapshot();
+  const ServerStats sb = b.stats_snapshot();
+  EXPECT_EQ(sa.accepted, 7u);
+  EXPECT_EQ(sb.accepted, 10u);
+  EXPECT_EQ(sa.cache.misses, 7u);
+  EXPECT_EQ(sb.cache.misses, 5u);
+  EXPECT_EQ(sb.cache.hits, 5u);
+  EXPECT_EQ(registry_value("serve.accepted") - accepted0, 17);
+  EXPECT_EQ(registry_value("serve.cache.misses") - misses0, 12);
+}
+
+TEST_F(QueryServerTest, RegistryTotalOutlivesTheServer) {
+  const std::int64_t before = registry_value("serve.served");
+  {
+    QueryServer server(&view());
+    serve_profiles(server, 9);
+    EXPECT_EQ(registry_value("serve.served") - before, 9);
+  }
+  EXPECT_EQ(registry_value("serve.served") - before, 9);
+}
+
+TEST_F(QueryServerTest, CacheClearZeroesInstanceNotRegistry) {
+  QueryServer server(&view());
+  serve_profiles(server, 6);
+  serve_profiles(server, 6);
+  const std::int64_t hits = registry_value("serve.cache.hits");
+  const std::int64_t misses = registry_value("serve.cache.misses");
+  ASSERT_EQ(server.stats_snapshot().cache.hits, 6u);
+
+  server.cache().clear();
+  const CacheStats cleared = server.stats_snapshot().cache;
+  EXPECT_EQ(cleared.hits, 0u);
+  EXPECT_EQ(cleared.misses, 0u);
+  EXPECT_EQ(cleared.entries, 0u);
+  EXPECT_EQ(registry_value("serve.cache.hits"), hits);
+  EXPECT_EQ(registry_value("serve.cache.misses"), misses);
+  // Counting resumes from zero on the instance, on top of the totals.
+  serve_profiles(server, 1);
+  EXPECT_EQ(server.stats_snapshot().cache.misses, 1u);
+  EXPECT_EQ(registry_value("serve.cache.misses"), misses + 1);
+}
+
+TEST_F(QueryServerTest, RegistrySnapshotDuringParallelDrainIsRaceFree) {
+  // A reader thread snapshots the registry while the coordinator drains
+  // on the pool; the TSan build runs this case.
+  ServerConfig config;
+  config.cache_capacity = 0;
+  config.metrics_scope = "tsan";
+  QueryServer server(&view(), config);
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    std::int64_t last = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const std::int64_t now =
+          obs::MetricsRegistry::global().snapshot().value("serve.tsan.served");
+      EXPECT_GE(now, last);
+      last = now;
+    }
+  });
+  std::vector<Response> responses;
+  for (int round = 0; round < 4; ++round) {
+    for (graph::NodeId u = 0; u < 512; ++u) {
+      server.submit({RequestType::kShortestPath, u, (u * 7) % 2000});
+    }
+    server.drain(responses);
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(server.stats_snapshot().served, 4u * 512u);
 }
 
 TEST(ServeNames, StatusAndTypeNamesAreStable) {

@@ -14,6 +14,7 @@
 #include "obs/metrics.h"
 #include "serve/resilience.h"
 #include "serve/snapshot.h"
+#include "storm/storm.h"
 
 namespace gplus::serve {
 namespace {
@@ -192,7 +193,7 @@ TEST(SheddingTest, HighPriorityShedsLowestFirst) {
   EXPECT_EQ(responses[3].status, ServeStatus::kOk);      // normal
   EXPECT_EQ(responses[4].status, ServeStatus::kOk);      // high
 
-  const ServerStats stats = server.stats();
+  const ServerStats stats = server.stats_snapshot();
   EXPECT_EQ(stats.accepted, 5u);
   EXPECT_EQ(stats.rejected, 2u);
   EXPECT_EQ(stats.shed, 2u);
@@ -263,7 +264,7 @@ TEST(DegradedModeTest, ServesStaleCacheThenUnavailable) {
   EXPECT_EQ(responses[1].status, ServeStatus::kUnavailable);
   EXPECT_EQ(responses[2].status, ServeStatus::kUnavailable);
 
-  const ServerStats stats = server.stats();
+  const ServerStats stats = server.stats_snapshot();
   EXPECT_EQ(stats.stale_served, 1u);
   EXPECT_EQ(stats.unavailable, 2u);
   EXPECT_EQ(stats.cache.stale_hits, 1u);
@@ -441,18 +442,18 @@ TEST(HotSwapTest, FailedCanaryKeepsCacheCommittedSwapClearsIt) {
   resilient.drain(responses);
   ASSERT_EQ(resilient.submit(profile), ServeStatus::kOk);
   resilient.drain(responses);
-  ASSERT_EQ(resilient.stats().cache.hits, 1u);
+  ASSERT_EQ(resilient.stats_snapshot().cache.hits, 1u);
 
   // A rolled-back install must not wipe still-valid entries.
   ASSERT_TRUE(resilient.install(SnapshotBuffer(snapshot_b()), true).rolled_back);
   ASSERT_EQ(resilient.submit(profile), ServeStatus::kOk);
   resilient.drain(responses);
-  EXPECT_EQ(resilient.stats().cache.hits, 2u);
+  EXPECT_EQ(resilient.stats_snapshot().cache.hits, 2u);
 
   // A committed swap serves a different graph: the cache must start over.
   ASSERT_TRUE(resilient.install(SnapshotBuffer(snapshot_b())).installed);
-  EXPECT_EQ(resilient.stats().cache.entries, 0u);
-  EXPECT_EQ(resilient.stats().cache.hits, 0u);
+  EXPECT_EQ(resilient.stats_snapshot().cache.entries, 0u);
+  EXPECT_EQ(resilient.stats_snapshot().cache.hits, 0u);
 }
 
 TEST(HotSwapTest, KillKeepsStaleCacheAndRollbackRestores) {
@@ -481,7 +482,7 @@ TEST(HotSwapTest, KillKeepsStaleCacheAndRollbackRestores) {
   resilient.drain(responses);
   EXPECT_EQ(responses[0].status, ServeStatus::kOk);
   EXPECT_EQ(responses[0].payload, payload);
-  EXPECT_GE(resilient.stats().cache.hits, 1u);
+  EXPECT_GE(resilient.stats_snapshot().cache.hits, 1u);
 }
 
 // --- The storm ------------------------------------------------------------
@@ -561,7 +562,7 @@ TEST(ChaosStormTest, BitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ChaosStormTest, RegistryDeltaReconcilesWithStormBookkeeping) {
-  // The serve metrics are mirrored at the same coordinator-thread choke
+  // The serve counts are taken at the same coordinator-thread choke
   // points that feed StormReport, so the registry delta across one storm
   // must match the report exactly. The post-storm probe streams (worn +
   // fresh server, probes each) are the only extra traffic, and they can

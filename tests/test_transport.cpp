@@ -2,21 +2,28 @@
 // seeded schedule purity, timeout -> retry -> hedge escalation, circuit
 // breaker transitions, quorum-partial degradation pinned byte-for-byte
 // against dark-shard degradation, duplicate/reorder absorption, and the
-// transport-enabled cluster storm (registry reconciliation + 1-vs-N
+// transport-enabled cluster storm (registry delta golden + 1-vs-N
 // thread bit-identity). Runs under the .threads1 CTest variant too.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/dataset.h"
 #include "core/parallel.h"
+#include "obs/export.h"
 #include "obs/metrics.h"
 #include "serve/cluster.h"
 #include "serve/snapshot.h"
 #include "serve/snapshot_build.h"
 #include "serve/transport.h"
+#include "storm/storm.h"
 
 namespace gplus::serve {
 namespace {
@@ -537,6 +544,47 @@ TEST(TransportStorm, LossyScheduleIsPinned) {
   EXPECT_EQ(t.breaker_probes, 14u);
   EXPECT_EQ(t.breaker_skips, 879u);
   EXPECT_EQ(t.ticks, 28474u);
+}
+
+// Golden pin of what the storm leaves in the registry: every non-zero
+// deterministic counter and histogram in the delta across one transport-on
+// cluster storm — the serve.s<i>.r<j>.* replica slices, serve.cluster.*,
+// all serve.transport.* names and the probe server's serve.* names. Gauges
+// are levels, not deltas, so they are left out. Regenerate with
+// GPLUS_REGEN_GOLDEN=1 after an intentional change to names or counts.
+TEST(TransportStorm, RegistryDeltaMatchesGolden) {
+  // Build the fixtures first so their parallel.* work stays out of the delta.
+  const ShardedSnapshot& sharded = sharded4();
+  const SnapshotView& full = full_view();
+  auto& registry = obs::MetricsRegistry::global();
+  const auto before = registry.snapshot(/*deterministic_only=*/true);
+  const ClusterStormReport report =
+      run_cluster_storm(sharded, full, storm_config());
+  ASSERT_TRUE(report.violations.empty())
+      << "first violation: " << report.violations.front();
+  obs::MetricsSnapshot d =
+      obs::delta(registry.snapshot(/*deterministic_only=*/true), before);
+  std::erase_if(d.entries, [](const auto& item) {
+    const obs::MetricsSnapshot::Entry& e = item.second;
+    return e.kind == obs::MetricKind::kGauge ||
+           (e.kind == obs::MetricKind::kCounter && e.value == 0) ||
+           (e.kind == obs::MetricKind::kHistogram && e.count == 0);
+  });
+  const std::string text = obs::to_text(d);
+
+  const std::filesystem::path path =
+      std::filesystem::path(GPLUS_GOLDEN_DIR) / "cluster_storm_registry.txt";
+  if (std::getenv("GPLUS_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    return;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing golden file " << path;
+  std::stringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(text, golden.str()) << "storm registry delta drifted from " << path;
 }
 
 }  // namespace
