@@ -110,7 +110,7 @@ int main() {
     fleet_table.add_row({std::to_string(machines),
                          core::fmt_double(fleet.makespan_days, 1),
                          core::fmt_percent(fleet.mean_utilization, 0),
-                         core::fmt_count(fleet.requests)});
+                         core::fmt_count(fleet.crawl.stats.requests)});
   }
   std::cout << fleet_table.str();
   std::cout << "(rate-limited machines with a shared frontier: at 2 req/s per\n"

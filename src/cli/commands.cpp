@@ -207,7 +207,8 @@ int cmd_crawl(const std::vector<std::string>& args, std::ostream& out) {
     table.add_row({"Rate-limit responses", core::fmt_count(retry.rate_limited)});
     table.add_row({"Truncated pages", core::fmt_count(retry.truncated)});
     table.add_row({"Backoff seconds",
-                   core::fmt_double(retry.backoff_ms / 1'000.0, 1)});
+                   core::fmt_double(
+                       static_cast<double>(retry.backoff_micros) / 1e6, 1)});
     table.add_row({"Fault-lost fraction",
                    core::fmt_percent(lost.fault_lost_fraction, 2)});
     table.add_row({"Resumed profiles",

@@ -151,7 +151,9 @@ void write_report(const Dataset& dataset, std::ostream& out,
     md_row(out, {"Truncated pages", fmt_count(retry.truncated)});
     md_row(out, {"Slow responses", fmt_count(retry.slow)});
     md_row(out, {"Abandoned fetches", fmt_count(retry.abandoned)});
-    md_row(out, {"Backoff time (s)", fmt_double(retry.backoff_ms / 1'000.0, 1)});
+    md_row(out,
+           {"Backoff time (s)",
+            fmt_double(static_cast<double>(retry.backoff_micros) / 1e6, 1)});
     out << "\nLost edges: cap loss " << fmt_percent(lost.lost_fraction, 2)
         << " (paper §2.2: 1.6%), fault loss "
         << fmt_percent(lost.fault_lost_fraction, 2)

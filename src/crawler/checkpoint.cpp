@@ -9,7 +9,7 @@ namespace gplus::crawler {
 
 namespace {
 
-constexpr char kMagic[8] = {'G', 'P', 'L', 'U', 'S', 'C', 'K', '1'};
+constexpr char kMagic[8] = {'G', 'P', 'L', 'U', 'S', 'C', 'K', '2'};
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("checkpoint: " + what);
@@ -93,15 +93,9 @@ void save_checkpoint(const CrawlCheckpoint& checkpoint,
     write_u64(out, checkpoint.hidden_list_users);
     write_u64(out, checkpoint.capped_users);
 
-    const RetryStats& r = checkpoint.retry;
-    write_u64(out, r.attempts);
-    write_u64(out, r.retries);
-    write_u64(out, r.transient);
-    write_u64(out, r.rate_limited);
-    write_u64(out, r.truncated);
-    write_u64(out, r.slow);
-    write_u64(out, r.abandoned);
-    write_f64(out, r.backoff_ms);
+    for (const auto& field : kRetryCounters) {
+      write_u64(out, checkpoint.retry.*field.member);
+    }
     write_f64(out, checkpoint.elapsed_seconds);
 
     out.flush();
@@ -118,14 +112,27 @@ std::optional<CrawlCheckpoint> load_checkpoint(const std::string& path) {
     if (!std::filesystem::exists(path)) return std::nullopt;
     fail("cannot open " + path + " for reading");
   }
+  const std::uint64_t size = std::filesystem::file_size(path);
   char magic[8];
   in.read(magic, sizeof magic);
   if (!in || std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
-    fail("bad magic in " + path);
+    // Version 1 stored the backoff total as a double of milliseconds.
+    fail(in && std::memcmp(magic, "GPLUSCK1", 8) == 0
+             ? "unsupported format GPLUSCK1 in " + path +
+                   " (reader knows GPLUSCK2)"
+             : "bad magic in " + path);
   }
+  // A count read from the file sizes an allocation only once the bytes
+  // left in the file can hold that many 8-byte records.
+  const auto read_count = [&](const char* what) {
+    const std::uint64_t count = read_u64(in);
+    const auto left = size - static_cast<std::uint64_t>(in.tellg());
+    if (count > left / 8) fail(std::string(what) + " count exceeds file size");
+    return count;
+  };
 
   CrawlCheckpoint cp;
-  const std::uint64_t nodes = read_u64(in);
+  const std::uint64_t nodes = read_count("node");
   cp.original_id.reserve(nodes);
   for (std::uint64_t i = 0; i < nodes; ++i) {
     cp.original_id.push_back(static_cast<graph::NodeId>(read_u64(in)));
@@ -135,7 +142,7 @@ std::optional<CrawlCheckpoint> load_checkpoint(const std::string& path) {
   cp.queue_head = read_u64(in);
   if (cp.queue_head > nodes) fail("queue head beyond frontier");
 
-  const std::uint64_t edges = read_u64(in);
+  const std::uint64_t edges = read_count("edge");
   cp.edges.reserve(edges);
   for (std::uint64_t i = 0; i < edges; ++i) {
     const std::uint64_t packed = read_u64(in);
@@ -149,15 +156,9 @@ std::optional<CrawlCheckpoint> load_checkpoint(const std::string& path) {
   cp.hidden_list_users = read_u64(in);
   cp.capped_users = read_u64(in);
 
-  RetryStats& r = cp.retry;
-  r.attempts = read_u64(in);
-  r.retries = read_u64(in);
-  r.transient = read_u64(in);
-  r.rate_limited = read_u64(in);
-  r.truncated = read_u64(in);
-  r.slow = read_u64(in);
-  r.abandoned = read_u64(in);
-  r.backoff_ms = read_f64(in);
+  for (const auto& field : kRetryCounters) {
+    cp.retry.*field.member = read_u64(in);
+  }
   cp.elapsed_seconds = read_f64(in);
   return cp;
 }

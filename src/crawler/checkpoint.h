@@ -8,6 +8,13 @@
 // Because BFS expansion order is a pure function of the service's data and
 // the frontier state, a crawl resumed from any profile boundary converges
 // to the bit-identical graph of an uninterrupted run.
+//
+// Format GPLUSCK2, little-endian: the magic; the frontier, both flag
+// vectors, the queue head and the edge buffer; the crawl counters; the
+// RetryStats block as u64s in kRetryCounters row order (backoff as integer
+// microseconds, the same llround-per-delay sum the registry counts); and
+// the elapsed simulated seconds as an f64. A GPLUSCK1 file (backoff as f64
+// milliseconds) is rejected by name.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +42,8 @@ struct CheckpointConfig {
 /// (original_id doubles as the BFS queue; queue_head splits expanded from
 /// pending), per-node flags, the raw edge buffer in discovery order, and
 /// the counters accumulated so far. Shared by the single-crawler and the
-/// fleet paths; fleet timing state is deliberately *not* here — timing
-/// restarts on resume, data does not.
+/// fleet paths; per-machine timing state is deliberately *not* here — a
+/// resumed fleet restarts every machine at elapsed_seconds.
 struct CrawlCheckpoint {
   std::vector<graph::NodeId> original_id;
   std::vector<std::uint8_t> crawled;
@@ -49,7 +56,7 @@ struct CrawlCheckpoint {
   std::uint64_t requests = 0;
   std::uint64_t hidden_list_users = 0;
   std::uint64_t capped_users = 0;
-  RetryStats retry;
+  RetryStats retry;  // cumulative over every run that led here
   /// Simulated seconds already spent when the checkpoint was taken (the
   /// fleet resumes its clock from here; the plain crawler stores 0).
   double elapsed_seconds = 0.0;
@@ -60,7 +67,7 @@ struct CrawlCheckpoint {
 void save_checkpoint(const CrawlCheckpoint& checkpoint, const std::string& path);
 
 /// Loads a checkpoint; returns nullopt when the file does not exist and
-/// throws std::runtime_error on a malformed or truncated file.
+/// throws std::runtime_error on a malformed, truncated or GPLUSCK1 file.
 std::optional<CrawlCheckpoint> load_checkpoint(const std::string& path);
 
 }  // namespace gplus::crawler

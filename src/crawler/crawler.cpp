@@ -1,120 +1,56 @@
 #include "crawler/crawler.h"
 
 #include <cmath>
-#include <limits>
 
 #include "crawler/frontier.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
-#include "stats/expect.h"
 
 namespace gplus::crawler {
 
 using graph::NodeId;
 
+namespace {
+
+// One latency draw per request, slow responses charged their multiplier,
+// plus this run's backoff waits — all divided across the machine pool. A
+// resumed run restarts this clock, so checkpoints record 0 for it.
+class SerialClock final : public CrawlClock {
+ public:
+  SerialClock(const CrawlConfig& config, double slow_factor)
+      : config_(config), slow_factor_(slow_factor), latency_rng_(config.seed) {}
+
+  void charge(const UnitCost& unit) override {
+    for (std::uint64_t i = 0; i < unit.requests; ++i) {
+      serial_ms_ +=
+          latency_rng_.next_exponential(1.0 / config_.mean_request_latency_ms);
+    }
+    slow_ += unit.slow;
+    backoff_micros_ += unit.backoff_micros;
+  }
+  double run_hours() const override {
+    const double serial_ms =
+        serial_ms_ +
+        static_cast<double>(slow_) * (slow_factor_ - 1.0) *
+            config_.mean_request_latency_ms +
+        static_cast<double>(backoff_micros_) / 1'000.0;
+    return serial_ms / static_cast<double>(config_.machines) / 3.6e6;
+  }
+
+ private:
+  const CrawlConfig& config_;
+  double slow_factor_;
+  stats::Rng latency_rng_;
+  double serial_ms_ = 0.0;
+  std::uint64_t slow_ = 0;
+  std::uint64_t backoff_micros_ = 0;
+};
+
+}  // namespace
+
 CrawlResult run_bfs_crawl(service::SocialService& service,
                           const CrawlConfig& config) {
-  const std::size_t universe = service.user_count();
-  GPLUS_EXPECT(universe > 0, "service has no users");
-  GPLUS_EXPECT(config.seed_node < universe, "seed node out of range");
-  GPLUS_EXPECT(config.machines > 0, "need at least one crawl machine");
-
-  FrontierState state(universe);
-  CrawlResult result;
-  CrawlStats& stats = result.stats;
-
-  const bool checkpointing = !config.checkpoint.path.empty();
-  std::uint64_t base_requests = 0;  // carried over from a resumed run
-  if (checkpointing && config.checkpoint.resume) {
-    if (const auto cp = load_checkpoint(config.checkpoint.path)) {
-      state.restore(*cp);
-      base_requests = cp->requests;
-      stats.resumed_profiles = static_cast<std::size_t>(cp->profiles_crawled);
-    }
-  }
-  if (state.original_id().empty()) state.see(config.seed_node);
-
-  auto& trace = obs::TraceLog::global();
-  obs::TraceLog::Scope crawl_span(trace, "crawl.run");
-
-  const std::uint64_t requests_before = service.request_count();
-  // The trace clock advances by simulated requests issued since the last
-  // stamp — a deterministic quantity — so spans land at reproducible
-  // virtual times at any thread count.
-  std::uint64_t traced_requests = 0;
-  const auto stamp_clock = [&] {
-    const std::uint64_t run_requests = service.request_count() - requests_before;
-    trace.advance(run_requests - traced_requests);
-    traced_requests = run_requests;
-  };
-  const auto take_checkpoint = [&] {
-    const std::uint64_t requests =
-        base_requests + (service.request_count() - requests_before);
-    stamp_clock();
-    obs::TraceLog::Scope span(trace, "crawl.checkpoint");
-    span.attr("profiles", state.profiles_crawled());
-    span.attr("requests", requests);
-    save_checkpoint(state.snapshot(requests, 0.0), config.checkpoint.path);
-    ++stats.checkpoints_written;
-    obs::MetricsRegistry::global().counter("crawler.checkpoint.writes").add(1);
-  };
-
-  const std::uint64_t slow_before = state.retry().slow;
-  while (state.pending()) {
-    if (config.max_profiles != 0 &&
-        state.profiles_crawled() >= config.max_profiles) {
-      break;
-    }
-    state.expand_next(service, config.retry, config.bidirectional);
-    if (checkpointing && config.checkpoint.every_profiles != 0 &&
-        state.profiles_crawled() % config.checkpoint.every_profiles == 0) {
-      take_checkpoint();
-    }
-  }
-  if (checkpointing) take_checkpoint();
-  stamp_clock();
-  crawl_span.attr("profiles", state.profiles_crawled());
-  crawl_span.attr("edges", state.edges_collected());
-  crawl_span.attr("requests", service.request_count() - requests_before);
-
-  stats.profiles_crawled = state.profiles_crawled();
-  stats.edges_collected = state.edges_collected();
-  stats.hidden_list_users = state.hidden_list_users();
-  stats.capped_users = state.capped_users();
-  stats.degraded_users = state.degraded_users();
-  stats.retry = state.retry();
-  stats.requests = base_requests + (service.request_count() - requests_before);
-  stats.boundary_nodes = state.original_id().size() - stats.profiles_crawled;
-
-  // Simulated wall-clock of *this run* (a resumed run restarts the clock):
-  // one latency draw per request, slow responses charged their multiplier,
-  // plus the backoff waits accumulated this run — all divided across the
-  // machine pool as before.
-  stats::Rng latency_rng(config.seed);
-  double simulated_ms_serial = 0.0;
-  const std::uint64_t run_requests = service.request_count() - requests_before;
-  for (std::uint64_t i = 0; i < run_requests; ++i) {
-    simulated_ms_serial +=
-        latency_rng.next_exponential(1.0 / config.mean_request_latency_ms);
-  }
-  const std::uint64_t run_slow = state.retry().slow - slow_before;
-  simulated_ms_serial += static_cast<double>(run_slow) *
-                         (service.config().faults.slow_factor - 1.0) *
-                         config.mean_request_latency_ms;
-  simulated_ms_serial += state.retry().backoff_ms;
-  stats.simulated_hours =
-      simulated_ms_serial / static_cast<double>(config.machines) / 3.6e6;
-
-  // Ensure isolated seen nodes (e.g. a hidden-list seed) are representable.
-  result.original_id = state.original_id();
-  result.crawled = std::move(state.crawled());
-  result.degraded = std::move(state.degraded());
-  if (!result.original_id.empty()) {
-    state.edges().ensure_node(
-        static_cast<NodeId>(result.original_id.size() - 1));
-  }
-  result.graph = state.edges().build();
-  return result;
+  SerialClock clock(config, service.config().faults.slow_factor);
+  return run_crawl(service, config, clock);
 }
 
 LostEdgeEstimate estimate_lost_edges(service::SocialService& service,

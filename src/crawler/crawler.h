@@ -59,16 +59,19 @@ struct CrawlStats {
   std::size_t boundary_nodes = 0;
   /// Directed edges collected (before dedup).
   std::uint64_t edges_collected = 0;
-  /// Fetch requests issued (failed attempts included).
+  /// Fetch requests issued (failed attempts included), cumulative like
+  /// `retry`.
   std::uint64_t requests = 0;
-  /// Simulated wall-clock, hours, given the worker pool, latency model,
-  /// slow responses and backoff waits.
+  /// Simulated wall-clock of this run, hours, given the worker pool,
+  /// latency model, slow responses and backoff waits (a resumed run
+  /// restarts the clock).
   double simulated_hours = 0.0;
   /// Users whose lists were private.
   std::size_t hidden_list_users = 0;
   /// Users with at least one list truncated by the service cap.
   std::size_t capped_users = 0;
-  /// Fetch/retry accounting under injected faults.
+  /// Fetch/retry accounting under injected faults, cumulative: the resumed
+  /// checkpoint's counts plus this run's.
   RetryStats retry;
   /// Users whose expansion lost data to an abandoned fetch (retry budget
   /// exhausted) — the fault-induced analogue of the §2.2 cap loss.

@@ -4,172 +4,99 @@
 #include <queue>
 
 #include "crawler/frontier.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "stats/expect.h"
 #include "stats/rng.h"
 
 namespace gplus::crawler {
 
-using graph::NodeId;
+namespace {
+
+// Event-driven fleet: each expanded profile goes to the earliest-free
+// machine (a min-heap of free times models the shared frontier with greedy
+// work stealing). A request costs pacing (rate limit) plus a sampled
+// latency, slow responses multiply their latency draw, and backoff waits
+// idle the machine: charged to its clock but not to its busy share.
+class FleetClock final : public CrawlClock {
+ public:
+  FleetClock(const FleetConfig& config, double slow_factor)
+      : config_(config),
+        slow_factor_(slow_factor),
+        rng_(config.seed),
+        machines_(config.machines) {}
+
+  void start(double elapsed_seconds) override {
+    clock_start_ = elapsed_seconds;
+    makespan_ = elapsed_seconds;
+    for (std::size_t m = 0; m < config_.machines; ++m) {
+      free_at_.push({elapsed_seconds, m});
+    }
+  }
+  void charge(const UnitCost& unit) override {
+    auto [free_time, machine] = free_at_.top();
+    free_at_.pop();
+    double unit_seconds = 0.0;
+    for (std::uint64_t r = 0; r < unit.requests; ++r) {
+      unit_seconds += 1.0 / config_.requests_per_second;  // rate limit
+      if (config_.mean_latency_seconds > 0.0) {
+        unit_seconds +=
+            rng_.next_exponential(1.0 / config_.mean_latency_seconds);
+      }
+    }
+    if (config_.mean_latency_seconds > 0.0 && unit.slow > 0) {
+      unit_seconds += static_cast<double>(unit.slow) * (slow_factor_ - 1.0) *
+                      config_.mean_latency_seconds;
+    }
+    const double unit_waiting = static_cast<double>(unit.backoff_micros) / 1e6;
+    MachineStats& stats = machines_[machine];
+    stats.requests += unit.requests;
+    stats.busy_seconds += unit_seconds;
+    stats.waiting_seconds += unit_waiting;
+    stats.rate_limited += unit.rate_limited;
+    const double done_at = free_time + unit_seconds + unit_waiting;
+    makespan_ = std::max(makespan_, done_at);
+    free_at_.push({done_at, machine});
+  }
+  double elapsed_seconds() const override { return makespan_; }
+  double run_hours() const override {
+    return (makespan_ - clock_start_) / 3'600.0;
+  }
+
+  /// Moves the timing outcome into `result`: makespan, machines and the
+  /// busy share of this run's machine time.
+  void finish(FleetResult& result) {
+    result.makespan_days = makespan_ / 86'400.0;
+    const double run_seconds = makespan_ - clock_start_;
+    if (run_seconds > 0.0) {
+      double busy = 0.0;
+      for (const MachineStats& m : machines_) busy += m.busy_seconds;
+      result.mean_utilization =
+          busy / (run_seconds * static_cast<double>(config_.machines));
+    }
+    result.machines = std::move(machines_);
+  }
+
+ private:
+  using Slot = std::pair<double, std::size_t>;  // (free_at, machine)
+
+  const FleetConfig& config_;
+  double slow_factor_;
+  stats::Rng rng_;
+  std::vector<MachineStats> machines_;
+  std::priority_queue<Slot, std::vector<Slot>, std::greater<>> free_at_;
+  double clock_start_ = 0.0;  // simulated time already spent before resume
+  double makespan_ = 0.0;
+};
+
+}  // namespace
 
 FleetResult run_crawl_fleet(service::SocialService& service,
                             const FleetConfig& config) {
-  const std::size_t universe = service.user_count();
-  GPLUS_EXPECT(universe > 0, "service has no users");
-  GPLUS_EXPECT(config.seed_node < universe, "seed node out of range");
-  GPLUS_EXPECT(config.machines > 0, "need at least one machine");
   GPLUS_EXPECT(config.requests_per_second > 0.0, "rate must be positive");
   GPLUS_EXPECT(config.mean_latency_seconds >= 0.0, "latency must be >= 0");
-
+  FleetClock clock(config, service.config().faults.slow_factor);
   FleetResult result;
-  result.machines.assign(config.machines, {});
-  CrawlStats& crawl_stats = result.crawl.stats;
-
-  FrontierState state(universe);
-  const bool checkpointing = !config.checkpoint.path.empty();
-  std::uint64_t base_requests = 0;
-  double clock_start = 0.0;  // simulated time already spent before resume
-  if (checkpointing && config.checkpoint.resume) {
-    if (const auto cp = load_checkpoint(config.checkpoint.path)) {
-      state.restore(*cp);
-      base_requests = cp->requests;
-      clock_start = cp->elapsed_seconds;
-      crawl_stats.resumed_profiles =
-          static_cast<std::size_t>(cp->profiles_crawled);
-    }
-  }
-  if (state.original_id().empty()) state.see(config.seed_node);
-
-  // Min-heap of machine free times: the shared frontier hands the next
-  // profile to whichever machine frees up first.
-  using Slot = std::pair<double, std::size_t>;  // (free_at, machine)
-  std::priority_queue<Slot, std::vector<Slot>, std::greater<>> free_at;
-  for (std::size_t m = 0; m < config.machines; ++m) {
-    free_at.push({clock_start, m});
-  }
-
-  stats::Rng rng(config.seed);
-  const double pacing = 1.0 / config.requests_per_second;
-  const double slow_factor = service.config().faults.slow_factor;
-  double makespan = clock_start;
-  const std::uint64_t requests_before = service.request_count();
-
-  auto& trace = obs::TraceLog::global();
-  obs::TraceLog::Scope fleet_span(trace, "fleet.run");
-  std::uint64_t traced_requests = 0;
-  const auto stamp_clock = [&] {
-    const std::uint64_t run_requests = service.request_count() - requests_before;
-    trace.advance(run_requests - traced_requests);
-    traced_requests = run_requests;
-  };
-
-  const auto take_checkpoint = [&] {
-    const std::uint64_t requests =
-        base_requests + (service.request_count() - requests_before);
-    stamp_clock();
-    obs::TraceLog::Scope span(trace, "fleet.checkpoint");
-    span.attr("profiles", state.profiles_crawled());
-    span.attr("requests", requests);
-    save_checkpoint(state.snapshot(requests, makespan), config.checkpoint.path);
-    ++crawl_stats.checkpoints_written;
-    obs::MetricsRegistry::global().counter("crawler.checkpoint.writes").add(1);
-  };
-
-  while (state.pending()) {
-    if (config.max_profiles != 0 &&
-        state.profiles_crawled() >= config.max_profiles) {
-      break;
-    }
-    // Expand via the service (request accounting is the service's; the
-    // retry deltas tell us what this unit cost on the wire).
-    const RetryStats before = state.retry();
-    const std::uint64_t service_before = service.request_count();
-    state.expand_next(service, config.retry, config.bidirectional);
-    const RetryStats& after = state.retry();
-    const std::uint64_t unit_requests = service.request_count() - service_before;
-    const std::uint64_t unit_slow = after.slow - before.slow;
-    const std::uint64_t unit_rate_limited =
-        after.rate_limited - before.rate_limited;
-    const double unit_waiting = (after.backoff_ms - before.backoff_ms) / 1'000.0;
-
-    // Charge the work unit to the earliest-free machine: each request
-    // costs pacing (rate limit) plus a sampled latency; slow responses
-    // multiply their latency draw; backoff waits idle the machine.
-    auto [free_time, machine] = free_at.top();
-    free_at.pop();
-    double unit_seconds = 0.0;
-    for (std::uint64_t r = 0; r < unit_requests; ++r) {
-      unit_seconds += pacing;
-      if (config.mean_latency_seconds > 0.0) {
-        unit_seconds += rng.next_exponential(1.0 / config.mean_latency_seconds);
-      }
-    }
-    if (config.mean_latency_seconds > 0.0 && unit_slow > 0) {
-      unit_seconds += static_cast<double>(unit_slow) * (slow_factor - 1.0) *
-                      config.mean_latency_seconds;
-    }
-    auto& stats = result.machines[machine];
-    stats.requests += unit_requests;
-    stats.busy_seconds += unit_seconds;
-    stats.waiting_seconds += unit_waiting;
-    stats.rate_limited += unit_rate_limited;
-    const double done_at = free_time + unit_seconds + unit_waiting;
-    makespan = std::max(makespan, done_at);
-    free_at.push({done_at, machine});
-
-    if (checkpointing && config.checkpoint.every_profiles != 0 &&
-        state.profiles_crawled() % config.checkpoint.every_profiles == 0) {
-      take_checkpoint();
-    }
-  }
-  if (checkpointing) take_checkpoint();
-  stamp_clock();
-  fleet_span.attr("machines", config.machines);
-  fleet_span.attr("profiles", state.profiles_crawled());
-  fleet_span.attr("requests", service.request_count() - requests_before);
-
-  result.profiles_crawled = state.profiles_crawled();
-  result.requests = base_requests + (service.request_count() - requests_before);
-  result.makespan_days = makespan / 86'400.0;
-  if (makespan > 0.0) {
-    double busy = 0.0;
-    for (const auto& m : result.machines) busy += m.busy_seconds;
-    result.mean_utilization =
-        busy / (makespan * static_cast<double>(config.machines));
-  }
-
-  // Daily timeline: approximate by spreading expansions over busy time in
-  // order (each unit lands at its machine's completion time; reconstruct
-  // by re-walking completion order would need event logs, so charge
-  // uniformly across the makespan — adequate for the per-day curve).
-  const auto days = static_cast<std::size_t>(result.makespan_days) + 1;
-  result.profiles_by_day.assign(days + 1, 0);
-  for (std::size_t d = 0; d <= days; ++d) {
-    const double t = static_cast<double>(d) / static_cast<double>(days);
-    result.profiles_by_day[d] =
-        static_cast<std::size_t>(t * static_cast<double>(result.profiles_crawled));
-  }
-
-  // The collected graph, identical in content to run_bfs_crawl's.
-  crawl_stats.profiles_crawled = state.profiles_crawled();
-  crawl_stats.edges_collected = state.edges_collected();
-  crawl_stats.hidden_list_users = state.hidden_list_users();
-  crawl_stats.capped_users = state.capped_users();
-  crawl_stats.degraded_users = state.degraded_users();
-  crawl_stats.retry = state.retry();
-  crawl_stats.requests = result.requests;
-  crawl_stats.boundary_nodes =
-      state.original_id().size() - crawl_stats.profiles_crawled;
-  crawl_stats.simulated_hours = (makespan - clock_start) / 3'600.0;
-  result.crawl.original_id = state.original_id();
-  result.crawl.crawled = std::move(state.crawled());
-  result.crawl.degraded = std::move(state.degraded());
-  if (!result.crawl.original_id.empty()) {
-    state.edges().ensure_node(
-        static_cast<NodeId>(result.crawl.original_id.size() - 1));
-  }
-  result.crawl.graph = state.edges().build();
+  result.crawl = run_crawl(service, config, clock);
+  clock.finish(result);
   return result;
 }
 

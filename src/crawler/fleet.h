@@ -3,20 +3,22 @@
 // §2.2: "We used a total of 11 machines with different IP addresses to
 // efficiently gather large amount of data" over 46 days. The BfsCrawler
 // charges a latency per request and divides by the machine count — an
-// idealization. This module runs the crawl through an event-driven fleet
-// where each machine has its own request-rate limit and work queue fed by
-// a shared frontier, producing a makespan, per-machine utilization, and a
-// crawl timeline (profiles-per-day), so statements like "the crawl took
-// six weeks" become model outputs instead of inputs.
+// idealization. The fleet runs the same crawl loop (the collected graph
+// and every count come from it) but charges each expanded profile to an
+// event-driven pool where every machine has its own request-rate limit and
+// the shared frontier feeds whichever machine frees up first. That yields
+// a makespan and per-machine utilization, so "the crawl took six weeks"
+// is a model output instead of an input.
 //
 // Under injected faults each machine retries with backoff and honors the
 // service's Retry-After hints — waiting time is charged to the machine's
 // clock but not its busy share, so utilization degrades the way a real
 // throttled fleet's would. The fleet shares the crawler's checkpoint
-// format: a killed fleet resumes from the last snapshot and converges to
-// the bit-identical graph of an uninterrupted, fault-free crawl (the
-// collected graph is a function of frontier state and service data only,
-// never of the timing model).
+// format: a killed fleet resumes from the last snapshot, its clock picking
+// up at the checkpoint's elapsed time, and converges to the bit-identical
+// graph of an uninterrupted, fault-free crawl (the collected graph is a
+// function of frontier state and service data only, never of the timing
+// model).
 #pragma once
 
 #include <cstdint>
@@ -61,18 +63,15 @@ struct MachineStats {
 
 /// Fleet outcome.
 struct FleetResult {
-  std::size_t profiles_crawled = 0;
-  std::uint64_t requests = 0;
   /// Simulated wall-clock of the whole crawl (resumed time included), days.
   double makespan_days = 0.0;
-  /// Mean busy share across machines (1 = perfectly saturated); waiting on
-  /// rate limits and backoff counts against it.
+  /// Mean busy share of this run's machine time (1 = perfectly saturated);
+  /// waiting on rate limits and backoff counts against it.
   double mean_utilization = 0.0;
   std::vector<MachineStats> machines;
-  /// profiles_by_day[d] = cumulative profiles expanded by end of day d.
-  std::vector<std::size_t> profiles_by_day;
-  /// The collected graph + per-node flags + fetch/retry stats, identical
-  /// in content to what run_bfs_crawl gathers from the same service.
+  /// The collected graph + per-node flags + crawl stats (profiles,
+  /// requests, fetch/retry counts), identical in content to what
+  /// run_bfs_crawl gathers from the same service.
   CrawlResult crawl;
 };
 

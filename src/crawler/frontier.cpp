@@ -1,8 +1,13 @@
 #include "crawler/frontier.h"
 
 #include <limits>
+#include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <type_traits>
 
+#include "crawler/fleet.h"
+#include "obs/trace.h"
 #include "stats/expect.h"
 
 namespace gplus::crawler {
@@ -10,11 +15,15 @@ namespace gplus::crawler {
 using graph::NodeId;
 
 namespace {
+
 constexpr NodeId kUnseen = std::numeric_limits<NodeId>::max();
-}
+// Checkpoint writes of this run: the cell after the kRetryCounters block.
+constexpr std::size_t kCheckpointCell = std::size(kRetryCounters);
+
+}  // namespace
 
 FrontierState::FrontierState(std::size_t universe)
-    : new_id_(universe, kUnseen) {}
+    : new_id_(universe, kUnseen), counts_(kCheckpointCell + 1) {}
 
 NodeId FrontierState::see(NodeId original) {
   NodeId& slot = new_id_[original];
@@ -27,60 +36,73 @@ NodeId FrontierState::see(NodeId original) {
   return slot;
 }
 
-FrontierState::Expansion FrontierState::expand_next(
-    service::SocialService& service, const RetryPolicy& policy,
-    bool bidirectional) {
-  Expansion out;
+UnitCost FrontierState::expand_next(service::SocialService& service,
+                                    const RetryPolicy& policy,
+                                    bool bidirectional) {
+  // Every expansion issues at least one attempt, so a zero attempt cell
+  // means this is the run's first fetch.
+  if (counts_.value(kRetryCell<&RetryStats::attempts>) == 0) {
+    counts_.export_fields(kRetryCounters, "crawler.");
+  }
+  const auto cell = [&](std::size_t c) { return counts_.value(c); };
+  constexpr std::size_t kSlow = kRetryCell<&RetryStats::slow>;
+  constexpr std::size_t kRateLimited = kRetryCell<&RetryStats::rate_limited>;
+  constexpr std::size_t kBackoff = kRetryCell<&RetryStats::backoff_micros>;
+  const UnitCost before{service.request_count(), cell(kSlow),
+                        cell(kRateLimited), cell(kBackoff)};
+  expand(service, policy, bidirectional);
+  return {service.request_count() - before.requests, cell(kSlow) - before.slow,
+          cell(kRateLimited) - before.rate_limited,
+          cell(kBackoff) - before.backoff_micros};
+}
+
+void FrontierState::expand(service::SocialService& service,
+                           const RetryPolicy& policy, bool bidirectional) {
   const NodeId dense_u = static_cast<NodeId>(queue_head_);
   const NodeId u = original_id_[queue_head_++];
   crawled_[dense_u] = 1;
-  ++profiles_crawled_;
+  ++stats_.profiles_crawled;
 
   const service::ProfileFetch profile =
-      fetch_profile_with_retry(service, policy, u, retry_);
+      fetch_profile_with_retry(service, policy, u, counts_);
   if (!profile.status.ok()) {
     // Retry budget exhausted on the page itself: nothing about this user
     // was learned. The node stays in the graph as a degraded expansion.
     degraded_[dense_u] = 1;
-    ++degraded_users_;
-    out.degraded = true;
-    return out;
+    return;
   }
   if (!profile.page.lists_public) {
-    ++hidden_list_users_;
-    out.hidden = true;
-    return out;
+    ++stats_.hidden_list_users;
+    return;
   }
 
+  bool capped = false;
+  bool degraded = false;
   // Followees: edge u -> v.
   {
     const ListWithRetry list = fetch_full_list_with_retry(
-        service, policy, u, service::ListKind::kInTheirCircles, retry_);
-    out.capped |= list.capped;
-    out.degraded |= !list.complete;
+        service, policy, u, service::ListKind::kInTheirCircles, counts_);
+    capped |= list.capped;
+    degraded |= !list.complete;
     for (NodeId v : list.users) {
       edges_.add_edge(dense_u, see(v));
-      ++edges_collected_;
+      ++stats_.edges_collected;
     }
   }
   // Followers: edge v -> u (the bidirectional half that recovers edges
   // lost to other users' caps or privacy).
   if (bidirectional) {
     const ListWithRetry list = fetch_full_list_with_retry(
-        service, policy, u, service::ListKind::kHaveInCircles, retry_);
-    out.capped |= list.capped;
-    out.degraded |= !list.complete;
+        service, policy, u, service::ListKind::kHaveInCircles, counts_);
+    capped |= list.capped;
+    degraded |= !list.complete;
     for (NodeId v : list.users) {
       edges_.add_edge(see(v), dense_u);
-      ++edges_collected_;
+      ++stats_.edges_collected;
     }
   }
-  if (out.capped) ++capped_users_;
-  if (out.degraded) {
-    degraded_[dense_u] = 1;
-    ++degraded_users_;
-  }
-  return out;
+  if (capped) ++stats_.capped_users;
+  if (degraded) degraded_[dense_u] = 1;
 }
 
 void FrontierState::restore(const CrawlCheckpoint& checkpoint) {
@@ -104,18 +126,18 @@ void FrontierState::restore(const CrawlCheckpoint& checkpoint) {
   }
   edges_.clear();
   edges_.add_edges(checkpoint.edges);
-  profiles_crawled_ = static_cast<std::size_t>(checkpoint.profiles_crawled);
-  edges_collected_ = checkpoint.edges_collected;
-  hidden_list_users_ = static_cast<std::size_t>(checkpoint.hidden_list_users);
-  capped_users_ = static_cast<std::size_t>(checkpoint.capped_users);
-  retry_ = checkpoint.retry;
-  std::size_t degraded_users = 0;
-  for (std::uint8_t flag : degraded_) degraded_users += flag;
-  degraded_users_ = degraded_users;
+  stats_.profiles_crawled =
+      static_cast<std::size_t>(checkpoint.profiles_crawled);
+  stats_.resumed_profiles = stats_.profiles_crawled;
+  stats_.edges_collected = checkpoint.edges_collected;
+  stats_.hidden_list_users =
+      static_cast<std::size_t>(checkpoint.hidden_list_users);
+  stats_.capped_users = static_cast<std::size_t>(checkpoint.capped_users);
+  stats_.retry = checkpoint.retry;
 }
 
-CrawlCheckpoint FrontierState::snapshot(std::uint64_t requests,
-                                        double elapsed_seconds) const {
+void FrontierState::save(const std::string& path, std::uint64_t requests,
+                         double elapsed_seconds) {
   CrawlCheckpoint cp;
   cp.original_id = original_id_;
   cp.crawled = crawled_;
@@ -123,14 +145,117 @@ CrawlCheckpoint FrontierState::snapshot(std::uint64_t requests,
   cp.queue_head = queue_head_;
   const auto buffered = edges_.buffered_edges();
   cp.edges.assign(buffered.begin(), buffered.end());
-  cp.profiles_crawled = profiles_crawled_;
-  cp.edges_collected = edges_collected_;
+  cp.profiles_crawled = stats_.profiles_crawled;
+  cp.edges_collected = stats_.edges_collected;
   cp.requests = requests;
-  cp.hidden_list_users = hidden_list_users_;
-  cp.capped_users = capped_users_;
-  cp.retry = retry_;
+  cp.hidden_list_users = stats_.hidden_list_users;
+  cp.capped_users = stats_.capped_users;
+  cp.retry = retry();
   cp.elapsed_seconds = elapsed_seconds;
-  return cp;
+  save_checkpoint(cp, path);
+  if (counts_.value(kCheckpointCell) == 0) {
+    counts_.export_cell(kCheckpointCell, "crawler.checkpoint.writes");
+  }
+  counts_.add(kCheckpointCell);
 }
+
+RetryStats FrontierState::retry() const {
+  RetryStats total = stats_.retry;
+  for (std::size_t i = 0; i < std::size(kRetryCounters); ++i) {
+    total.*kRetryCounters[i].member += counts_.value(i);
+  }
+  return total;
+}
+
+void FrontierState::finish(CrawlResult& result) {
+  result.stats = stats_;
+  result.stats.boundary_nodes = original_id_.size() - stats_.profiles_crawled;
+  result.stats.retry = retry();
+  result.stats.degraded_users =
+      std::accumulate(degraded_.begin(), degraded_.end(), std::size_t{0});
+  result.stats.checkpoints_written = counts_.value(kCheckpointCell);
+
+  // Ensure isolated seen nodes (e.g. a hidden-list seed) are representable.
+  if (!original_id_.empty()) {
+    edges_.ensure_node(static_cast<NodeId>(original_id_.size() - 1));
+  }
+  result.graph = edges_.build();
+  result.original_id = std::move(original_id_);
+  result.crawled = std::move(crawled_);
+  result.degraded = std::move(degraded_);
+}
+
+template <typename Config>
+CrawlResult run_crawl(service::SocialService& service, const Config& config,
+                      CrawlClock& clock) {
+  const std::size_t universe = service.user_count();
+  GPLUS_EXPECT(universe > 0, "service has no users");
+  GPLUS_EXPECT(config.seed_node < universe, "seed node out of range");
+  GPLUS_EXPECT(config.machines > 0, "need at least one crawl machine");
+
+  FrontierState state(universe);
+  const bool checkpointing = !config.checkpoint.path.empty();
+  const auto restored = checkpointing && config.checkpoint.resume
+                            ? load_checkpoint(config.checkpoint.path)
+                            : std::nullopt;
+  if (restored) state.restore(*restored);
+  if (state.seen() == 0) state.see(config.seed_node);
+  const std::uint64_t base_requests = restored ? restored->requests : 0;
+  clock.start(restored ? restored->elapsed_seconds : 0.0);
+
+  // Spans are named for the entry point; the fleet's run span also
+  // carries its machine count, the crawler's its edge count.
+  constexpr bool kFleet = std::is_same_v<Config, FleetConfig>;
+  auto& trace = obs::TraceLog::global();
+  obs::TraceLog::Scope run_span(trace, kFleet ? "fleet.run" : "crawl.run");
+  const std::uint64_t requests_before = service.request_count();
+  const auto run_requests = [&] {
+    return service.request_count() - requests_before;
+  };
+  // The trace clock advances by simulated requests issued since the last
+  // stamp — a deterministic quantity — so spans land at reproducible
+  // virtual times at any thread count.
+  std::uint64_t traced_requests = 0;
+  const auto stamp_clock = [&] {
+    trace.advance(run_requests() - traced_requests);
+    traced_requests = run_requests();
+  };
+  const auto take_checkpoint = [&] {
+    const std::uint64_t requests = base_requests + run_requests();
+    stamp_clock();
+    obs::TraceLog::Scope span(trace,
+                              kFleet ? "fleet.checkpoint" : "crawl.checkpoint");
+    span.attr("profiles", state.profiles_crawled());
+    span.attr("requests", requests);
+    state.save(config.checkpoint.path, requests, clock.elapsed_seconds());
+  };
+
+  while (state.pending() && (config.max_profiles == 0 ||
+                              state.profiles_crawled() < config.max_profiles)) {
+    clock.charge(
+        state.expand_next(service, config.retry, config.bidirectional));
+    if (checkpointing && config.checkpoint.every_profiles != 0 &&
+        state.profiles_crawled() % config.checkpoint.every_profiles == 0) {
+      take_checkpoint();
+    }
+  }
+  if (checkpointing) take_checkpoint();
+  stamp_clock();
+
+  CrawlResult result;
+  state.finish(result);
+  result.stats.requests = base_requests + run_requests();
+  result.stats.simulated_hours = clock.run_hours();
+  if constexpr (kFleet) run_span.attr("machines", config.machines);
+  run_span.attr("profiles", result.stats.profiles_crawled);
+  if constexpr (!kFleet) run_span.attr("edges", result.stats.edges_collected);
+  run_span.attr("requests", run_requests());
+  return result;
+}
+
+template CrawlResult run_crawl(service::SocialService&, const CrawlConfig&,
+                               CrawlClock&);
+template CrawlResult run_crawl(service::SocialService&, const FleetConfig&,
+                               CrawlClock&);
 
 }  // namespace gplus::crawler

@@ -1,23 +1,43 @@
-// Shared crawl-frontier engine (internal to gplus_crawler).
+// Shared crawl engine (internal to gplus_crawler).
 //
-// The single-machine BFS crawler and the event-driven fleet expand
-// profiles identically — fetch the page, fetch both circle lists with
-// retries, record edges, enqueue newcomers; they differ only in how time
-// is charged. This module owns that common core so checkpoint/resume and
-// fault handling behave bit-identically on both paths: the collected
-// graph is a pure function of the service's data and the frontier state,
-// never of the timing model.
+// The BFS crawler and the event-driven fleet are one crawl: fetch the page,
+// fetch both circle lists with retries, record edges, enqueue newcomers,
+// checkpoint on a cadence. run_crawl is that loop, written once; the two
+// entry points differ only in the CrawlClock that charges each unit of work
+// simulated time. So checkpoint/resume and fault handling behave
+// bit-identically on both paths: the collected graph is a pure function of
+// the service's data and the frontier state, never of the timing model.
+//
+// Counts are kept once. FrontierState keeps this run's retry counts and
+// checkpoint writes in an obs::CounterStore laid out by kRetryCounters, the
+// checkpoint cell last. The registry exports the retry cells from the run's
+// first fetch and crawler.checkpoint.writes from its first checkpoint, so a
+// name appears exactly when its count can first move. A crawl's RetryStats
+// is the checkpoint's base plus this run's cells, as its request count is;
+// timing reads only this run's cells.
 #pragma once
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "crawler/checkpoint.h"
+#include "crawler/crawler.h"
 #include "crawler/retry.h"
 #include "graph/builder.h"
+#include "obs/metrics.h"
 #include "service/service.h"
 
 namespace gplus::crawler {
+
+/// What one profile expansion cost on the wire: the requests it issued and
+/// how far it moved this run's slow, rate-limit and backoff counts.
+struct UnitCost {
+  std::uint64_t requests = 0;
+  std::uint64_t slow = 0;
+  std::uint64_t rate_limited = 0;
+  std::uint64_t backoff_micros = 0;
+};
 
 /// Dense-id frontier + collected-edge state, resumable via CrawlCheckpoint.
 class FrontierState {
@@ -29,59 +49,76 @@ class FrontierState {
   /// original_id doubles as the BFS queue).
   graph::NodeId see(graph::NodeId original);
 
+  /// Profiles seen so far, expanded or pending.
+  std::size_t seen() const noexcept { return original_id_.size(); }
   /// True while unexpanded profiles remain.
   bool pending() const noexcept { return queue_head_ < original_id_.size(); }
-  /// Dense id of the next profile to expand (valid while pending()).
-  graph::NodeId next_dense() const noexcept {
-    return static_cast<graph::NodeId>(queue_head_);
-  }
 
   /// One unit of crawl work: expands the next frontier profile through the
   /// service with retries, records edges and flags, advances the queue.
-  struct Expansion {
-    bool hidden = false;    // lists were private
-    bool capped = false;    // a list hit the service cap
-    bool degraded = false;  // an abandoned fetch lost data for this user
-  };
-  Expansion expand_next(service::SocialService& service,
-                        const RetryPolicy& policy, bool bidirectional);
+  UnitCost expand_next(service::SocialService& service,
+                       const RetryPolicy& policy, bool bidirectional);
 
   /// Restores state from a checkpoint; throws std::runtime_error when the
   /// checkpoint does not fit the universe.
   void restore(const CrawlCheckpoint& checkpoint);
 
-  /// Snapshots the current state. `requests` is the cumulative request
-  /// count to persist; `elapsed_seconds` the cumulative simulated time.
-  CrawlCheckpoint snapshot(std::uint64_t requests, double elapsed_seconds) const;
+  /// Snapshots the current state to `path` and counts the write.
+  /// `requests` is the cumulative request count to persist;
+  /// `elapsed_seconds` the cumulative simulated time.
+  void save(const std::string& path, std::uint64_t requests,
+            double elapsed_seconds);
 
-  // Accessors used by the two run loops.
-  const std::vector<graph::NodeId>& original_id() const noexcept { return original_id_; }
-  std::vector<graph::NodeId>& original_id() noexcept { return original_id_; }
-  std::vector<std::uint8_t>& crawled() noexcept { return crawled_; }
-  std::vector<std::uint8_t>& degraded() noexcept { return degraded_; }
-  const graph::GraphBuilder& edges() const noexcept { return edges_; }
-  graph::GraphBuilder& edges() noexcept { return edges_; }
-  std::size_t profiles_crawled() const noexcept { return profiles_crawled_; }
-  std::uint64_t edges_collected() const noexcept { return edges_collected_; }
-  std::size_t hidden_list_users() const noexcept { return hidden_list_users_; }
-  std::size_t capped_users() const noexcept { return capped_users_; }
-  std::size_t degraded_users() const noexcept { return degraded_users_; }
-  const RetryStats& retry() const noexcept { return retry_; }
-  RetryStats& retry() noexcept { return retry_; }
+  /// Moves the collected state into `result`: graph, id map, flags and
+  /// every count in result.stats but requests and simulated_hours.
+  void finish(CrawlResult& result);
+
+  std::size_t profiles_crawled() const noexcept {
+    return stats_.profiles_crawled;
+  }
 
  private:
+  void expand(service::SocialService& service, const RetryPolicy& policy,
+              bool bidirectional);
+  /// Cumulative retry counts: the restored base plus this run's cells.
+  RetryStats retry() const;
+
   std::vector<graph::NodeId> new_id_;  // universe-sized first-sight map
   std::vector<graph::NodeId> original_id_;
   std::vector<std::uint8_t> crawled_;
   std::vector<std::uint8_t> degraded_;
   std::size_t queue_head_ = 0;
   graph::GraphBuilder edges_;
-  std::size_t profiles_crawled_ = 0;
-  std::uint64_t edges_collected_ = 0;
-  std::size_t hidden_list_users_ = 0;
-  std::size_t capped_users_ = 0;
-  std::size_t degraded_users_ = 0;
-  RetryStats retry_;
+  // Profile, edge and list counts; its retry block is the restored base.
+  CrawlStats stats_;
+  obs::CounterStore counts_;  // this run: kRetryCounters, then checkpoints
 };
+
+/// A crawl's timing model: how run_bfs_crawl and run_crawl_fleet charge
+/// simulated time, the one way they differ beyond their trace span names.
+class CrawlClock {
+ public:
+  /// Starts the clock at the simulated seconds a restored checkpoint had
+  /// already spent (0 for a fresh crawl); a clock may restart instead.
+  virtual void start(double /*elapsed_seconds*/) {}
+  /// Charges one expanded profile.
+  virtual void charge(const UnitCost& unit) = 0;
+  /// Cumulative simulated seconds, as a checkpoint records them.
+  virtual double elapsed_seconds() const { return 0.0; }
+  /// Simulated hours this run took.
+  virtual double run_hours() const = 0;
+
+ protected:
+  ~CrawlClock() = default;
+};
+
+/// The crawl loop over a CrawlConfig or FleetConfig: validates it, restores
+/// from the checkpoint or seeds, expands profiles until the frontier or the
+/// max_profiles budget runs out, checkpoints on the cadence and at the end,
+/// and charges each unit to `clock`. Spans land on the trace's virtual
+/// clock, advanced by requests issued.
+template <typename Config>
+CrawlResult run_crawl(service::SocialService& service, const Config& config,
+                      CrawlClock& clock);
 
 }  // namespace gplus::crawler

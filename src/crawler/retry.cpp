@@ -10,22 +10,6 @@ namespace gplus::crawler {
 
 using graph::NodeId;
 
-RetryStats& RetryStats::operator+=(const RetryStats& other) noexcept {
-  attempts += other.attempts;
-  retries += other.retries;
-  transient += other.transient;
-  rate_limited += other.rate_limited;
-  truncated += other.truncated;
-  slow += other.slow;
-  abandoned += other.abandoned;
-  backoff_ms += other.backoff_ms;
-  return *this;
-}
-
-bool retryable(service::FetchError error) noexcept {
-  return error != service::FetchError::kNone;
-}
-
 std::uint64_t request_key(NodeId id, std::uint64_t endpoint,
                           std::uint32_t offset) noexcept {
   std::uint64_t state = (endpoint << 60) ^ (std::uint64_t{offset} << 32) ^ id;
@@ -52,113 +36,59 @@ double backoff_delay_ms(const RetryPolicy& policy,
 
 namespace {
 
-// Every RetryStats increment is mirrored into the global registry here —
-// retry_loop is the single choke point all fetches pass through, so the
-// registry sees exactly what the per-instance structs see. All quantities
-// are pure functions of (seed, request), hence deterministic.
-struct RetryMetrics {
-  obs::Counter& attempts;
-  obs::Counter& retries;
-  obs::Counter& slow;
-  obs::Counter& abandoned;
-  obs::Counter& transient;
-  obs::Counter& rate_limited;
-  obs::Counter& truncated;
-  obs::Counter& backoff_micros;
-  obs::Histogram& backoff_hist;
-
-  static RetryMetrics& get() {
-    auto& reg = obs::MetricsRegistry::global();
-    static RetryMetrics m{
-        reg.counter("crawler.fetch.attempts"),
-        reg.counter("crawler.fetch.retries"),
-        reg.counter("crawler.fetch.slow"),
-        reg.counter("crawler.fetch.abandoned"),
-        reg.counter("crawler.fault.transient"),
-        reg.counter("crawler.fault.rate_limited"),
-        reg.counter("crawler.fault.truncated"),
-        reg.counter("crawler.backoff.micros"),
-        reg.histogram("crawler.backoff.delay_ms",
-                      {1, 5, 10, 50, 100, 500, 1000, 5000, 15000, 60000}),
-    };
-    return m;
-  }
-};
-
 // Classifies one failed attempt into the counters.
-void count_fault(RetryStats& stats, const service::FetchStatus& status) {
-  RetryMetrics& metrics = RetryMetrics::get();
+void count_fault(obs::CounterStore& counts,
+                 const service::FetchStatus& status) {
   switch (status.error) {
     case service::FetchError::kTransient:
-      ++stats.transient;
-      metrics.transient.add(1);
-      break;
+      return counts.add(kRetryCell<&RetryStats::transient>);
     case service::FetchError::kRateLimited:
-      ++stats.rate_limited;
-      metrics.rate_limited.add(1);
-      break;
+      return counts.add(kRetryCell<&RetryStats::rate_limited>);
     case service::FetchError::kTruncated:
-      ++stats.truncated;
-      metrics.truncated.add(1);
-      break;
+      return counts.add(kRetryCell<&RetryStats::truncated>);
     case service::FetchError::kNone:
-      break;
+      return;
   }
 }
 
 // Shared retry loop over either endpoint. `fetch(attempt)` issues one
-// attempt and returns its FetchStatus; the loop owns the accounting.
+// attempt and returns its FetchStatus; the loop owns the accounting. Every
+// fetch passes through here, so each count is added once, to the caller's
+// store. All quantities are pure functions of (seed, request), hence
+// deterministic.
 template <typename Result, typename Fetch>
 Result retry_loop(const RetryPolicy& policy, std::uint64_t key, Fetch&& fetch,
-                  RetryStats& stats) {
-  RetryMetrics& metrics = RetryMetrics::get();
+                  obs::CounterStore& counts) {
+  static obs::Histogram& delay_hist = obs::MetricsRegistry::global().histogram(
+      "crawler.backoff.delay_ms",
+      {1, 5, 10, 50, 100, 500, 1000, 5000, 15000, 60000});
   for (std::uint32_t attempt = 0;; ++attempt) {
     Result result = fetch(attempt);
-    ++stats.attempts;
-    metrics.attempts.add(1);
-    if (attempt > 0) {
-      ++stats.retries;
-      metrics.retries.add(1);
-    }
+    counts.add(kRetryCell<&RetryStats::attempts>);
+    if (attempt > 0) counts.add(kRetryCell<&RetryStats::retries>);
     if (result.status.latency_factor > 1.0) {
-      ++stats.slow;
-      metrics.slow.add(1);
+      counts.add(kRetryCell<&RetryStats::slow>);
     }
     if (result.status.ok()) return result;
-    count_fault(stats, result.status);
+    count_fault(counts, result.status);
     if (attempt >= policy.max_retries) {
-      ++stats.abandoned;
-      metrics.abandoned.add(1);
+      counts.add(kRetryCell<&RetryStats::abandoned>);
       return result;
     }
     const double delay_ms = backoff_delay_ms(policy, result.status, key, attempt);
-    stats.backoff_ms += delay_ms;
     // llround of a deterministic double is deterministic; micros keep the
     // integer counter faithful to sub-millisecond jitter.
-    metrics.backoff_micros.add(
-        static_cast<std::uint64_t>(std::llround(delay_ms * 1000.0)));
-    metrics.backoff_hist.record(
-        static_cast<std::uint64_t>(std::llround(delay_ms)));
+    counts.add(kRetryCell<&RetryStats::backoff_micros>,
+               static_cast<std::uint64_t>(std::llround(delay_ms * 1000.0)));
+    delay_hist.record(static_cast<std::uint64_t>(std::llround(delay_ms)));
   }
-}
-
-}  // namespace
-
-service::ProfileFetch fetch_profile_with_retry(service::SocialService& service,
-                                               const RetryPolicy& policy,
-                                               NodeId id, RetryStats& stats) {
-  const std::uint64_t key = request_key(id, /*endpoint=*/0, 0);
-  return retry_loop<service::ProfileFetch>(
-      policy, key,
-      [&](std::uint32_t attempt) { return service.try_fetch_profile(id, attempt); },
-      stats);
 }
 
 service::ListFetch fetch_list_with_retry(service::SocialService& service,
                                          const RetryPolicy& policy, NodeId id,
                                          service::ListKind kind,
                                          std::uint32_t offset,
-                                         RetryStats& stats) {
+                                         obs::CounterStore& counts) {
   const std::uint64_t endpoint = 1 + static_cast<std::uint64_t>(kind);
   const std::uint64_t key = request_key(id, endpoint, offset);
   return retry_loop<service::ListFetch>(
@@ -166,18 +96,31 @@ service::ListFetch fetch_list_with_retry(service::SocialService& service,
       [&](std::uint32_t attempt) {
         return service.try_fetch_list(id, kind, offset, attempt);
       },
-      stats);
+      counts);
+}
+
+}  // namespace
+
+service::ProfileFetch fetch_profile_with_retry(service::SocialService& service,
+                                               const RetryPolicy& policy,
+                                               NodeId id,
+                                               obs::CounterStore& counts) {
+  const std::uint64_t key = request_key(id, /*endpoint=*/0, 0);
+  return retry_loop<service::ProfileFetch>(
+      policy, key,
+      [&](std::uint32_t attempt) { return service.try_fetch_profile(id, attempt); },
+      counts);
 }
 
 ListWithRetry fetch_full_list_with_retry(service::SocialService& service,
                                          const RetryPolicy& policy, NodeId id,
                                          service::ListKind kind,
-                                         RetryStats& stats) {
+                                         obs::CounterStore& counts) {
   ListWithRetry out;
   std::uint32_t offset = 0;
   while (true) {
     service::ListFetch fetch =
-        fetch_list_with_retry(service, policy, id, kind, offset, stats);
+        fetch_list_with_retry(service, policy, id, kind, offset, counts);
     if (!fetch.status.ok()) {
       out.complete = false;  // page abandoned: the tail of this list is lost
       return out;

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 
+#include "obs/metrics.h"
 #include "service/service.h"
 
 namespace gplus::crawler {
@@ -34,7 +35,8 @@ struct RetryPolicy {
   std::uint64_t seed = 77;
 };
 
-/// Retry accounting, aggregated over many requests.
+/// Retry accounting, aggregated over many requests: a plain value read
+/// from a crawl's counter store (see kRetryCounters).
 struct RetryStats {
   std::uint64_t attempts = 0;        // fetch attempts issued, failures included
   std::uint64_t retries = 0;         // attempts beyond the first
@@ -43,13 +45,26 @@ struct RetryStats {
   std::uint64_t truncated = 0;
   std::uint64_t slow = 0;            // slow (but successful) responses
   std::uint64_t abandoned = 0;       // requests given up after max_retries
-  double backoff_ms = 0.0;           // total time spent backing off
-
-  RetryStats& operator+=(const RetryStats& other) noexcept;
+  std::uint64_t backoff_micros = 0;  // time backing off, llround per delay
 };
 
-/// True when the error is worth retrying (everything but success).
-bool retryable(service::FetchError error) noexcept;
+/// Every RetryStats count, named once. Row i is cell i of the store the
+/// fetch helpers count into, slot i of a checkpoint's retry block, and the
+/// registry counter "crawler." + name.
+inline constexpr obs::CounterField<RetryStats> kRetryCounters[] = {
+    {"fetch.attempts", &RetryStats::attempts},
+    {"fetch.retries", &RetryStats::retries},
+    {"fault.transient", &RetryStats::transient},
+    {"fault.rate_limited", &RetryStats::rate_limited},
+    {"fault.truncated", &RetryStats::truncated},
+    {"fetch.slow", &RetryStats::slow},
+    {"fetch.abandoned", &RetryStats::abandoned},
+    {"backoff.micros", &RetryStats::backoff_micros},
+};
+
+/// Cell of `Field` in a store laid out by kRetryCounters.
+template <auto Field>
+constexpr std::size_t kRetryCell = obs::cell_of(kRetryCounters, Field);
 
 /// Stable identity of a logical request, for jitter hashing: profile
 /// fetches use offset 0 and a distinct endpoint tag.
@@ -65,23 +80,17 @@ double backoff_delay_ms(const RetryPolicy& policy,
                         std::uint32_t attempt) noexcept;
 
 /// Fetches a profile with retries. Returns the final attempt's result
-/// (status.ok() == false means the request was abandoned) and accumulates
-/// counters + backoff time into `stats`.
+/// (status.ok() == false means the request was abandoned) and adds every
+/// attempt, fault and backoff wait to the kRetryCounters cells of `counts`;
+/// each delay also lands in the registry's crawler.backoff.delay_ms
+/// histogram.
 service::ProfileFetch fetch_profile_with_retry(service::SocialService& service,
                                                const RetryPolicy& policy,
                                                graph::NodeId id,
-                                               RetryStats& stats);
+                                               obs::CounterStore& counts);
 
-/// Fetches one clean list page with retries (a truncated page is retried,
-/// never consumed). Abandonment semantics as above.
-service::ListFetch fetch_list_with_retry(service::SocialService& service,
-                                         const RetryPolicy& policy,
-                                         graph::NodeId id,
-                                         service::ListKind kind,
-                                         std::uint32_t offset,
-                                         RetryStats& stats);
-
-/// Paginates a full list with per-page retries. When a page is abandoned
+/// Paginates a full list, retrying each page until it arrives clean (a
+/// truncated page is retried, never consumed). When a page is abandoned
 /// the pagination stops and `complete` is false: every entry gathered so
 /// far is returned, the rest is lost — the §2.2 accounting charges it.
 struct ListWithRetry {
@@ -94,6 +103,6 @@ ListWithRetry fetch_full_list_with_retry(service::SocialService& service,
                                          const RetryPolicy& policy,
                                          graph::NodeId id,
                                          service::ListKind kind,
-                                         RetryStats& stats);
+                                         obs::CounterStore& counts);
 
 }  // namespace gplus::crawler

@@ -95,7 +95,7 @@ TEST(Checkpoint, SaveLoadRoundTripsEveryField) {
   cp.retry.truncated = 1;
   cp.retry.slow = 4;
   cp.retry.abandoned = 1;
-  cp.retry.backoff_ms = 1234.5;
+  cp.retry.backoff_micros = 1'234'567;
   cp.elapsed_seconds = 98.25;
 
   const auto path = scratch_file("roundtrip.ckpt");
@@ -119,7 +119,7 @@ TEST(Checkpoint, SaveLoadRoundTripsEveryField) {
   EXPECT_EQ(loaded->retry.truncated, cp.retry.truncated);
   EXPECT_EQ(loaded->retry.slow, cp.retry.slow);
   EXPECT_EQ(loaded->retry.abandoned, cp.retry.abandoned);
-  EXPECT_DOUBLE_EQ(loaded->retry.backoff_ms, cp.retry.backoff_ms);
+  EXPECT_EQ(loaded->retry.backoff_micros, cp.retry.backoff_micros);
   EXPECT_DOUBLE_EQ(loaded->elapsed_seconds, cp.elapsed_seconds);
 }
 
@@ -146,6 +146,39 @@ TEST(Checkpoint, RejectsCorruptFiles) {
   const auto size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, size / 2);
   EXPECT_THROW(load_checkpoint(path), std::runtime_error);
+
+  // Counts that no file of this size can back must be rejected before
+  // they size an allocation.
+  const auto write_words = [](const std::string& file, const char* magic,
+                              std::initializer_list<std::uint64_t> words) {
+    std::ofstream out(file, std::ios::binary);
+    out.write(magic, 8);
+    for (std::uint64_t w : words) {
+      unsigned char buf[8];
+      for (int i = 0; i < 8; ++i) {
+        buf[i] = static_cast<unsigned char>(w >> (8 * i));
+      }
+      out.write(reinterpret_cast<const char*>(buf), 8);
+    }
+  };
+  const auto huge_nodes = scratch_file("huge_nodes.ckpt");
+  write_words(huge_nodes, "GPLUSCK2", {std::uint64_t{1} << 62});
+  EXPECT_THROW(load_checkpoint(huge_nodes), std::runtime_error);
+  // Zero nodes, two empty flag vectors, queue head 0, then 2^61 edges.
+  const auto huge_edges = scratch_file("huge_edges.ckpt");
+  write_words(huge_edges, "GPLUSCK2", {0, 0, 0, 0, std::uint64_t{1} << 61});
+  EXPECT_THROW(load_checkpoint(huge_edges), std::runtime_error);
+
+  // The retired version is named, not reported as garbage.
+  const auto v1 = scratch_file("v1.ckpt");
+  write_words(v1, "GPLUSCK1", {0, 0, 0, 0, 0});
+  try {
+    load_checkpoint(v1);
+    ADD_FAILURE() << "a GPLUSCK1 checkpoint loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("GPLUSCK1"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Checkpoint, AtomicWriteLeavesNoTempFile) {
@@ -239,20 +272,26 @@ TEST(CheckpointResume, PeriodicCheckpointsAreWritten) {
 
 TEST(CheckpointResume, ResumeOfFinishedCrawlIsANoOp) {
   Fixture fx;
-  const auto path = scratch_file("finished.ckpt");
-  std::filesystem::remove(path);
-  CrawlConfig config;
-  config.seed_node = 0;
-  config.checkpoint.path = path;
-  auto svc = fx.service();
-  const auto first = run_bfs_crawl(svc, config);
+  service::ServiceConfig faulty;
+  faulty.faults = modest_faults();
+  for (const auto& sconfig : {service::ServiceConfig{}, faulty}) {
+    const auto path = scratch_file("finished.ckpt");
+    std::filesystem::remove(path);
+    CrawlConfig config;
+    config.seed_node = 0;
+    config.checkpoint.path = path;
+    auto svc = fx.service(sconfig);
+    const auto first = run_bfs_crawl(svc, config);
 
-  auto again_svc = fx.service();
-  const auto again = run_bfs_crawl(again_svc, config);
-  EXPECT_EQ(again.stats.resumed_profiles, first.stats.profiles_crawled);
-  // No frontier left: the resumed run issues zero requests.
-  EXPECT_EQ(again_svc.request_count(), 0u);
-  expect_identical_crawl(first, again);
+    auto again_svc = fx.service(sconfig);
+    const auto again = run_bfs_crawl(again_svc, config);
+    EXPECT_EQ(again.stats.resumed_profiles, first.stats.profiles_crawled);
+    // No frontier left: the resumed run issues zero requests and so takes
+    // no simulated time, however much the first run spent backing off.
+    EXPECT_EQ(again_svc.request_count(), 0u);
+    EXPECT_EQ(again.stats.simulated_hours, 0.0);
+    expect_identical_crawl(first, again);
+  }
 }
 
 TEST(CheckpointResume, DisabledResumeStartsFresh) {
@@ -306,7 +345,10 @@ TEST(CheckpointResume, KilledFleetResumesToBitIdenticalGraph) {
   config.max_profiles = 80;
   auto first_svc = fx.service(faulty);
   const auto first = run_crawl_fleet(first_svc, config);
-  EXPECT_EQ(first.profiles_crawled, 80u);
+  EXPECT_EQ(first.crawl.stats.profiles_crawled, 80u);
+  const auto killed = load_checkpoint(path);
+  ASSERT_TRUE(killed.has_value());
+  const double clock_start = killed->elapsed_seconds;
 
   config.max_profiles = 0;
   auto second_svc = fx.service(faulty);
@@ -315,6 +357,12 @@ TEST(CheckpointResume, KilledFleetResumesToBitIdenticalGraph) {
   EXPECT_EQ(resumed.crawl.stats.resumed_profiles, 80u);
   // The resumed clock starts where the killed fleet stopped.
   EXPECT_GT(resumed.makespan_days, first.makespan_days);
+  // Utilization is this run's busy time over this run's machine time.
+  double busy = 0.0;
+  for (const auto& m : resumed.machines) busy += m.busy_seconds;
+  const double run_seconds = resumed.makespan_days * 86'400.0 - clock_start;
+  EXPECT_DOUBLE_EQ(resumed.mean_utilization,
+                   busy / (run_seconds * static_cast<double>(config.machines)));
 }
 
 TEST(CheckpointResume, FleetAndCrawlerShareTheCheckpointFormat) {

@@ -222,16 +222,18 @@ TEST(Backoff, RetryHelpersAccountEveryAttempt) {
   config.faults = modest_faults();
   auto svc = fx.service(config);
   RetryPolicy policy;
-  RetryStats stats;
+  obs::CounterStore counts(std::size(kRetryCounters));
   for (NodeId id = 0; id < 100; ++id) {
-    const auto fetch = fetch_profile_with_retry(svc, policy, id, stats);
+    const auto fetch = fetch_profile_with_retry(svc, policy, id, counts);
     EXPECT_TRUE(fetch.status.ok());
   }
+  RetryStats stats;
+  counts.read_fields(kRetryCounters, stats);
   EXPECT_EQ(stats.attempts, svc.request_count());
   EXPECT_EQ(stats.retries, stats.attempts - 100);
   EXPECT_EQ(stats.transient + stats.rate_limited, stats.retries);
   EXPECT_GT(stats.retries, 0u);
-  EXPECT_GT(stats.backoff_ms, 0.0);
+  EXPECT_GT(stats.backoff_micros, 0u);
   EXPECT_EQ(stats.abandoned, 0u);
 }
 
@@ -243,33 +245,44 @@ TEST(Backoff, ExhaustedRetriesAbandonTheRequest) {
   auto svc = fx.service(config);
   RetryPolicy policy;
   policy.max_retries = 0;  // a single attempt per request
-  RetryStats stats;
+  obs::CounterStore counts(std::size(kRetryCounters));
   for (NodeId id = 0; id < 100; ++id) {
-    fetch_profile_with_retry(svc, policy, id, stats);
+    fetch_profile_with_retry(svc, policy, id, counts);
   }
+  RetryStats stats;
+  counts.read_fields(kRetryCounters, stats);
   EXPECT_GT(stats.abandoned, 0u);
   EXPECT_EQ(stats.retries, 0u);
 }
 
 TEST(FaultyCrawl, ConvergesToFaultFreeGraph) {
   Fixture fx;
-  auto clean = fx.service();
   CrawlConfig config;
   config.seed_node = 0;
-  const auto reference = run_bfs_crawl(clean, config);
+  // One page per list, and two-entry pages that paginate every list and
+  // expose each page to truncation.
+  for (std::uint32_t page_size : {1'000u, 2u}) {
+    service::ServiceConfig clean_config;
+    clean_config.page_size = page_size;
+    auto clean = fx.service(clean_config);
+    const auto reference = run_bfs_crawl(clean, config);
 
-  service::ServiceConfig faulty_config;
-  faulty_config.faults = modest_faults();
-  auto faulty = fx.service(faulty_config);
-  const auto crawl = run_bfs_crawl(faulty, config);
+    service::ServiceConfig faulty_config = clean_config;
+    faulty_config.faults = modest_faults();
+    auto faulty = fx.service(faulty_config);
+    const auto crawl = run_bfs_crawl(faulty, config);
 
-  expect_identical_crawl(reference, crawl);
-  EXPECT_GT(crawl.stats.retry.retries, 0u);
-  EXPECT_GT(crawl.stats.requests, reference.stats.requests);
-  EXPECT_EQ(crawl.stats.retry.abandoned, 0u);
-  EXPECT_EQ(crawl.stats.degraded_users, 0u);
-  // Backoff + slow responses stretch the simulated wall-clock.
-  EXPECT_GT(crawl.stats.simulated_hours, reference.stats.simulated_hours);
+    expect_identical_crawl(reference, crawl);
+    EXPECT_GT(crawl.stats.retry.retries, 0u);
+    EXPECT_GT(crawl.stats.requests, reference.stats.requests);
+    EXPECT_EQ(crawl.stats.retry.abandoned, 0u);
+    EXPECT_EQ(crawl.stats.degraded_users, 0u);
+    if (page_size == 2) {
+      EXPECT_GT(crawl.stats.retry.truncated, 0u);
+    }
+    // Backoff + slow responses stretch the simulated wall-clock.
+    EXPECT_GT(crawl.stats.simulated_hours, reference.stats.simulated_hours);
+  }
 }
 
 TEST(FaultyCrawl, FaultyCrawlIsItselfDeterministic) {
@@ -285,7 +298,7 @@ TEST(FaultyCrawl, FaultyCrawlIsItselfDeterministic) {
   expect_identical_crawl(ra, rb);
   EXPECT_EQ(ra.stats.requests, rb.stats.requests);
   EXPECT_EQ(ra.stats.retry.retries, rb.stats.retry.retries);
-  EXPECT_DOUBLE_EQ(ra.stats.retry.backoff_ms, rb.stats.retry.backoff_ms);
+  EXPECT_EQ(ra.stats.retry.backoff_micros, rb.stats.retry.backoff_micros);
   EXPECT_DOUBLE_EQ(ra.stats.simulated_hours, rb.stats.simulated_hours);
 }
 
@@ -333,8 +346,9 @@ TEST(FaultyFleet, ConvergesToFaultFreeGraphAndPaysInTime) {
   const auto fleet = run_crawl_fleet(faulty, config);
 
   expect_identical_crawl(reference.crawl, fleet.crawl);
-  EXPECT_EQ(fleet.profiles_crawled, reference.profiles_crawled);
-  EXPECT_GT(fleet.requests, reference.requests);
+  EXPECT_EQ(fleet.crawl.stats.profiles_crawled,
+            reference.crawl.stats.profiles_crawled);
+  EXPECT_GT(fleet.crawl.stats.requests, reference.crawl.stats.requests);
   EXPECT_GT(fleet.makespan_days, reference.makespan_days);
   EXPECT_LE(fleet.mean_utilization, 1.0 + 1e-9);
   double waiting = 0.0;
@@ -386,8 +400,8 @@ TEST(FaultySamplers, SamplersConvergeUnderFaults) {
 // --- Metrics registry mirroring -------------------------------------------
 
 TEST(ObsRegistry, CrawlDeltaMatchesRetryStatsExactly) {
-  // retry_loop mirrors every RetryStats increment into the global
-  // registry, so the delta across one crawl must agree field for field.
+  // The registry exports the crawl's own counter cells, so the delta
+  // across one crawl must agree field for field.
   Fixture fx;
   service::ServiceConfig config;
   config.faults = modest_faults();
@@ -417,12 +431,8 @@ TEST(ObsRegistry, CrawlDeltaMatchesRetryStatsExactly) {
   EXPECT_EQ(d.value("crawler.fault.truncated"),
             static_cast<std::int64_t>(retry.truncated));
 
-  // The registry accumulates llround-ed integer microseconds per delay;
-  // each rounding stays within half a microsecond of the double sum.
-  const double micros_ms =
-      static_cast<double>(d.value("crawler.backoff.micros")) / 1000.0;
-  EXPECT_NEAR(micros_ms, retry.backoff_ms,
-              1e-3 * static_cast<double>(retry.retries + 1));
+  EXPECT_EQ(d.value("crawler.backoff.micros"),
+            static_cast<std::int64_t>(retry.backoff_micros));
   // Every retried request recorded one delay sample in the histogram.
   EXPECT_EQ(d.value("crawler.backoff.delay_ms"),
             static_cast<std::int64_t>(retry.retries));

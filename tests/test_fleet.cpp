@@ -35,8 +35,8 @@ TEST(Fleet, CrawlsEverythingReachable) {
   auto svc = fx.service();
   FleetConfig config;
   const auto result = run_crawl_fleet(svc, config);
-  EXPECT_EQ(result.profiles_crawled, fx.graph.node_count());
-  EXPECT_EQ(result.requests, svc.request_count());
+  EXPECT_EQ(result.crawl.stats.profiles_crawled, fx.graph.node_count());
+  EXPECT_EQ(result.crawl.stats.requests, svc.request_count());
   EXPECT_GT(result.makespan_days, 0.0);
   EXPECT_EQ(result.machines.size(), 11u);
 }
@@ -47,7 +47,7 @@ TEST(Fleet, BudgetStopsEarly) {
   FleetConfig config;
   config.max_profiles = 50;
   const auto result = run_crawl_fleet(svc, config);
-  EXPECT_EQ(result.profiles_crawled, 50u);
+  EXPECT_EQ(result.crawl.stats.profiles_crawled, 50u);
 }
 
 TEST(Fleet, MoreMachinesShrinkMakespan) {
@@ -62,7 +62,7 @@ TEST(Fleet, MoreMachinesShrinkMakespan) {
   const auto fast = run_crawl_fleet(svc2, eleven);
   EXPECT_GT(slow.makespan_days, fast.makespan_days * 4.0);
   // Work conserved: same total requests either way.
-  EXPECT_EQ(slow.requests, fast.requests);
+  EXPECT_EQ(slow.crawl.stats.requests, fast.crawl.stats.requests);
 }
 
 TEST(Fleet, RateLimitDominatesMakespan) {
@@ -93,13 +93,10 @@ TEST(Fleet, UtilizationAndAccountingAreCoherent) {
     machine_requests += m.requests;
     EXPECT_GE(m.busy_seconds, 0.0);
   }
-  EXPECT_EQ(machine_requests, result.requests);
-  // Timeline is cumulative and ends at the total.
-  ASSERT_FALSE(result.profiles_by_day.empty());
-  for (std::size_t d = 1; d < result.profiles_by_day.size(); ++d) {
-    EXPECT_GE(result.profiles_by_day[d], result.profiles_by_day[d - 1]);
-  }
-  EXPECT_EQ(result.profiles_by_day.back(), result.profiles_crawled);
+  EXPECT_EQ(machine_requests, result.crawl.stats.requests);
+  // A fresh fleet's run time is its whole makespan.
+  EXPECT_DOUBLE_EQ(result.crawl.stats.simulated_hours * 3'600.0,
+                   result.makespan_days * 86'400.0);
 }
 
 TEST(Fleet, Validation) {
