@@ -3,9 +3,12 @@
 // Builds a snapshot of the standard seeded dataset, then drives the
 // batched query server with the seeded Zipf-over-in-degree client mixes
 // (§3.1's α≈1.3 celebrity skew) and reports throughput, p50/p95/p99
-// service latency, cache statistics and the response-stream checksum —
+// serving latency, cache statistics and the response-stream checksum —
 // the checksum is identical at every GPLUS_THREADS value, which is the
-// determinism contract this harness exists to demonstrate.
+// determinism contract this harness exists to demonstrate. Serving
+// latency is admission to response: each admitted request is timed from
+// its submit to the return of the drain that answered it, queue wait and
+// every drain phase included (the repo benchmark's lat_p50/lat_p99).
 //
 // `--shards K` additionally splits the snapshot into K vertex shards and
 // drives the same mixed workload through the sharded cluster router
@@ -22,9 +25,11 @@
 // `--smoke` shrinks the dataset and request counts for the CI bench gate,
 // which publishes the JSON report (default BENCH_serve.json, override
 // with GPLUS_BENCH_SERVE_JSON) and compares the throughput fields against
-// bench/floors.json. `--mix NAME` runs a single named mix leg instead of
-// the full sweep (point GPLUS_BENCH_SERVE_JSON elsewhere so the
-// restricted report doesn't shadow the full one's floored fields). Scale
+// bench/floors.json; it also carries p50_us_<leg> and p99_us_<leg> for
+// every leg run, cluster and faulty legs included. `--mix NAME` runs a
+// single named mix leg instead of the full sweep (point
+// GPLUS_BENCH_SERVE_JSON elsewhere so the restricted report doesn't
+// shadow the full one's floored fields). Scale
 // with GPLUS_SCALE / GPLUS_SEED; request count with GPLUS_REQUESTS. The
 // final section offers the queue past capacity and shows bounded,
 // explicit rejection.
@@ -33,6 +38,7 @@
 #include <fstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -47,10 +53,17 @@ namespace {
 using namespace gplus;
 
 struct MixResult {
-  const char* name = "";
+  std::string name;
   double qps = 0.0;
+  double p50_us = 0.0;
+  double p99_us = 0.0;
   std::uint64_t checksum = 0;
 };
+
+MixResult leg_result(std::string name, const serve::LoadReport& report) {
+  return {std::move(name), report.qps, report.p50_us, report.p99_us,
+          report.checksum};
+}
 
 MixResult run_mix(const serve::SnapshotView& view, const char* name,
                   const serve::WorkloadMix& mix, std::uint64_t requests) {
@@ -67,7 +80,7 @@ MixResult run_mix(const serve::SnapshotView& view, const char* name,
       100.0 * report.server.cache.hit_rate(),
       static_cast<unsigned long long>(report.rejected),
       static_cast<unsigned long long>(report.checksum));
-  return {name, report.qps, report.checksum};
+  return leg_result(name, report);
 }
 
 void overload_demo(const serve::SnapshotView& view) {
@@ -151,6 +164,9 @@ int main(int argc, char** argv) {
                               requests / 10));
   }
   const std::string cluster_leg = results[cluster_ref].name;
+  // Every leg run, cluster and faulty legs included: their latency
+  // percentiles all go into the JSON report.
+  std::vector<MixResult> timed = results;
 
   // Sharded cluster leg: the reference workload (mixed, or the --mix
   // selection) re-driven through the K-shard router. Answer-identical to
@@ -176,6 +192,7 @@ int main(int argc, char** argv) {
     workload.mix = serve::WorkloadMix::by_name(cluster_leg);
     workload.requests = leg_requests(cluster_leg);
     const auto report = serve::run_closed_loop(cluster, view, workload);
+    timed.push_back(leg_result("cluster_" + cluster_leg, report));
     qps_cluster = report.qps;
     checksum_cluster = report.checksum;
     const auto stats = cluster.stats_snapshot();
@@ -217,6 +234,7 @@ int main(int argc, char** argv) {
       faulty_config.transport.profile.reorder_rate = 0.05;
       serve::ClusterServer faulty(&sharded.routing, ptrs, faulty_config);
       const auto faulty_report = serve::run_closed_loop(faulty, view, workload);
+      timed.push_back(leg_result("faulty_" + cluster_leg, faulty_report));
       qps_faulty = faulty_report.qps;
       degraded_faulty = faulty_report.degraded;
       const auto& t = faulty.transport_stats();
@@ -256,6 +274,10 @@ int main(int argc, char** argv) {
         << "  \"shards\": " << shards << ",\n";
     for (const MixResult& r : results) {
       out << "  \"qps_" << r.name << "\": " << r.qps << ",\n";
+    }
+    for (const MixResult& r : timed) {
+      out << "  \"p50_us_" << r.name << "\": " << r.p50_us << ",\n"
+          << "  \"p99_us_" << r.name << "\": " << r.p99_us << ",\n";
     }
     out << "  \"qps_cluster_" << cluster_leg << "\": " << qps_cluster << ",\n";
     if (transport) {

@@ -69,6 +69,37 @@ void apply_threads_option(const ArgParser& parser) {
   core::set_thread_count(parser.get_u64("threads"));
 }
 
+// Declares --in/--nodes/--seed: the serving commands' snapshot source.
+void add_snapshot_source_options(ArgParser& parser) {
+  parser.add_option("in", "",
+                    "dataset or snapshot file (empty: generate "
+                    "--nodes/--seed in memory)");
+  parser.add_option("nodes", "100000", "users to generate when --in is empty");
+  parser.add_option("seed", "42", "dataset seed when --in is empty");
+}
+
+// The snapshot named by add_snapshot_source_options: generated in memory
+// when --in is empty, else --in loaded as a snapshot (the build-once path)
+// or snapshotted from a dataset. `sniff_snapshot_magic` recognizes every
+// snapshot version and is short-read safe: a file shorter than the magic
+// (let alone the 112-byte header) is simply "not a snapshot", and if it
+// then fails to parse as a dataset the loader's error names the real
+// problem instead of serving garbage. `command` prefixes the open error.
+serve::SnapshotBuffer load_snapshot_source(const ArgParser& parser,
+                                           std::string_view command) {
+  const std::string& in = parser.get("in");
+  if (in.empty()) {
+    return serve::build_snapshot(core::make_standard_dataset(
+        parser.get_u64("nodes"), parser.get_u64("seed")));
+  }
+  std::ifstream probe(in, std::ios::binary);
+  if (!probe.is_open()) {
+    throw std::runtime_error(std::string(command) + ": cannot open " + in);
+  }
+  if (serve::sniff_snapshot_magic(probe)) return serve::load_snapshot(in);
+  return serve::build_snapshot(core::load_dataset(in));
+}
+
 }  // namespace
 
 int cmd_generate(const std::vector<std::string>& args, std::ostream& out) {
@@ -347,11 +378,7 @@ int cmd_shard(const std::vector<std::string>& args, std::ostream& out) {
   ArgParser parser("gplus shard",
                    "split a snapshot into self-contained vertex shards plus "
                    "a routing table (DESIGN.md §13)");
-  parser.add_option("in", "",
-                    "dataset or snapshot file (empty: generate "
-                    "--nodes/--seed in memory)");
-  parser.add_option("nodes", "100000", "users to generate when --in is empty");
-  parser.add_option("seed", "42", "dataset seed when --in is empty");
+  add_snapshot_source_options(parser);
   parser.add_option("shards", "4", "shard count (1..256)");
   parser.add_option("policy", "stripe",
                     "ownership policy over the degree rank space: stripe "
@@ -363,21 +390,7 @@ int cmd_shard(const std::vector<std::string>& args, std::ostream& out) {
   if (!parse_or_usage(parser, args, out)) return 2;
   apply_threads_option(parser);
 
-  const serve::SnapshotBuffer snapshot = [&] {
-    const std::string& in = parser.get("in");
-    if (in.empty()) {
-      return serve::build_snapshot(core::make_standard_dataset(
-          parser.get_u64("nodes"), parser.get_u64("seed")));
-    }
-    std::ifstream probe(in, std::ios::binary);
-    if (!probe.is_open()) {
-      throw std::runtime_error("shard: cannot open " + in);
-    }
-    if (serve::sniff_snapshot_magic(probe)) {
-      return serve::load_snapshot(in);
-    }
-    return serve::build_snapshot(core::load_dataset(in));
-  }();
+  const serve::SnapshotBuffer snapshot = load_snapshot_source(parser, "shard");
   const serve::SnapshotView view(snapshot.bytes());
 
   serve::ShardingOptions options;
@@ -421,11 +434,7 @@ int cmd_shard(const std::vector<std::string>& args, std::ostream& out) {
 int cmd_serve_bench(const std::vector<std::string>& args, std::ostream& out) {
   ArgParser parser("gplus serve-bench",
                    "closed-loop load harness against the query server");
-  parser.add_option("in", "",
-                    "dataset or snapshot file (empty: generate "
-                    "--nodes/--seed in memory)");
-  parser.add_option("nodes", "100000", "users to generate when --in is empty");
-  parser.add_option("seed", "42", "dataset seed when --in is empty");
+  add_snapshot_source_options(parser);
   parser.add_option("requests", "1000000", "total requests to serve");
   parser.add_option("clients", "256", "closed-loop clients (1 in flight each)");
   parser.add_option("workload-seed", "1", "request-stream seed");
@@ -442,34 +451,14 @@ int cmd_serve_bench(const std::vector<std::string>& args, std::ostream& out) {
                     "serve through a K-shard cluster router instead of one "
                     "server (0 = unsharded; see DESIGN.md §13)");
   parser.add_option("replicas", "1", "replicas per shard when --shards > 0");
-  parser.add_flag("no-latency", "skip per-request latency measurement");
   parser.add_flag("metrics",
                   "append a JSON dump of the deterministic metrics registry");
   add_threads_option(parser);
   if (!parse_or_usage(parser, args, out)) return 2;
   apply_threads_option(parser);
 
-  // --in accepts either a snapshot (served as-is, the build-once path) or
-  // a dataset (snapshotted in memory first). `sniff_snapshot_magic`
-  // recognizes every snapshot version and is short-read safe: a file
-  // shorter than the magic (let alone the 112-byte header) is simply "not
-  // a snapshot", and if it then fails to parse as a dataset the loader's
-  // error names the real problem instead of serving garbage.
-  serve::SnapshotBuffer snapshot = [&] {
-    const std::string& in = parser.get("in");
-    if (in.empty()) {
-      return serve::build_snapshot(core::make_standard_dataset(
-          parser.get_u64("nodes"), parser.get_u64("seed")));
-    }
-    std::ifstream probe(in, std::ios::binary);
-    if (!probe.is_open()) {
-      throw std::runtime_error("serve-bench: cannot open " + in);
-    }
-    if (serve::sniff_snapshot_magic(probe)) {
-      return serve::load_snapshot(in);
-    }
-    return serve::build_snapshot(core::load_dataset(in));
-  }();
+  const serve::SnapshotBuffer snapshot =
+      load_snapshot_source(parser, "serve-bench");
   const serve::SnapshotView view(snapshot.bytes());
 
   serve::ServerConfig sconfig;
@@ -511,7 +500,6 @@ int cmd_serve_bench(const std::vector<std::string>& args, std::ostream& out) {
   wconfig.requests = parser.get_u64("requests");
   wconfig.zipf_exponent = parser.get_double("zipf");
   wconfig.mix = serve::WorkloadMix::by_name(parser.get("mix"));
-  wconfig.measure_latency = !parser.get_flag("no-latency");
   const auto report = cluster ? serve::run_closed_loop(*cluster, view, wconfig)
                               : serve::run_closed_loop(*server, wconfig);
 
@@ -526,11 +514,9 @@ int cmd_serve_bench(const std::vector<std::string>& args, std::ostream& out) {
   table.add_row({"Elapsed s", core::fmt_double(report.elapsed_s, 3)});
   table.add_row({"Throughput q/s", core::fmt_count(
                      static_cast<std::uint64_t>(report.qps))});
-  if (wconfig.measure_latency) {
-    table.add_row({"p50 us", core::fmt_double(report.p50_us, 2)});
-    table.add_row({"p95 us", core::fmt_double(report.p95_us, 2)});
-    table.add_row({"p99 us", core::fmt_double(report.p99_us, 2)});
-  }
+  table.add_row({"p50 us", core::fmt_double(report.p50_us, 2)});
+  table.add_row({"p95 us", core::fmt_double(report.p95_us, 2)});
+  table.add_row({"p99 us", core::fmt_double(report.p99_us, 2)});
   table.add_row({"Response MB", core::fmt_double(
                      static_cast<double>(report.response_bytes) / 1e6, 1)});
   table.add_row({"Deadline exceeded",
@@ -633,7 +619,6 @@ int cmd_metrics(const std::vector<std::string>& args, std::ostream& out) {
   serve::WorkloadConfig wconfig;
   wconfig.requests = parser.get_u64("requests");
   wconfig.clients = parser.get_u64("clients");
-  wconfig.measure_latency = false;
   (void)serve::run_closed_loop(server, wconfig);
 
   const auto snap = obs::MetricsRegistry::global().snapshot(

@@ -107,10 +107,16 @@ void FrontierState::expand(service::SocialService& service,
 
 void FrontierState::restore(const CrawlCheckpoint& checkpoint) {
   const std::size_t universe = new_id_.size();
+  // Every expansion advances the queue head and the profile count
+  // together, and counts its user as hidden-list, capped or neither.
   if (checkpoint.original_id.size() > universe ||
       checkpoint.crawled.size() != checkpoint.original_id.size() ||
       checkpoint.degraded.size() != checkpoint.original_id.size() ||
-      checkpoint.queue_head > checkpoint.original_id.size()) {
+      checkpoint.queue_head > checkpoint.original_id.size() ||
+      checkpoint.profiles_crawled != checkpoint.queue_head ||
+      checkpoint.hidden_list_users > checkpoint.profiles_crawled ||
+      checkpoint.capped_users >
+          checkpoint.profiles_crawled - checkpoint.hidden_list_users) {
     throw std::runtime_error("checkpoint: inconsistent with this service");
   }
   original_id_ = checkpoint.original_id;

@@ -1,7 +1,6 @@
 #include "serve/cluster.h"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 #include <string>
 
@@ -14,13 +13,6 @@
 namespace gplus::serve {
 
 namespace {
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 // Every scalar ClusterStats count, once, and its name under
 // "serve.cluster.". The per-status cells follow the table in the store and
@@ -86,7 +78,6 @@ ClusterServer::ClusterServer(const RoutingTable* routing,
   }
   up_.assign(count, 1);
   replica_responses_.resize(count);
-  replica_latency_.resize(count);
   replica_reversed_.assign(count, 0);
 
   dark_.assign(views_.size(), 0);
@@ -309,11 +300,9 @@ ServeStatus ClusterServer::submit(const Request& request, bool inject_fault) {
   return ServeStatus::kOk;
 }
 
-void ClusterServer::drain(std::vector<Response>& responses,
-                          std::vector<std::uint64_t>* latency_ns) {
+void ClusterServer::drain(std::vector<Response>& responses) {
   const std::size_t batch = pending_.size();
   responses.resize(batch);
-  if (latency_ns != nullptr) latency_ns->assign(batch, 0);
   if (batch == 0) {
     // Breaker cooldowns advance per drain tick even when idle — an open
     // breaker must eventually half-open with no traffic behind it.
@@ -341,18 +330,12 @@ void ClusterServer::drain(std::vector<Response>& responses,
       const std::size_t idx = replica_index(s, r);
       replica_reversed_[idx] = 0;
       if (replicas_[idx].queued() == 0) continue;
-      replicas_[idx].drain(replica_responses_[idx],
-                           latency_ns != nullptr ? &replica_latency_[idx]
-                                                 : nullptr);
+      replicas_[idx].drain(replica_responses_[idx]);
       if (transport_.enabled() &&
           transport_.reorder_batch(s, r, replica_responses_[idx].size())) {
         replica_reversed_[idx] = 1;
         std::reverse(replica_responses_[idx].begin(),
                      replica_responses_[idx].end());
-        if (latency_ns != nullptr) {
-          std::reverse(replica_latency_[idx].begin(),
-                       replica_latency_[idx].end());
-        }
       }
     }
   }
@@ -370,12 +353,8 @@ void ClusterServer::drain(std::vector<Response>& responses,
         for (std::size_t j = begin; j < end; ++j) {
           const std::uint32_t i = scatter_slots_[j];
           scatter_rpcs_[j].clear();
-          const std::uint64_t start = latency_ns != nullptr ? now_ns() : 0;
           execute_scatter(pending_[i].request, pending_[i].seq, responses[i],
                           scatter_messages_[j], scatter_rpcs_[j]);
-          if (latency_ns != nullptr) {
-            (*latency_ns)[i] = now_ns() - start;
-          }
         }
       });
 
@@ -394,9 +373,6 @@ void ClusterServer::drain(std::vector<Response>& responses,
                 ? replica_responses_[idx].size() - 1 - slot.local
                 : slot.local;
         resp = std::move(replica_responses_[idx][local]);
-        if (latency_ns != nullptr) {
-          (*latency_ns)[i] = replica_latency_[idx][local];
-        }
         break;
       }
       case Route::kScatter:

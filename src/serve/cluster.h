@@ -103,10 +103,9 @@ class ClusterServer {
 
   /// Serves everything admitted since the last drain; `responses[i]`
   /// answers the i-th accepted request. One terminal status per request,
-  /// bit-identical at any GPLUS_THREADS. `latency_ns` mirrors
-  /// QueryServer::drain (wall-clock, not deterministic).
-  void drain(std::vector<Response>& responses,
-             std::vector<std::uint64_t>* latency_ns = nullptr);
+  /// bit-identical at any GPLUS_THREADS. Reads no clock; serving latency
+  /// is timed by the caller, as in QueryServer::drain.
+  void drain(std::vector<Response>& responses);
 
   /// Replica lifecycle (coordinator-side chaos hooks). Only legal between
   /// drains — queued() == 0 — so no admitted request straddles a kill.
@@ -220,7 +219,6 @@ class ClusterServer {
   std::uint64_t transport_seq_ = 0;
   // Drain scratch, reused across batches.
   std::vector<std::vector<Response>> replica_responses_;
-  std::vector<std::vector<std::uint64_t>> replica_latency_;
   std::vector<std::uint8_t> replica_reversed_;  // batch delivered reversed
   std::vector<std::uint8_t> dark_;              // per shard, at drain start
   std::vector<std::uint64_t> scatter_messages_;

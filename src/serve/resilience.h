@@ -3,13 +3,12 @@
 //
 // Three pieces (DESIGN.md §10):
 //
-//   SnapshotManager — owns snapshot *generations* (buffer + view) behind
-//   an epoch/refcount scheme. Exactly one generation is active at a time;
-//   the previous one is retained for rollback, and RAII `Pin`s keep any
-//   generation alive across swaps (the server pins whatever it serves
-//   from). All operations run on the coordinator thread between drains,
-//   so the counters are plain integers — the safety the refcount buys is
-//   lifetime (no view freed while pinned), not concurrency.
+//   SnapshotManager — owns at most two committed snapshot *generations*
+//   (buffer + view + epoch): the active one and the previous one, kept
+//   for rollback. Only candidates that passed validation and the canary
+//   are ever committed. All operations run on the coordinator thread
+//   between drains, and the server rebinds before the manager drops the
+//   generation it serves from, so no view is freed while in use.
 //
 //   ChaosSchedule — the serve-path sibling of the PR 2 crawler fault
 //   schedule: every injected misfortune (engine fault, per-request
@@ -20,9 +19,10 @@
 //   ResilientServer — composes a QueryServer with both: submit rolls the
 //   chaos schedule (slowdowns become tight virtual-cost deadlines, faults
 //   become terminal kFaultInjected marks), install() runs the full
-//   validate → swap → canary → commit-or-rollback protocol, kill_active()
-//   drops to degraded stale-cache serving, rollback() restores the
-//   previous generation.
+//   validate → canary → commit protocol (a candidate that fails either
+//   check is never committed: epoch, rollback target and cache stay as
+//   they were), kill_active() drops to degraded stale-cache serving,
+//   rollback() restores the previous generation.
 //
 // The storm harnesses that drive this stack and check its invariants live
 // outside the serving library, in bench/storm/storm.h.
@@ -38,55 +38,25 @@
 
 namespace gplus::serve {
 
-/// Owns snapshot generations; at most one is active. Coordinator-thread
-/// only (same discipline as QueryServer submit/drain).
+/// Owns the committed snapshot generations: the active one (if any) and
+/// the rollback target (if any). Coordinator-thread only (same discipline
+/// as QueryServer submit/drain).
 class SnapshotManager {
-  struct Generation;
-
  public:
-  /// RAII refcount on one generation: while any Pin is held the
-  /// generation's buffer and view stay alive, even after it stops being
-  /// active or rollback-eligible.
-  class Pin {
-   public:
-    Pin() = default;
-    ~Pin() { release(); }
-    Pin(Pin&& other) noexcept : gen_(other.gen_) { other.gen_ = nullptr; }
-    Pin& operator=(Pin&& other) noexcept {
-      if (this != &other) {
-        release();
-        gen_ = other.gen_;
-        other.gen_ = nullptr;
-      }
-      return *this;
-    }
-    Pin(const Pin&) = delete;
-    Pin& operator=(const Pin&) = delete;
-
-    const SnapshotView* view() const noexcept;
-    std::uint64_t epoch() const noexcept;
-    explicit operator bool() const noexcept { return gen_ != nullptr; }
-    void release() noexcept;
-
-   private:
-    friend class SnapshotManager;
-    explicit Pin(Generation* gen) noexcept;
-    Generation* gen_ = nullptr;
-  };
-
   SnapshotManager() = default;
   SnapshotManager(const SnapshotManager&) = delete;
   SnapshotManager& operator=(const SnapshotManager&) = delete;
 
   /// Deep candidate validation: opens a view (header checksum, bounds)
-  /// and, on v2, recomputes every section digest. Returns the defect
-  /// message, or "" when the candidate is sound. Static — validation
-  /// never touches live state.
+  /// and recomputes every section digest. Returns the defect message, or
+  /// "" when the candidate is sound. Static — validation never touches
+  /// live state.
   static std::string validate(const SnapshotBuffer& candidate);
 
-  /// Adopts `candidate` as the new active generation (no validation —
-  /// callers validate first) and returns its epoch. The old active
-  /// generation becomes the rollback target.
+  /// Commits `candidate` as the new active generation (no checks —
+  /// callers validate and canary first) and returns its epoch. The old
+  /// active generation becomes the rollback target; the old rollback
+  /// target is freed.
   std::uint64_t install(SnapshotBuffer candidate);
 
   /// Drops the active generation (keeping it as the rollback target):
@@ -94,38 +64,29 @@ class SnapshotManager {
   void kill_active();
 
   /// Restores the previous generation as active. False when there is
-  /// nothing to roll back to; the rolled-away generation is discarded.
+  /// nothing to roll back to; the rolled-away generation is freed.
   bool rollback();
 
   /// Active view (nullptr while degraded) and its epoch (0 while
-  /// degraded). Epochs are assigned 1, 2, ... per install, never reused.
-  const SnapshotView* active() const noexcept;
-  std::uint64_t epoch() const noexcept;
+  /// degraded). Epochs are assigned 1, 2, ... per commit, never reused.
+  const SnapshotView* active() const noexcept {
+    return active_ != nullptr ? active_->view.get() : nullptr;
+  }
+  std::uint64_t epoch() const noexcept {
+    return active_ != nullptr ? active_->epoch : 0;
+  }
   bool degraded() const noexcept { return active_ == nullptr; }
   bool can_rollback() const noexcept { return previous_ != nullptr; }
-
-  /// Pins the active generation (empty Pin while degraded).
-  Pin pin_active() noexcept;
-
-  /// Generations still held (active + previous + anything pinned).
-  std::size_t generation_count() const noexcept { return generations_.size(); }
-
-  /// Frees every generation that is neither active, nor the rollback
-  /// target, nor pinned. Called after each state transition; callers that
-  /// just released a Pin may call it again to collect what the pin held.
-  void reap();
 
  private:
   struct Generation {
     SnapshotBuffer buffer;
     std::unique_ptr<SnapshotView> view;
     std::uint64_t epoch = 0;
-    std::uint32_t refs = 0;
   };
 
-  std::vector<std::unique_ptr<Generation>> generations_;
-  Generation* active_ = nullptr;
-  Generation* previous_ = nullptr;
+  std::unique_ptr<Generation> active_;
+  std::unique_ptr<Generation> previous_;
   std::uint64_t next_epoch_ = 1;
 };
 
@@ -181,7 +142,7 @@ class ChaosSchedule {
 /// What one install attempt did.
 struct InstallReport {
   bool installed = false;    // candidate is now active
-  bool rolled_back = false;  // candidate was swapped in, then backed out
+  bool rolled_back = false;  // candidate failed its canary; nothing changed
   std::uint64_t epoch = 0;   // active epoch after the call (0 = degraded)
   std::string error;         // "" on clean install
 };
@@ -201,14 +162,15 @@ class ResilientServer {
   /// Drains every queued request, then rolls next round's queue pressure.
   void drain(std::vector<Response>& responses);
 
-  /// Full hot-swap protocol: validate `candidate` deeply; swap it in
-  /// between drains (requires queued() == 0); run canary queries against
-  /// the new engine; commit — or roll back to the pre-install generation
-  /// when validation or the canary fails. The result cache is cleared
-  /// exactly when the active epoch changes to one it was not filled
-  /// under, so stale-by-swap entries can never leak. `force_canary_
-  /// failure` makes the canary fail unconditionally (chaos/rollback
-  /// drills).
+  /// Full hot-swap protocol, between drains (requires queued() == 0):
+  /// validate `candidate` deeply; run canary queries against an engine
+  /// over it; only then commit it to the manager and rebind the server.
+  /// A candidate that fails validation or the canary is never committed:
+  /// the server keeps serving the manager's active generation (or stays
+  /// degraded), and the epoch, the rollback target and the result cache
+  /// are untouched. A commit clears the cache, so stale-by-swap entries
+  /// can never leak. `force_canary_failure` makes the canary fail
+  /// unconditionally (chaos/rollback drills).
   InstallReport install(SnapshotBuffer candidate,
                         bool force_canary_failure = false);
 
@@ -231,25 +193,15 @@ class ResilientServer {
   ServerStats stats_snapshot() const { return server_.stats_snapshot(); }
 
  private:
-  /// Self-consistency canary over the freshly bound engine: profile
-  /// echoes the probed id, Degree agrees with the profile's degree
-  /// fields, circle pages are well-formed, TopK is sorted. Returns the
-  /// first inconsistency, or "".
-  std::string run_canary(bool force_failure) const;
-
-  /// Rebinds the server to the manager's active generation and re-pins it.
-  void bind_active();
-
   /// Clears the result cache when the active epoch is not the one the
-  /// cache was filled under. Called only at *committed* transitions, so a
-  /// rolled-back install never wipes still-valid entries.
+  /// cache was filled under. Called only at committed transitions, so a
+  /// failed install never wipes still-valid entries.
   void sync_cache_epoch();
 
   ServerConfig config_;
   ChaosSchedule chaos_;
   SnapshotManager manager_;
   QueryServer server_;
-  SnapshotManager::Pin serving_pin_;
   std::uint64_t submit_seq_ = 0;
   std::uint64_t drain_tick_ = 0;
   /// Epoch whose answers fill the result cache (0 = empty/neutral).

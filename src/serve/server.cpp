@@ -1,7 +1,6 @@
 #include "serve/server.h"
 
 #include <algorithm>
-#include <chrono>
 #include <string>
 
 #include "core/parallel.h"
@@ -35,13 +34,6 @@ constexpr std::size_t kAdmittedCell = kPerTypeCell + kRequestTypeCount;
 constexpr std::size_t kRejectedCell = kAdmittedCell + kPriorityCount;
 constexpr std::size_t kShedCell = kRejectedCell + kPriorityCount;
 constexpr std::size_t kCellCount = kShedCell + kPriorityCount;
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 }  // namespace
 
@@ -129,11 +121,9 @@ void QueryServer::rebind(const SnapshotView* snapshot) {
   engine_.emplace(snapshot, config_.engine);
 }
 
-void QueryServer::drain(std::vector<Response>& responses,
-                        std::vector<std::uint64_t>* latency_ns) {
+void QueryServer::drain(std::vector<Response>& responses) {
   const std::size_t batch = queue_.size();
   responses.resize(batch);
-  if (latency_ns != nullptr) latency_ns->assign(batch, 0);
   if (batch == 0) return;
 
   queue_depth_->set(static_cast<std::int64_t>(batch));
@@ -166,11 +156,9 @@ void QueryServer::drain(std::vector<Response>& responses,
       continue;
     }
     if (cacheable(p.request.type)) {
-      const std::uint64_t start = latency_ns != nullptr ? now_ns() : 0;
       if (cache_.lookup(request_key(p.request), r.payload, degraded)) {
         r.status = degraded ? ServeStatus::kStaleCache : ServeStatus::kOk;
         if (degraded) counts_.add(kCell<&ServerStats::stale_served>);
-        if (latency_ns != nullptr) (*latency_ns)[i] = now_ns() - start;
         continue;
       }
     }
@@ -189,9 +177,7 @@ void QueryServer::drain(std::vector<Response>& responses,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t j = begin; j < end; ++j) {
           const std::uint32_t i = miss_index_[j];
-          const std::uint64_t start = latency_ns != nullptr ? now_ns() : 0;
           engine_->execute(queue_[i].request, responses[i]);
-          if (latency_ns != nullptr) (*latency_ns)[i] = now_ns() - start;
         }
       });
 

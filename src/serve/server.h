@@ -124,12 +124,13 @@ class QueryServer {
 
   /// Serves every queued request; `responses[i]` answers the i-th accepted
   /// request since the last drain. Response objects are reused across
-  /// drains (capacity kept) for allocation-free steady state. When
-  /// `latency_ns` is non-null it receives one per-request service time
-  /// (cache probe for hits, engine execution for misses; excludes queueing
-  /// — wall-clock, NOT deterministic, unlike the payloads).
-  void drain(std::vector<Response>& responses,
-             std::vector<std::uint64_t>* latency_ns = nullptr);
+  /// drains (capacity kept) for allocation-free steady state. The drain
+  /// reads no clock: its output depends only on the submitted requests and
+  /// the snapshot. Serving latency is measured by the caller, from the
+  /// submit() that admitted a request to the return of the drain() that
+  /// answered it (queue wait and every drain phase included) — the one
+  /// definition run_closed_loop and the repo benchmark use.
+  void drain(std::vector<Response>& responses);
 
   /// Coherent one-call copy of the lifetime counters, cache statistics
   /// included. Submit/drain/stats_snapshot are coordinator-thread

@@ -185,25 +185,40 @@ LoadReport closed_loop_impl(ServerT& server, const SnapshotView& snapshot,
 
   LoadReport report;
   std::vector<Response> responses;
-  std::vector<std::uint64_t> batch_latency;
+  // Serving latency, per admitted request: from the clock read just
+  // before the submit() that admitted it to the return of the drain()
+  // that answered it — queue wait and every drain phase included.
+  using Clock = std::chrono::steady_clock;
+  std::vector<Clock::time_point> admitted_at;
+  admitted_at.reserve(clients.size());
   std::vector<std::uint64_t> latencies;
-  if (config.measure_latency) latencies.reserve(config.requests);
+  latencies.reserve(config.requests);
   std::uint64_t checksum = 0xcbf29ce484222325ULL;
 
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = Clock::now();
   while (report.served < config.requests) {
     // Submit phase: every client offers one request (a rejected client
     // re-offers the same one — closed loop, bounded in-flight).
+    admitted_at.clear();
     for (auto& client : clients) {
       if (!client.retrying) client.in_flight = next_request(client);
+      const auto submitted = Clock::now();
       if (server.submit(client.in_flight) == ServeStatus::kRejected) {
         client.retrying = true;
         ++report.rejected;
       } else {
         client.retrying = false;
+        admitted_at.push_back(submitted);
       }
     }
-    server.drain(responses, config.measure_latency ? &batch_latency : nullptr);
+    server.drain(responses);
+    const auto answered = Clock::now();
+    for (const auto submitted : admitted_at) {
+      latencies.push_back(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(answered -
+                                                               submitted)
+              .count()));
+    }
     for (const Response& r : responses) {
       checksum ^= static_cast<std::uint8_t>(r.status);
       checksum *= 0x100000001b3ULL;
@@ -214,25 +229,19 @@ LoadReport closed_loop_impl(ServerT& server, const SnapshotView& snapshot,
         ++report.degraded;
       }
     }
-    if (config.measure_latency) {
-      latencies.insert(latencies.end(), batch_latency.begin(),
-                       batch_latency.end());
-    }
     report.served += responses.size();
   }
-  const auto elapsed = std::chrono::steady_clock::now() - start;
+  const auto elapsed = Clock::now() - start;
 
   report.elapsed_s =
       std::chrono::duration_cast<std::chrono::duration<double>>(elapsed).count();
   report.qps = report.elapsed_s > 0.0
                    ? static_cast<double>(report.served) / report.elapsed_s
                    : 0.0;
-  if (config.measure_latency && !latencies.empty()) {
-    std::sort(latencies.begin(), latencies.end());
-    report.p50_us = percentile_us(latencies, 0.50);
-    report.p95_us = percentile_us(latencies, 0.95);
-    report.p99_us = percentile_us(latencies, 0.99);
-  }
+  std::sort(latencies.begin(), latencies.end());
+  report.p50_us = percentile_us(latencies, 0.50);
+  report.p95_us = percentile_us(latencies, 0.95);
+  report.p99_us = percentile_us(latencies, 0.99);
   report.checksum = checksum;
   report.server = final_server_stats(server);
   return report;

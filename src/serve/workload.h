@@ -13,7 +13,8 @@
 // (status + payload) into an FNV-1a checksum in request order. The same
 // seed therefore yields a byte-identical response stream — and the same
 // final cache/counter state — at any GPLUS_THREADS value; only the timing
-// numbers (throughput, latency percentiles) vary with the machine.
+// numbers (throughput, latency percentiles) vary with the machine. The
+// harness reads the clock; the servers' drains never do.
 #pragma once
 
 #include <array>
@@ -57,8 +58,6 @@ struct WorkloadConfig {
   /// Zipf exponent over the in-degree ranking (paper α≈1.3).
   double zipf_exponent = 1.3;
   WorkloadMix mix = WorkloadMix::degree_profile();
-  /// Record per-request service latency (small per-request overhead).
-  bool measure_latency = true;
 };
 
 /// What one closed-loop run produced.
@@ -67,7 +66,10 @@ struct LoadReport {
   std::uint64_t rejected = 0;
   double elapsed_s = 0.0;
   double qps = 0.0;
-  /// Service-time percentiles, microseconds (0 when latency off).
+  /// Serving-latency percentiles, microseconds. Each admitted request is
+  /// timed from the submit() that admitted it to the return of the drain()
+  /// that answered it: queue wait and every drain phase included. This is
+  /// the quantity the repo benchmark reports as lat_p50_ms/lat_p99_ms.
   double p50_us = 0.0;
   double p95_us = 0.0;
   double p99_us = 0.0;

@@ -327,6 +327,42 @@ TEST(CheckpointResume, CheckpointFromDifferentServiceIsRejected) {
   EXPECT_THROW(run_bfs_crawl(svc, config), std::runtime_error);
 }
 
+TEST(CheckpointResume, CountsInconsistentWithFrontierAreRejected) {
+  // Every expansion bumps the queue head and the profile count together
+  // and counts its user as hidden-list or capped at most once; a
+  // checkpoint breaking either rule is rejected, not resumed into a
+  // wrapped boundary count.
+  Fixture fx;
+  const auto path = scratch_file("inconsistent.ckpt");
+  CrawlConfig config;
+  config.seed_node = 0;
+  config.checkpoint.path = path;
+  const auto expect_rejected = [&](const CrawlCheckpoint& cp) {
+    save_checkpoint(cp, path);
+    auto svc = fx.service();
+    try {
+      run_bfs_crawl(svc, config);
+      ADD_FAILURE() << "resumed an inconsistent checkpoint";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "checkpoint: inconsistent with this service");
+    }
+  };
+  CrawlCheckpoint cp;
+  cp.original_id = {0};
+  cp.crawled = {0};
+  cp.degraded = {0};
+  cp.queue_head = 0;
+  cp.profiles_crawled = 5;
+  expect_rejected(cp);
+
+  cp.crawled = {1};
+  cp.queue_head = 1;
+  cp.profiles_crawled = 1;
+  cp.hidden_list_users = 1;
+  cp.capped_users = 1;
+  expect_rejected(cp);
+}
+
 TEST(CheckpointResume, KilledFleetResumesToBitIdenticalGraph) {
   Fixture fx;
   auto reference_svc = fx.service();

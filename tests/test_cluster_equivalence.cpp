@@ -210,7 +210,6 @@ ClusterRun run_cluster_workload(std::size_t shards,
   workload.seed = 99;
   workload.clients = 64;
   workload.requests = requests;
-  workload.measure_latency = false;
   ClusterRun run;
   run.report = run_closed_loop(cluster, full_view(), workload);
   run.stats = cluster.stats_snapshot();
@@ -229,7 +228,6 @@ TEST(ClusterEquivalence, WorkloadChecksumMatchesUnshardedServer) {
     workload.seed = 99;
     workload.clients = 64;
     workload.requests = 20'000;
-    workload.measure_latency = false;
     const auto want = run_closed_loop(server, workload);
     const auto got = run_cluster_workload(4, mix, 20'000);
     EXPECT_EQ(want.checksum, got.report.checksum) << name;

@@ -334,13 +334,28 @@ TEST_F(QueryServerTest, DrainAnswersInSubmissionOrder) {
     ASSERT_EQ(server.submit({RequestType::kDegree, u}), ServeStatus::kOk);
   }
   std::vector<Response> responses;
-  std::vector<std::uint64_t> latency;
-  server.drain(responses, &latency);
+  server.drain(responses);
   ASSERT_EQ(responses.size(), 50u);
-  ASSERT_EQ(latency.size(), 50u);
   for (graph::NodeId u = 0; u < 50; ++u) {
     EXPECT_EQ(get_u64(responses[u].payload, 0), g.in_degree(u)) << u;
   }
+}
+
+TEST_F(QueryServerTest, ClosedLoopTimesAdmissionToResponse) {
+  // Every run is timed, with no option set: each admitted request from its
+  // submit to the return of the drain that answered it, so no request can
+  // take longer than the whole run.
+  QueryServer server(&view());
+  WorkloadConfig workload;
+  workload.clients = 16;
+  workload.requests = 2000;
+  workload.mix = WorkloadMix::mixed();
+  const LoadReport report = run_closed_loop(server, workload);
+  EXPECT_EQ(report.served, 2000u);
+  EXPECT_GT(report.p50_us, 0.0);
+  EXPECT_LE(report.p50_us, report.p95_us);
+  EXPECT_LE(report.p95_us, report.p99_us);
+  EXPECT_LE(report.p99_us, report.elapsed_s * 1e6);
 }
 
 TEST_F(QueryServerTest, CacheServesRepeatedProfiles) {

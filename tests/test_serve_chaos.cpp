@@ -293,38 +293,17 @@ TEST(SnapshotManagerTest, InstallKillRollbackLifecycle) {
 
   const std::uint64_t e2 = manager.install(SnapshotBuffer(snapshot_b()));
   EXPECT_EQ(e2, 2u);
-  EXPECT_EQ(manager.generation_count(), 2u);  // active + rollback target
+  EXPECT_TRUE(manager.can_rollback());
 
   ASSERT_TRUE(manager.rollback());
   EXPECT_EQ(manager.epoch(), e1);
   EXPECT_FALSE(manager.can_rollback());  // the rolled-away gen is gone
-  EXPECT_EQ(manager.generation_count(), 1u);
 
   manager.kill_active();
   EXPECT_TRUE(manager.degraded());
   EXPECT_EQ(manager.epoch(), 0u);
   ASSERT_TRUE(manager.rollback());  // kill keeps the rollback target
   EXPECT_EQ(manager.epoch(), e1);
-}
-
-TEST(SnapshotManagerTest, PinKeepsGenerationAliveAcrossSwaps) {
-  SnapshotManager manager;
-  manager.install(SnapshotBuffer(snapshot_a()));
-  SnapshotManager::Pin pin = manager.pin_active();
-  ASSERT_TRUE(pin);
-  const std::size_t pinned_nodes = pin.view()->node_count();
-
-  // Two installs push the pinned generation out of active AND rollback
-  // slots; the pin must keep its bytes readable.
-  manager.install(SnapshotBuffer(snapshot_b()));
-  manager.install(SnapshotBuffer(snapshot_b()));
-  EXPECT_EQ(manager.generation_count(), 3u);  // active + previous + pinned
-  EXPECT_EQ(pin.view()->node_count(), pinned_nodes);
-  EXPECT_EQ(pin.view()->out_degree(0), view_a().out_degree(0));
-
-  pin.release();
-  manager.reap();
-  EXPECT_EQ(manager.generation_count(), 2u);
 }
 
 TEST(SnapshotManagerTest, ValidateCatchesCorruptCandidates) {
@@ -411,7 +390,7 @@ TEST(HotSwapTest, InstallValidatesSwapsAndRollsBack) {
   EXPECT_FALSE(resilient.degraded());
   const std::uint64_t epoch_a = ok.epoch;
 
-  // Canary failure (forced): swapped in, canaried, backed out — the old
+  // Canary failure (forced): canaried, never committed — the old
   // generation keeps serving.
   const InstallReport doomed =
       resilient.install(SnapshotBuffer(snapshot_b()),
@@ -428,6 +407,67 @@ TEST(HotSwapTest, InstallValidatesSwapsAndRollsBack) {
   const InstallReport swapped = resilient.install(SnapshotBuffer(snapshot_b()));
   EXPECT_TRUE(swapped.installed);
   EXPECT_GT(swapped.epoch, epoch_a);
+}
+
+TEST(HotSwapTest, FailedCanaryWithoutRollbackTargetCommitsNothing) {
+  Request degree;
+  degree.type = RequestType::kDegree;
+  degree.user = 5;
+  std::vector<Response> responses;
+
+  // Fresh server, nothing to roll back to: it stays degraded at epoch 0.
+  ResilientServer fresh;
+  const InstallReport first =
+      fresh.install(SnapshotBuffer(snapshot_b()),
+                    /*force_canary_failure=*/true);
+  EXPECT_FALSE(first.installed);
+  EXPECT_TRUE(first.rolled_back);
+  EXPECT_EQ(first.epoch, 0u);
+  EXPECT_EQ(fresh.epoch(), 0u);
+  EXPECT_TRUE(fresh.degraded());
+  EXPECT_FALSE(fresh.manager().can_rollback());
+  ASSERT_EQ(fresh.submit(degree), ServeStatus::kOk);
+  fresh.drain(responses);
+  EXPECT_EQ(responses[0].status, ServeStatus::kUnavailable);
+
+  // Killed active generation: the failed install keeps it as the rollback
+  // target, keeps the stale cache and never serves the candidate.
+  ResilientServer resilient;
+  ASSERT_TRUE(resilient.install(SnapshotBuffer(snapshot_a())).installed);
+  Request profile;
+  profile.type = RequestType::kGetProfile;
+  profile.user = 11;
+  ASSERT_EQ(resilient.submit(profile), ServeStatus::kOk);
+  resilient.drain(responses);
+  const std::vector<std::uint8_t> cached = responses[0].payload;
+  resilient.kill_active();
+
+  const InstallReport doomed =
+      resilient.install(SnapshotBuffer(snapshot_b()),
+                        /*force_canary_failure=*/true);
+  EXPECT_FALSE(doomed.installed);
+  EXPECT_TRUE(doomed.rolled_back);
+  EXPECT_EQ(doomed.epoch, 0u);
+  EXPECT_EQ(resilient.epoch(), 0u);
+  EXPECT_TRUE(resilient.degraded());
+  ASSERT_EQ(resilient.submit(degree), ServeStatus::kOk);
+  ASSERT_EQ(resilient.submit(profile), ServeStatus::kOk);
+  resilient.drain(responses);
+  EXPECT_EQ(responses[0].status, ServeStatus::kUnavailable);
+  EXPECT_EQ(responses[1].status, ServeStatus::kStaleCache);
+  EXPECT_EQ(responses[1].payload, cached);
+
+  // Rollback still restores the killed generation, and a failed install
+  // consumed no epoch.
+  ASSERT_TRUE(resilient.rollback());
+  EXPECT_EQ(resilient.epoch(), 1u);
+  ASSERT_EQ(resilient.submit(degree), ServeStatus::kOk);
+  resilient.drain(responses);
+  Response want;
+  RequestEngine(&view_a()).execute(degree, want);
+  EXPECT_EQ(responses[0].status, ServeStatus::kOk);
+  EXPECT_EQ(responses[0].payload, want.payload);
+  EXPECT_EQ(resilient.install(SnapshotBuffer(snapshot_b())).epoch, 2u);
 }
 
 TEST(HotSwapTest, FailedCanaryKeepsCacheCommittedSwapClearsIt) {

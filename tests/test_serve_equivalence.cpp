@@ -47,7 +47,6 @@ RunResult run_workload(const WorkloadMix& mix, std::size_t queue_capacity,
   workload.seed = 99;
   workload.clients = 64;
   workload.requests = requests;
-  workload.measure_latency = false;
   RunResult result;
   result.report = run_closed_loop(server, workload);
   return result;

@@ -381,7 +381,6 @@ TEST_F(SuggestStandard, WorkloadChecksumLaneInvariant) {
     workload.seed = 5;
     workload.clients = 32;
     workload.requests = 5'000;
-    workload.measure_latency = false;
     return run_closed_loop(server, workload);
   };
   core::set_thread_count(1);
