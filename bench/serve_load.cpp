@@ -279,16 +279,21 @@ int main(int argc, char** argv) {
       out << "  \"p50_us_" << r.name << "\": " << r.p50_us << ",\n"
           << "  \"p99_us_" << r.name << "\": " << r.p99_us << ",\n";
     }
-    out << "  \"qps_cluster_" << cluster_leg << "\": " << qps_cluster << ",\n";
+    // Cluster fields only when a cluster leg ran: a 0 q/s would read as a
+    // collapse to a floor on that name.
+    if (shards > 0) {
+      out << "  \"qps_cluster_" << cluster_leg << "\": " << qps_cluster
+          << ",\n"
+          << "  \"checksum_cluster_" << cluster_leg << "\": \"" << std::hex
+          << checksum_cluster << std::dec << "\",\n";
+    }
     if (transport) {
       out << "  \"qps_faulty_" << cluster_leg << "\": " << qps_faulty << ",\n"
           << "  \"degraded_faulty_" << cluster_leg << "\": " << degraded_faulty
           << ",\n";
     }
     out << "  \"checksum_" << cluster_leg << "\": \"" << std::hex
-        << results[cluster_ref].checksum << std::dec << "\",\n"
-        << "  \"checksum_cluster_" << cluster_leg << "\": \"" << std::hex
-        << checksum_cluster << std::dec << "\"\n"
+        << results[cluster_ref].checksum << std::dec << "\"\n"
         << "}\n";
   }
   std::printf("\nwrote %s\n", json_path.c_str());

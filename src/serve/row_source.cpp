@@ -1,10 +1,26 @@
 #include "serve/row_source.h"
 
-#include <unordered_map>
-
+#include "serve/node_table.h"
 #include "serve/payload.h"
 
 namespace gplus::serve {
+
+namespace {
+
+// One lane's ShortestPath tables, reused by its next request.
+struct PathScratch {
+  NodeTable fwd;  // node -> depth from u, over out-edges
+  NodeTable bwd;  // node -> depth to v, over in-edges
+
+  void clear() noexcept {
+    fwd.clear();
+    bwd.clear();
+  }
+};
+
+thread_local PathScratch t_path_scratch;
+
+}  // namespace
 
 // A forward frontier over out-edges from `u` and a backward frontier over
 // in-edges from `v`, always expanding the smaller side. Frontiers expand
@@ -22,8 +38,10 @@ void shortest_path_core(Rows& rows, const EngineConfig& config,
     put_u64(r.payload, 1);
     return;
   }
-  std::unordered_map<graph::NodeId, std::uint32_t> fwd{{u, 0}};
-  std::unordered_map<graph::NodeId, std::uint32_t> bwd{{v, 0}};
+  PathScratch& scratch = t_path_scratch;
+  const ScratchLease lease(scratch);
+  scratch.fwd.try_emplace(u, 0);
+  scratch.bwd.try_emplace(v, 0);
   std::vector<graph::NodeId> fwd_frontier{u};
   std::vector<graph::NodeId> bwd_frontier{v};
   std::vector<graph::NodeId> next;
@@ -42,8 +60,8 @@ void shortest_path_core(Rows& rows, const EngineConfig& config,
          expanded < config.path_node_budget) {
     const bool forward = fwd_frontier.size() <= bwd_frontier.size();
     auto& frontier = forward ? fwd_frontier : bwd_frontier;
-    auto& mine = forward ? fwd : bwd;
-    auto& other = forward ? bwd : fwd;
+    NodeTable& mine = forward ? scratch.fwd : scratch.bwd;
+    const NodeTable& other = forward ? scratch.bwd : scratch.fwd;
     const std::uint32_t depth = (forward ? fwd_depth : bwd_depth) + 1;
     rows.next_level();
     next.clear();
@@ -57,11 +75,11 @@ void shortest_path_core(Rows& rows, const EngineConfig& config,
       NeighborScan neighbors = forward ? view.out_scan(x) : view.in_scan(x);
       graph::NodeId y = 0;
       while (neighbors.next(y)) {
-        if (!mine.emplace(y, depth).second) continue;
+        if (!mine.try_emplace(y, depth).second) continue;
         ++expanded;
         if (!meter.charge(1)) deadline = true;
-        if (const auto hit = other.find(y); hit != other.end()) {
-          best = std::min(best, depth + hit->second);
+        if (const std::uint32_t* hit = other.find(y); hit != nullptr) {
+          best = std::min(best, depth + *hit);
         }
         next.push_back(y);
         if (deadline || expanded >= config.path_node_budget) break;
