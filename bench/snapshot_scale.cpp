@@ -221,7 +221,7 @@ int main(int argc, char** argv) {
   }
   // Compressed-adjacency footprint per stored arc (each directed edge is
   // stored twice: once per direction); the whole-file figure includes
-  // permutations, profiles and the country index.
+  // permutations, reciprocal counts and profiles.
   const auto bytes = view.bytes();
   const std::uint64_t adjacency_bytes =
       header_offset(bytes, 48) - header_offset(bytes, 32);

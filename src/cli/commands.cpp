@@ -319,7 +319,6 @@ int cmd_snapshot(const std::vector<std::string>& args, std::ostream& out) {
   parser.add_option("out", "gplus.snap", "output snapshot file");
   parser.add_option("inspect", "",
                     "snapshot file to inspect instead of building");
-  parser.add_flag("no-country-index", "omit the located-users-by-country index");
   parser.add_option("format-version", "2",
                     "snapshot format to emit: 2 (flat CSR) or 3 (compressed "
                     "adjacency)");
@@ -331,14 +330,10 @@ int cmd_snapshot(const std::vector<std::string>& args, std::ostream& out) {
     const auto snapshot = serve::load_snapshot(parser.get("inspect"));
     const serve::SnapshotView view(snapshot.bytes());
     std::uint64_t reciprocal = 0;
+    std::uint64_t located = 0;
     for (graph::NodeId u = 0; u < view.node_count(); ++u) {
       reciprocal += view.reciprocal_out_degree(u);
-    }
-    std::uint64_t located = 0;
-    if (view.has_country_index()) {
-      for (std::uint16_t c = 0; c < geo::country_count(); ++c) {
-        located += view.country_users(c).size();
-      }
+      located += view.profile(u).located() ? 1 : 0;
     }
     core::TextTable table({"Field", "Value"});
     table.add_row({"File", parser.get("inspect")});
@@ -353,17 +348,13 @@ int cmd_snapshot(const std::vector<std::string>& args, std::ostream& out) {
                                          ? 0.0
                                          : static_cast<double>(reciprocal) /
                                                static_cast<double>(view.edge_count()))});
-    table.add_row({"Country index", view.has_country_index() ? "yes" : "no"});
-    if (view.has_country_index()) {
-      table.add_row({"Located users", core::fmt_count(located)});
-    }
+    table.add_row({"Located users", core::fmt_count(located)});
     out << table.str();
     return 0;
   }
 
   const auto dataset = core::load_dataset(parser.get("in"));
   serve::SnapshotOptions options;
-  options.country_index = !parser.get_flag("no-country-index");
   options.version = static_cast<std::uint32_t>(parser.get_u64("format-version"));
   const auto snapshot = serve::build_snapshot(dataset, options);
   serve::save_snapshot(snapshot, parser.get("out"));
@@ -371,63 +362,6 @@ int cmd_snapshot(const std::vector<std::string>& args, std::ostream& out) {
       << core::fmt_count(snapshot.size()) << " bytes, "
       << core::fmt_count(dataset.user_count()) << " users, "
       << core::fmt_count(dataset.graph().edge_count()) << " edges\n";
-  return 0;
-}
-
-int cmd_shard(const std::vector<std::string>& args, std::ostream& out) {
-  ArgParser parser("gplus shard",
-                   "split a snapshot into self-contained vertex shards plus "
-                   "a routing table (DESIGN.md §13)");
-  add_snapshot_source_options(parser);
-  parser.add_option("shards", "4", "shard count (1..256)");
-  parser.add_option("policy", "stripe",
-                    "ownership policy over the degree rank space: stripe "
-                    "(round-robin) or range (degree-mass balanced)");
-  parser.add_option("out", "gplus",
-                    "output prefix: writes <out>.shard<i>.snap and "
-                    "<out>.routing");
-  add_threads_option(parser);
-  if (!parse_or_usage(parser, args, out)) return 2;
-  apply_threads_option(parser);
-
-  const serve::SnapshotBuffer snapshot = load_snapshot_source(parser, "shard");
-  const serve::SnapshotView view(snapshot.bytes());
-
-  serve::ShardingOptions options;
-  options.shard_count = parser.get_u64("shards");
-  const std::string& policy = parser.get("policy");
-  if (policy == "stripe") {
-    options.policy = serve::ShardingPolicy::kRankStripe;
-  } else if (policy == "range") {
-    options.policy = serve::ShardingPolicy::kRankRange;
-  } else {
-    throw std::invalid_argument("unknown policy: " + policy +
-                                " (expected stripe or range)");
-  }
-  const auto sharded = serve::split_snapshot(view, options);
-
-  const std::string& prefix = parser.get("out");
-  serve::save_routing_table(sharded.routing, prefix + ".routing");
-  std::vector<std::uint64_t> owned(sharded.shards.size(), 0);
-  for (const std::uint8_t owner : sharded.routing.owner) ++owned[owner];
-  core::TextTable table({"Shard", "File", "Owned nodes", "Edges", "Bytes"});
-  for (std::size_t s = 0; s < sharded.shards.size(); ++s) {
-    const std::string path =
-        prefix + ".shard" + std::to_string(s) + ".snap";
-    serve::save_snapshot(sharded.shards[s], path);
-    const serve::SnapshotView shard_view(sharded.shards[s].bytes());
-    table.add_row({std::to_string(s), path, core::fmt_count(owned[s]),
-                   core::fmt_count(shard_view.edge_count()),
-                   core::fmt_count(sharded.shards[s].size())});
-  }
-  out << "split " << core::fmt_count(view.node_count()) << " nodes / "
-      << core::fmt_count(view.edge_count()) << " edges into "
-      << sharded.shards.size() << " shards (policy "
-      << std::string(serve::sharding_policy_name(sharded.routing.policy))
-      << ")\n"
-      << "routing table: " << prefix << ".routing ("
-      << core::fmt_count(sharded.routing.owner.size()) << " owner bytes)\n\n"
-      << table.str();
   return 0;
 }
 
@@ -555,11 +489,7 @@ int cmd_serve_bench(const std::vector<std::string>& args, std::ostream& out) {
                            core::fmt_count(replica_total.served),
                            core::fmt_count(replica_total.cache.hits)});
     }
-    out << "\nper-shard (policy "
-        << std::string(
-               serve::sharding_policy_name(sharded.routing.policy))
-        << "):\n"
-        << shard_table.str();
+    out << "\nper-shard:\n" << shard_table.str();
   }
   if (parser.get_flag("metrics")) {
     out << obs::to_json(
@@ -698,7 +628,6 @@ int cmd_motifs(const std::vector<std::string>& args, std::ostream& out) {
       dataset.profiles.resize(g.node_count());
       serve::SnapshotOptions options;
       options.version = serve::kSnapshotVersion3;
-      options.country_index = false;
       const serve::SnapshotBuffer snapshot =
           serve::build_snapshot(dataset, options);
       census = algo::triad_census(serve::SnapshotView(snapshot.bytes()));
@@ -817,7 +746,6 @@ constexpr Command kCommands[] = {
     {"export", "dump the edge list for other graph tools", cmd_export},
     {"report", "full markdown reproduction report", cmd_report},
     {"snapshot", "build or inspect an immutable serving snapshot", cmd_snapshot},
-    {"shard", "split a snapshot into vertex shards + routing table", cmd_shard},
     {"serve-bench", "closed-loop query-serving load harness", cmd_serve_bench},
     {"metrics", "exercise the instrumented stack, dump the registry",
      cmd_metrics},

@@ -245,7 +245,7 @@ ServeStatus ClusterServer::submit(const Request& request, bool inject_fault) {
       slot.route = Route::kTerminal;
       slot.terminal = ServeStatus::kInvalidNode;
       slot.terminal_cost = 1;
-    } else if (router_queued_ >= router_capacity()) {
+    } else if (router_queued_ >= queue_capacity()) {
       return reject();
     } else {
       slot.route = Route::kScatter;

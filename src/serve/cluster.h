@@ -56,8 +56,6 @@ struct ClusterConfig {
   ServerConfig server;
   /// Replicas per shard (>= 1).
   std::size_t replicas = 1;
-  /// Router-held scatter requests per drain; 0 = server.queue_capacity.
-  std::size_t router_queue_capacity = 0;
   /// Router↔replica transport fault model; disabled = perfect network.
   TransportConfig transport;
 };
@@ -124,10 +122,6 @@ class ClusterServer {
   /// probe precondition. Both are no-ops with the transport disabled.
   void set_transport_profile(const FaultProfile& profile);
   void heal_transport();
-  /// One replica's breaker state (kClosed always when disabled).
-  BreakerState transport_breaker(std::size_t shard, std::size_t replica) const {
-    return transport_.breaker_state(shard, replica);
-  }
   TransportStats transport_stats() const { return transport_.stats(); }
 
   std::size_t shard_count() const noexcept { return views_.size(); }
@@ -178,10 +172,6 @@ class ClusterServer {
   }
   /// Lowest-index live replica, or replicas when the shard is dark.
   std::size_t active_replica(std::size_t shard) const;
-  std::size_t router_capacity() const noexcept {
-    return config_.router_queue_capacity != 0 ? config_.router_queue_capacity
-                                              : config_.server.queue_capacity;
-  }
 
   static bool scatter_type(RequestType type) noexcept {
     return type == RequestType::kShortestPath ||

@@ -38,15 +38,6 @@ std::string_view serve_status_name(ServeStatus status) noexcept {
   return "?";
 }
 
-std::string_view priority_name(Priority priority) noexcept {
-  switch (priority) {
-    case Priority::kLow: return "low";
-    case Priority::kNormal: return "normal";
-    case Priority::kHigh: return "high";
-  }
-  return "?";
-}
-
 std::uint64_t request_key(const Request& request) noexcept {
   std::uint64_t state = (static_cast<std::uint64_t>(request.type) << 56) ^
                         (static_cast<std::uint64_t>(request.user) << 24) ^

@@ -49,9 +49,6 @@ enum class Priority : std::uint8_t {
 };
 inline constexpr std::size_t kPriorityCount = 3;
 
-/// Display name ("low", "normal", "high").
-std::string_view priority_name(Priority priority) noexcept;
-
 /// One query. `target` is the ShortestPath destination; `offset`/`limit`
 /// page the circle lists and bound TopK/Suggest. `priority` steers load
 /// shedding;

@@ -9,7 +9,6 @@
 #include <string>
 
 #include "core/parallel.h"
-#include "geo/countries.h"
 #include "serve/snapshot_format.h"
 
 namespace gplus::serve {
@@ -26,12 +25,11 @@ namespace detail {
 
 namespace {
 
-constexpr const char* kFlatSectionNames[kSnapshotSectionCount] = {
-    "out_offsets", "out_targets", "in_offsets", "in_targets",
-    "recip",       "profiles",    "country_offsets", "country_nodes"};
-constexpr const char* kCompressedSectionNames[kSnapshotSectionCount] = {
-    "out_adj", "in_adj",   "perm",           "inv",
-    "recip_counts", "profiles", "country_offsets", "country_nodes"};
+constexpr const char* kFlatSectionNames[kSnapshotDataSections] = {
+    "out_offsets", "out_targets", "in_offsets",
+    "in_targets",  "recip",       "profiles"};
+constexpr const char* kCompressedSectionNames[kSnapshotDataSections] = {
+    "out_adj", "in_adj", "perm", "inv", "recip_counts", "profiles"};
 
 }  // namespace
 
@@ -52,10 +50,7 @@ std::uint32_t checked_magic(const std::byte* magic) {
 }
 
 std::uint64_t SnapshotLayout::length(std::size_t s) const {
-  if (!present(s)) return 0;
   if (s == 5) return pad8(nodes * sizeof(PackedProfile));
-  if (s == 6) return (geo::country_count() + 1) * 8;
-  if (s == 7) return pad8(located * 4);
   if (compressed()) {
     // out_adj, in_adj; then perm, inv and recip_counts (u32 per node).
     return s < 2 ? adjacency_section_bytes(nodes, stream_bytes[s])
@@ -66,20 +61,16 @@ std::uint64_t SnapshotLayout::length(std::size_t s) const {
   return (edges + 63) / 64 * 8;                  // reciprocal bitmap
 }
 
-SnapshotLayout SnapshotLayout::place(std::uint32_t version,
-                                     std::uint64_t nodes, std::uint64_t edges,
-                                     std::array<std::uint64_t, 2> stream_bytes,
-                                     const CountryIndex* countries) {
+SnapshotLayout SnapshotLayout::place(
+    std::uint32_t version, std::uint64_t nodes, std::uint64_t edges,
+    std::array<std::uint64_t, 2> stream_bytes) {
   SnapshotLayout layout;
   layout.version = version;
-  layout.country_index = countries != nullptr;
   layout.nodes = nodes;
   layout.edges = edges;
   layout.stream_bytes = stream_bytes;
-  if (countries != nullptr) layout.located = countries->nodes.size();
   std::uint64_t at = kHeaderBytes;
-  for (std::size_t s = 0; s < kSnapshotSectionCount; ++s) {
-    if (!layout.present(s)) continue;
+  for (std::size_t s = 0; s < kSnapshotDataSections; ++s) {
     layout.offset[s] = at;
     at += layout.length(s);
   }
@@ -90,11 +81,11 @@ SnapshotLayout SnapshotLayout::place(std::uint32_t version,
 void SnapshotLayout::store_header(std::byte* at) const {
   std::memcpy(at, compressed() ? kMagicV3 : kMagicV2, 8);
   store_u32(at + 8, version);
-  store_u32(at + 12, country_index ? kSnapshotFlagCountryIndex : 0);
+  store_u32(at + 12, 0);  // flags: reserved
   store_u64(at + 16, nodes);
   store_u64(at + 24, edges);
   for (std::size_t s = 0; s < kSnapshotSectionCount; ++s) {
-    store_u64(at + 32 + s * 8, offset[s]);
+    store_u64(at + 32 + s * 8, s < kSnapshotDataSections ? offset[s] : 0);
   }
   store_u64(at + 96, total);
   store_u64(at + kChecksumOffset, fnv1a64(at, kChecksumOffset));
@@ -112,8 +103,8 @@ void store_digest_table(
 
 void SnapshotLayout::seal(std::byte* base) const {
   std::array<std::uint64_t, kSnapshotSectionCount> digests{};
-  for (std::size_t s = 0; s < kSnapshotSectionCount; ++s) {
-    if (present(s)) digests[s] = fnv1a64(base + offset[s], length(s));
+  for (std::size_t s = 0; s < kSnapshotDataSections; ++s) {
+    digests[s] = fnv1a64(base + offset[s], length(s));
   }
   store_digest_table(base + digest_table_at(), digests);
 }
@@ -137,7 +128,18 @@ SnapshotLayout SnapshotLayout::read(std::span<const std::byte> bytes) {
   if (load_u64(base + kChecksumOffset) != fnv1a64(base, kChecksumOffset)) {
     fail("corrupt header (checksum mismatch)");
   }
-  layout.country_index = (load_u32(base + 12) & kSnapshotFlagCountryIndex) != 0;
+  // Reserved fields must be zero: a file that sets one means something
+  // this reader does not know, so it is refused rather than half-read.
+  if (const std::uint32_t flags = load_u32(base + 12); flags != 0) {
+    fail("reserved header field set (flags word at byte 12 = " +
+         std::to_string(flags) + ")");
+  }
+  for (std::size_t s = kSnapshotDataSections; s < kSnapshotSectionCount; ++s) {
+    if (load_u64(base + 32 + s * 8) != 0) {
+      fail("reserved header field set (section offset at byte " +
+           std::to_string(32 + s * 8) + ")");
+    }
+  }
   layout.nodes = load_u64(base + 16);
   layout.edges = load_u64(base + 24);
   layout.total = load_u64(base + 96);
@@ -169,8 +171,7 @@ SnapshotLayout SnapshotLayout::read(std::span<const std::byte> bytes) {
   if (layout.edges > body_end / (layout.compressed() ? 2 : 8)) {
     fail("edge count impossible for buffer size");
   }
-  for (std::size_t s = 0; s < kSnapshotSectionCount; ++s) {
-    if (!layout.present(s)) continue;
+  for (std::size_t s = 0; s < kSnapshotDataSections; ++s) {
     const std::string name = section_name(layout.version, s);
     const std::uint64_t off = load_u64(base + 32 + s * 8);
     if (off % 8 != 0) fail(name + " section misaligned");
@@ -186,27 +187,12 @@ SnapshotLayout SnapshotLayout::read(std::span<const std::byte> bytes) {
         fail(name + " stream length impossible");
       }
     }
-    if (s == 7) {
-      layout.located =
-          load_u64(base + layout.offset[6] + geo::country_count() * 8);
-      if (layout.located > body_end / 4) {
-        fail("country index impossible for buffer");
-      }
-    }
     if (layout.length(s) > body_end - off) {
       fail(name + " section out of bounds");
     }
     layout.offset[s] = off;
   }
   return layout;
-}
-
-void store_country_index(std::byte* base, const SnapshotLayout& layout,
-                         const CountryIndex& index) {
-  std::copy(index.offsets.begin(), index.offsets.end(),
-            reinterpret_cast<std::uint64_t*>(base + layout.offset[6]));
-  std::copy(index.nodes.begin(), index.nodes.end(),
-            reinterpret_cast<graph::NodeId*>(base + layout.offset[7]));
 }
 
 RowIndexBuilder::RowIndexBuilder(std::uint64_t rows) : rows_(rows) {
@@ -305,8 +291,7 @@ void write_adjacency_section(std::byte* at, const EncodedAdjacency& enc) {
 
 /// v3 build path: compressed rank-ordered adjacency, stored permutation,
 /// per-node reciprocal counts.
-SnapshotBuffer build_snapshot_v3(const core::Dataset& dataset,
-                                 const detail::CountryIndex* countries) {
+SnapshotBuffer build_snapshot_v3(const core::Dataset& dataset) {
   const graph::DiGraph& g = dataset.graph();
   const std::size_t n = g.node_count();
 
@@ -340,7 +325,7 @@ SnapshotBuffer build_snapshot_v3(const core::Dataset& dataset,
 
   const detail::SnapshotLayout layout = detail::SnapshotLayout::place(
       kSnapshotVersion3, n, g.edge_count(),
-      {out_enc.data.size(), in_enc.data.size()}, countries);
+      {out_enc.data.size(), in_enc.data.size()});
   SnapshotBuffer buffer = detail::zeroed_buffer(layout.total);
   std::byte* base = buffer.data();
   layout.store_header(base);
@@ -358,7 +343,6 @@ SnapshotBuffer build_snapshot_v3(const core::Dataset& dataset,
       profiles[u] = pack_profile(dataset.profiles[u]);
     }
   });
-  if (countries != nullptr) store_country_index(base, layout, *countries);
   layout.seal(base);
   return buffer;
 }
@@ -388,19 +372,9 @@ SnapshotBuffer build_snapshot(const core::Dataset& dataset,
     fail("unsupported build version " + std::to_string(options.version) +
          " (writers emit 2 and 3)");
   }
-  detail::CountryIndex countries;
-  if (options.country_index) {
-    countries = detail::build_country_index(n, [&](graph::NodeId u) {
-      const synth::Profile& p = dataset.profiles[u];
-      return p.is_located() ? std::size_t{p.country} : SIZE_MAX;
-    });
-  }
-  const detail::CountryIndex* index = options.country_index ? &countries : nullptr;
-  if (options.version == kSnapshotVersion3) {
-    return build_snapshot_v3(dataset, index);
-  }
+  if (options.version == kSnapshotVersion3) return build_snapshot_v3(dataset);
   return detail::write_flat_snapshot(DatasetRows{g, dataset.profiles},
-                                     g.edge_count(), index);
+                                     g.edge_count());
 }
 
 SnapshotView::SnapshotView(std::span<const std::byte> bytes) : bytes_(bytes) {
@@ -408,7 +382,7 @@ SnapshotView::SnapshotView(std::span<const std::byte> bytes) : bytes_(bytes) {
   version_ = layout.version;
   nodes_ = layout.nodes;
   edges_ = layout.edges;
-  for (std::size_t s = 0; s < kSnapshotSectionCount; ++s) {
+  for (std::size_t s = 0; s < kSnapshotDataSections; ++s) {
     sections_[s] = {layout.offset[s], layout.length(s)};
   }
   const std::byte* base = bytes.data();
@@ -460,23 +434,19 @@ SnapshotView::SnapshotView(std::span<const std::byte> bytes) : bytes_(bytes) {
     }
   }
   profiles_ = reinterpret_cast<const PackedProfile*>(section(5));
-  if (layout.country_index) {
-    country_count_ = geo::country_count();
-    country_offsets_ = reinterpret_cast<const std::uint64_t*>(section(6));
-    country_nodes_ = reinterpret_cast<const graph::NodeId*>(section(7));
-  }
 }
 
 void SnapshotView::verify_sections() const {
-  for (std::size_t s = 0; s < kSnapshotSectionCount; ++s) {
-    const std::string name = detail::section_name(version_, s);
+  for (std::size_t s = 0; s < kSnapshotDataSections; ++s) {
     const auto [offset, length] = sections_[s];
-    if (offset == 0) {
-      if (digests_[s] != 0) fail(name + " digest for absent section");
-      continue;
-    }
     if (fnv1a64(bytes_.data() + offset, length) != digests_[s]) {
-      fail(name + " section corrupt (digest mismatch)");
+      fail(std::string(detail::section_name(version_, s)) +
+           " section corrupt (digest mismatch)");
+    }
+  }
+  for (std::size_t s = kSnapshotDataSections; s < kSnapshotSectionCount; ++s) {
+    if (digests_[s] != 0) {
+      fail("reserved digest slot " + std::to_string(s) + " is non-zero");
     }
   }
 }
@@ -507,14 +477,6 @@ std::uint64_t SnapshotView::reciprocal_out_degree(graph::NodeId u) const noexcep
     count += static_cast<std::uint64_t>(std::popcount(word));
   }
   return count;
-}
-
-std::span<const graph::NodeId> SnapshotView::country_users(
-    std::uint16_t country) const noexcept {
-  if (country_offsets_ == nullptr || country >= country_count_) return {};
-  return {country_nodes_ + country_offsets_[country],
-          static_cast<std::size_t>(country_offsets_[country + 1] -
-                                   country_offsets_[country])};
 }
 
 void write_snapshot(const SnapshotBuffer& snapshot, std::ostream& out) {

@@ -3,10 +3,10 @@
 // The batch pipeline (generate → analyze) works on the mutable builder
 // structures in `core::Dataset`; the serving path must not. A snapshot is
 // one contiguous little-endian byte buffer holding everything the request
-// engine reads — adjacency, reciprocity, packed per-user profile records
-// and an optional country index — so a server opens it in O(1) as a
-// read-only view (`SnapshotView`) with zero parsing and zero pointer
-// chasing beyond the header. The same validated-open contract holds
+// engine reads — adjacency, reciprocity and packed per-user profile
+// records — so a server opens it in O(1) as a read-only view
+// (`SnapshotView`) with zero parsing and zero pointer chasing beyond the
+// header. The same validated-open contract holds
 // whether the bytes live in RAM (`SnapshotBuffer`) or are memory-mapped
 // straight off disk (`MappedSnapshot`, snapshot_file.h) — paper-scale
 // files are served off `mmap` without ever materializing in the heap.
@@ -16,7 +16,7 @@
 //   offset  size  field
 //        0     8  magic "GPSNAP0" + version digit ("GPSNAP02", "GPSNAP03")
 //        8     4  version (2 or 3; must agree with the magic digits)
-//       12     4  flags (bit 0: country index present)
+//       12     4  flags (reserved, 0)
 //       16     8  node_count n
 //       24     8  edge_count m
 //       32     8  offset of section A (see the per-version table below)
@@ -25,8 +25,8 @@
 //       56     8  offset of section D
 //       64     8  offset of section E
 //       72     8  offset of profiles      (n × 16-byte PackedProfile)
-//       80     8  offset of country_offsets ((country_count+1) × u64, or 0)
-//       88     8  offset of country_nodes (located users by country, or 0)
+//       80     8  reserved (0)
+//       88     8  reserved (0)
 //       96     8  total_bytes (must equal the buffer size)
 //      104     8  header checksum (FNV-1a over bytes [0, 104))
 //
@@ -69,18 +69,22 @@
 // group at 4 GiB of stream (enforced at build).
 //
 // Both versions end in one table occupying the file's final 72 bytes:
-// eight u64 FNV-1a digests, one per data section in header order (0 for an
-// absent section), followed by a u64 FNV-1a checksum of those 64 digest
-// bytes. The table lets a reader verify section *bodies* — not just the
-// header — before swapping a candidate snapshot into service
+// eight u64 FNV-1a digests, one per header section slot in order (0 for
+// the two reserved slots), followed by a u64 FNV-1a checksum of those 64
+// digest bytes. The table lets a reader verify section *bodies* — not just
+// the header — before swapping a candidate snapshot into service
 // (`verify_sections`).
 //
 // Version policy: readers reject any version they do not know — the
 // retired v1 ("GPSNAP0" + '1', no digest table) included; format changes
 // bump the version and keep the header field positions stable so a vN
-// reader can refuse — never misread — a vN+1 file. One internal layout
-// (snapshot_format.h) places and validates the sections for every writer
-// and the reader.
+// reader can refuse — never misread — a vN+1 file. The flags word,
+// header slots 80/88 and digest slots 6/7 are reserved: writers leave them
+// zero and the reader refuses a file that sets one, so an offset it does
+// not know is an error, never a span it follows. (Files from builds that
+// wrote the retired country index there are refused; rebuild them.) One
+// internal layout (snapshot_format.h) places and validates the sections
+// for every writer and the reader.
 #pragma once
 
 #include <array>
@@ -105,9 +109,10 @@ inline constexpr std::uint32_t kSnapshotVersion3 = 3;
 /// does not fit, and the serving layer answers identically over either —
 /// tests/test_snapshot_equivalence.cpp is the proof.
 inline constexpr std::uint32_t kSnapshotVersion = kSnapshotVersion2;
-inline constexpr std::uint32_t kSnapshotFlagCountryIndex = 1U << 0;
-/// Data sections carrying a digest in the trailing table, header order.
+/// Header section slots, each with a digest in the trailing table.
 inline constexpr std::size_t kSnapshotSectionCount = 8;
+/// Slots every file fills: [0, 6). Slots 6 and 7 are reserved (zero).
+inline constexpr std::size_t kSnapshotDataSections = 6;
 /// Size of the trailing table: 8 section digests + 1 table checksum.
 inline constexpr std::size_t kSnapshotDigestBytes =
     (kSnapshotSectionCount + 1) * 8;
@@ -136,8 +141,6 @@ static_assert(sizeof(PackedProfile) == 16);
 
 /// Snapshot build knobs.
 struct SnapshotOptions {
-  /// Emit the located-users-by-country index section.
-  bool country_index = true;
   /// Format version to emit: kSnapshotVersion2 (flat CSR, default) or
   /// kSnapshotVersion3 (compressed adjacency). Anything else throws.
   std::uint32_t version = kSnapshotVersion;
@@ -244,7 +247,6 @@ class SnapshotView {
   bool adjacency_compressed() const noexcept {
     return version_ == kSnapshotVersion3;
   }
-  bool has_country_index() const noexcept { return country_offsets_ != nullptr; }
 
   /// Deep validation: recomputes every section's FNV-1a digest, over the
   /// extents validated at open, against the trailing table and throws
@@ -300,10 +302,6 @@ class SnapshotView {
     return profiles_[u];
   }
 
-  /// Located users of one country, ascending id. Empty when the index
-  /// section is absent or the country id is out of range.
-  std::span<const graph::NodeId> country_users(std::uint16_t country) const noexcept;
-
   std::span<const std::byte> bytes() const noexcept { return bytes_; }
 
  private:
@@ -333,7 +331,7 @@ class SnapshotView {
             static_cast<std::size_t>(offsets[u + 1] - offsets[u])};
   }
 
-  /// One data section's place in the file; offset 0 when absent.
+  /// One data section's place in the file.
   struct Extent {
     std::uint64_t offset = 0;
     std::uint64_t length = 0;
@@ -355,13 +353,10 @@ class SnapshotView {
   const std::uint32_t* perm_ = nullptr;
   const std::uint32_t* inv_ = nullptr;
   const std::uint32_t* recip_counts_ = nullptr;
-  // Shared sections.
+  // Both versions.
   const PackedProfile* profiles_ = nullptr;
-  const std::uint64_t* country_offsets_ = nullptr;  // country_count+1 entries
-  const graph::NodeId* country_nodes_ = nullptr;
-  std::size_t country_count_ = 0;
-  /// Section extents validated at open, in header order.
-  std::array<Extent, kSnapshotSectionCount> sections_{};
+  /// Data section extents validated at open, in header order.
+  std::array<Extent, kSnapshotDataSections> sections_{};
   /// The trailing digest table (8 section digests + table checksum).
   const std::uint64_t* digests_ = nullptr;
 };

@@ -7,9 +7,7 @@
 #include <array>
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <iterator>
 #include <memory>
 #include <queue>
 #include <stdexcept>
@@ -24,12 +22,7 @@ namespace gplus::serve {
 
 namespace {
 
-using detail::fnv1a64;
 using detail::kHeaderBytes;
-using detail::load_u32;
-using detail::load_u64;
-using detail::pad8;
-using detail::store_u32;
 using detail::store_u64;
 
 [[noreturn]] void fail(const std::string& what) {
@@ -457,16 +450,8 @@ OutOfCoreStats OutOfCoreSnapshotBuilder::finish(
     }
   }
 
-  detail::CountryIndex countries;
-  if (options_.country_index) {
-    countries = detail::build_country_index(nodes_, [&](graph::NodeId u) {
-      const PackedProfile& p = profiles_[u];
-      return p.located() ? std::size_t{p.country} : SIZE_MAX;
-    });
-  }
   const detail::SnapshotLayout layout = detail::SnapshotLayout::place(
-      kSnapshotVersion3, nodes_, m, {out_enc.data_bytes, in_enc.data_bytes},
-      options_.country_index ? &countries : nullptr);
+      kSnapshotVersion3, nodes_, m, {out_enc.data_bytes, in_enc.data_bytes});
 
   const auto tmp_path = path.string() + ".tmp";
   SectionedWriter out(tmp_path);
@@ -504,15 +489,6 @@ OutOfCoreStats OutOfCoreSnapshotBuilder::finish(
   out.write(profiles_.data(), profiles_.size() * sizeof(PackedProfile));
   out.pad_to8();
   digests[5] = out.end_section();
-  if (options_.country_index) {
-    out.begin_section();
-    out.write(countries.offsets.data(), countries.offsets.size() * 8);
-    digests[6] = out.end_section();
-    out.begin_section();
-    out.write(countries.nodes.data(), countries.nodes.size() * 4);
-    out.pad_to8();
-    digests[7] = out.end_section();
-  }
   {
     std::array<std::byte, kSnapshotDigestBytes> table{};
     detail::store_digest_table(table.data(), digests);
@@ -551,17 +527,7 @@ OutOfCoreStats OutOfCoreSnapshotBuilder::finish(
 // Shard splitter (see snapshot_build.h for the E_s contract).
 // ---------------------------------------------------------------------------
 
-std::string_view sharding_policy_name(ShardingPolicy policy) noexcept {
-  switch (policy) {
-    case ShardingPolicy::kRankStripe: return "rank-stripe";
-    case ShardingPolicy::kRankRange: return "rank-range";
-  }
-  return "?";
-}
-
 namespace {
-
-constexpr char kRoutingMagic[8] = {'G', 'P', 'R', 'O', 'U', 'T', 'E', '1'};
 
 /// Owners over the degree-rank order, recomputed here from the view so
 /// sharding is format-version independent.
@@ -579,23 +545,8 @@ std::vector<std::uint8_t> assign_owners(const SnapshotView& full,
   const std::vector<graph::NodeId> order =
       detail::degree_rank_order(n, [&](graph::NodeId u) { return deg[u]; });
   std::vector<std::uint8_t> owner(n, 0);
-  if (options.policy == ShardingPolicy::kRankStripe) {
-    for (std::size_t r = 0; r < n; ++r) {
-      owner[order[r]] = static_cast<std::uint8_t>(r % k);
-    }
-    return owner;
-  }
-  // kRankRange: contiguous rank ranges cut so each carries ~1/K of the
-  // total degree mass (+1 per node keeps zero-degree tails spreading).
-  std::uint64_t total_mass = 0;
-  for (std::size_t u = 0; u < n; ++u) total_mass += deg[u] + 1;
-  std::uint64_t seen = 0;
-  std::size_t s = 0;
   for (std::size_t r = 0; r < n; ++r) {
-    const graph::NodeId u = order[r];
-    seen += deg[u] + 1;
-    owner[u] = static_cast<std::uint8_t>(s);
-    while (s + 1 < k && seen * k >= total_mass * (s + 1)) ++s;
+    owner[order[r]] = static_cast<std::uint8_t>(r % k);
   }
   return owner;
 }
@@ -670,7 +621,7 @@ SnapshotBuffer build_shard_buffer(const SnapshotView& full,
         }
       },
       [](std::uint64_t& into, std::uint64_t from) { into += from; });
-  return detail::write_flat_snapshot(rows, edges, nullptr);
+  return detail::write_flat_snapshot(rows, edges);
 }
 
 }  // namespace
@@ -685,73 +636,12 @@ ShardedSnapshot split_snapshot(const SnapshotView& full,
   }
   ShardedSnapshot result;
   result.routing.shard_count = static_cast<std::uint32_t>(options.shard_count);
-  result.routing.policy = options.policy;
   result.routing.owner = assign_owners(full, options);
   result.shards.reserve(options.shard_count);
   for (std::size_t s = 0; s < options.shard_count; ++s) {
     result.shards.push_back(build_shard_buffer(full, result.routing.owner, s));
   }
   return result;
-}
-
-void save_routing_table(const RoutingTable& table,
-                        const std::filesystem::path& path) {
-  if (table.shard_count == 0 || table.shard_count > 256) {
-    fail("routing table: bad shard_count");
-  }
-  const std::size_t n = table.owner.size();
-  // Magic 8B | shard_count u32 | policy u8 | pad 3B | node_count u64 |
-  // owner bytes padded to 8 | FNV-1a u64 over everything preceding.
-  const std::size_t body = 8 + 4 + 4 + 8 + pad8(n);
-  std::vector<std::byte> bytes(body + 8, std::byte{0});
-  std::memcpy(bytes.data(), kRoutingMagic, 8);
-  store_u32(bytes.data() + 8, table.shard_count);
-  bytes[12] = static_cast<std::byte>(table.policy);
-  store_u64(bytes.data() + 16, n);
-  for (std::size_t u = 0; u < n; ++u) {
-    bytes[24 + u] = static_cast<std::byte>(table.owner[u]);
-  }
-  store_u64(bytes.data() + body, fnv1a64(bytes.data(), body));
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) fail("routing table: cannot open " + path.string());
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  if (!out) fail("routing table: short write to " + path.string());
-}
-
-RoutingTable load_routing_table(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) fail("routing table: cannot open " + path.string());
-  std::vector<char> raw((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-  const auto* bytes = reinterpret_cast<const std::byte*>(raw.data());
-  if (raw.size() < 32) fail("routing table: truncated");
-  if (std::memcmp(raw.data(), kRoutingMagic, 8) != 0) {
-    fail("routing table: bad magic");
-  }
-  RoutingTable table;
-  table.shard_count = load_u32(bytes + 8);
-  const auto policy = static_cast<std::uint8_t>(bytes[12]);
-  const std::uint64_t n = load_u64(bytes + 16);
-  const std::size_t body = 8 + 4 + 4 + 8 + pad8(n);
-  if (raw.size() != body + 8) fail("routing table: size mismatch");
-  if (load_u64(bytes + body) != fnv1a64(bytes, body)) {
-    fail("routing table: checksum mismatch");
-  }
-  if (table.shard_count == 0 || table.shard_count > 256) {
-    fail("routing table: bad shard_count");
-  }
-  if (policy > static_cast<std::uint8_t>(ShardingPolicy::kRankRange)) {
-    fail("routing table: unknown policy");
-  }
-  table.policy = static_cast<ShardingPolicy>(policy);
-  table.owner.resize(n);
-  for (std::size_t u = 0; u < n; ++u) {
-    const auto o = static_cast<std::uint8_t>(bytes[24 + u]);
-    if (o >= table.shard_count) fail("routing table: owner out of range");
-    table.owner[u] = o;
-  }
-  return table;
 }
 
 }  // namespace gplus::serve

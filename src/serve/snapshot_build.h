@@ -20,9 +20,9 @@
 // same logical graph — a tested contract (tests/test_snapshot_equivalence)
 // that also makes crash-resume verifiable: a resumed build must reproduce
 // the uninterrupted bytes exactly. Both v3 builders share one layout, rank
-// order, row-index builder and country index (snapshot_format.h); each
-// encodes its own rows, which is what keeps the in-memory build a useful
-// oracle for this one.
+// order and row-index builder (snapshot_format.h); each encodes its own
+// rows, which is what keeps the in-memory build a useful oracle for this
+// one.
 //
 // Crash recovery: flushed runs and the ingest count are recorded in a
 // manifest (updated atomically after every flush). A new builder on the
@@ -52,8 +52,6 @@ struct OutOfCoreOptions {
   /// Edges buffered (8 bytes each) before a sorted run is flushed. The
   /// dominant RAM knob: default 16M edges = 128 MiB.
   std::size_t sort_buffer_edges = std::size_t{16} << 20;
-  /// Emit the located-users-by-country index section.
-  bool country_index = true;
   /// Test/observability hook, called with a stage name at every durable
   /// point ("run_flush", "merged_forward", "merged_reverse", "encoded",
   /// "assemble"). Returning false aborts the build by throwing — the
@@ -122,12 +120,10 @@ class OutOfCoreSnapshotBuilder {
 // ---------------------------------------------------------------------------
 // Shard splitter: one snapshot -> K self-contained vertex-shard snapshots.
 //
-// Ownership is assigned over the degree-ordered rank space (total degree
+// Ownership is striped over the degree-ordered rank space (total degree
 // descending, ties by ascending id — the same total order v3 relabels by),
-// so hubs spread evenly across shards regardless of id layout:
-//
-//   kRankStripe  owner(u) = rank(u) % K       (round-robin over ranks)
-//   kRankRange   contiguous rank ranges balanced by total-degree mass
+// owner(u) = rank(u) % K, so hubs spread evenly across shards regardless
+// of id layout.
 //
 // Shard s stores the edge set E_s = {(a,b) : owner(a)==s or owner(b)==s}
 // as a standard v2 snapshot — written by the same flat writer as
@@ -137,23 +133,13 @@ class OutOfCoreSnapshotBuilder {
 // bit-equal to the unsharded snapshot — the invariant that lets the
 // cluster answer single-shard request families answer-identically to the
 // unsharded engine (DESIGN.md §13). Non-owned rows are partial and are
-// never served directly. Shards carry no country index.
+// never served directly.
 // ---------------------------------------------------------------------------
 
-/// Shard-ownership policy over the degree rank space.
-enum class ShardingPolicy : std::uint8_t {
-  kRankStripe = 0,
-  kRankRange = 1,
-};
-
-/// Display name ("rank-stripe", "rank-range").
-std::string_view sharding_policy_name(ShardingPolicy policy) noexcept;
-
-/// Node -> owning shard map, shared by the splitter, the router and the
-/// on-disk shard set. At most 256 shards (owner ids are one byte).
+/// Node -> owning shard map, shared by the splitter and the router. At
+/// most 256 shards (owner ids are one byte).
 struct RoutingTable {
   std::uint32_t shard_count = 0;
-  ShardingPolicy policy = ShardingPolicy::kRankStripe;
   std::vector<std::uint8_t> owner;  // indexed by global node id
 
   std::size_t node_count() const noexcept { return owner.size(); }
@@ -162,7 +148,6 @@ struct RoutingTable {
 
 struct ShardingOptions {
   std::size_t shard_count = 4;
-  ShardingPolicy policy = ShardingPolicy::kRankStripe;
 };
 
 /// A split snapshot: the routing table plus one self-contained v2 shard
@@ -178,11 +163,5 @@ struct ShardedSnapshot {
 /// shard_count of 0, > 256, or > node_count.
 ShardedSnapshot split_snapshot(const SnapshotView& full,
                                const ShardingOptions& options);
-
-/// Routing-table file ("GPROUTE1" magic, little-endian, trailing FNV-1a
-/// checksum). load throws std::runtime_error on any corruption.
-void save_routing_table(const RoutingTable& table,
-                        const std::filesystem::path& path);
-RoutingTable load_routing_table(const std::filesystem::path& path);
 
 }  // namespace gplus::serve

@@ -1,6 +1,6 @@
 // The snapshot layout, decided once for every writer and the reader.
 //
-// `SnapshotLayout` owns the format arithmetic: which eight sections a file
+// `SnapshotLayout` owns the format arithmetic: which six sections a file
 // of each version carries, their lengths, the order and offsets that
 // follow, the 112-byte header with its checksum, and the trailing 72-byte
 // digest table. Every writer — the flat writer (build_snapshot v2 and the
@@ -8,8 +8,8 @@
 // — places its sections with `place()` and seals them with the same header
 // and digest-table stores, and the reader validates a file with `read()`.
 // The shared pieces of content every writer needs (the degree-rank order,
-// the country index, the compressed row index) live here too, so each is
-// computed by one function. Not part of the public snapshot API.
+// the compressed row index) live here too, so each is computed by one
+// function. Not part of the public snapshot API.
 #pragma once
 
 #include <algorithm>
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "core/parallel.h"
-#include "geo/countries.h"
 #include "graph/types.h"
 #include "serve/snapshot.h"
 
@@ -107,77 +106,40 @@ inline std::uint64_t adjacency_section_bytes(std::uint64_t n,
          pad8(data_bytes);
 }
 
-/// The located-users-by-country index: per-country offsets into one list
-/// of ids, ascending within each country.
-struct CountryIndex {
-  std::vector<std::uint64_t> offsets;  // country_count + 1 entries
-  std::vector<graph::NodeId> nodes;
-};
-
-/// Builds the index over n users from `located_country(u)`: u's country
-/// when u is located, anything >= geo::country_count() otherwise.
-template <typename LocatedCountry>
-CountryIndex build_country_index(std::size_t n,
-                                 LocatedCountry&& located_country) {
-  const std::size_t countries = geo::country_count();
-  CountryIndex index;
-  index.offsets.assign(countries + 1, 0);
-  for (graph::NodeId u = 0; u < n; ++u) {
-    const std::size_t c = located_country(u);
-    if (c < countries) ++index.offsets[c + 1];
-  }
-  std::partial_sum(index.offsets.begin(), index.offsets.end(),
-                   index.offsets.begin());
-  index.nodes.resize(index.offsets[countries]);
-  std::vector<std::uint64_t> cursor(index.offsets.begin(),
-                                    index.offsets.end() - 1);
-  for (graph::NodeId u = 0; u < n; ++u) {
-    const std::size_t c = located_country(u);
-    if (c < countries) index.nodes[cursor[c]++] = u;
-  }
-  return index;
-}
-
 /// Where every section of one snapshot file lies. Writers get one from
 /// `place()`; the reader gets a validated one from `read()`.
 struct SnapshotLayout {
   std::uint32_t version = kSnapshotVersion2;
-  bool country_index = false;
   std::uint64_t nodes = 0;
   std::uint64_t edges = 0;
   /// v3 only: unpadded varint stream bytes of the out- and in-adjacency.
   std::array<std::uint64_t, 2> stream_bytes{};
-  /// Users in the country index (when present).
-  std::uint64_t located = 0;
-  /// Byte offset of each data section in header order; 0 when absent.
-  std::array<std::uint64_t, kSnapshotSectionCount> offset{};
+  /// Byte offset of each data section in header order.
+  std::array<std::uint64_t, kSnapshotDataSections> offset{};
   /// File size, digest table included.
   std::uint64_t total = 0;
 
   bool compressed() const noexcept { return version == kSnapshotVersion3; }
-  /// Sections 0-5 are always present; the two country sections only
-  /// with the index.
-  bool present(std::size_t s) const noexcept { return s < 6 || country_index; }
-  /// Byte length of section s (0 when absent), padding included.
+  /// Byte length of data section s, padding included.
   std::uint64_t length(std::size_t s) const;
   std::uint64_t digest_table_at() const noexcept {
     return total - kSnapshotDigestBytes;
   }
 
-  /// Lays a file's present sections out back to back after the header, in
-  /// header order. `stream_bytes` is read for v3 only; `countries` is null
-  /// when the file carries no country index.
+  /// Lays a file's data sections out back to back after the header, in
+  /// header order. `stream_bytes` is read for v3 only.
   static SnapshotLayout place(std::uint32_t version, std::uint64_t nodes,
                               std::uint64_t edges,
-                              std::array<std::uint64_t, 2> stream_bytes,
-                              const CountryIndex* countries);
+                              std::array<std::uint64_t, 2> stream_bytes);
 
-  /// Validates a file's header, digest-table checksum and section extents
-  /// (aligned, inside the body, counts the body can hold) and returns its
-  /// layout. Throws std::runtime_error ("snapshot: ...") on any defect.
+  /// Validates a file's header (reserved fields zero), digest-table
+  /// checksum and section extents (aligned, inside the body, counts the
+  /// body can hold) and returns its layout. Throws std::runtime_error
+  /// ("snapshot: ...") on any defect.
   static SnapshotLayout read(std::span<const std::byte> bytes);
 
-  /// Writes the 112-byte header, checksum included, at `at`.
+  /// Writes the 112-byte header, reserved fields zero and checksum
+  /// included, at `at`.
   void store_header(std::byte* at) const;
   /// Digests every section of an assembled in-memory file at `base` and
   /// writes the trailing table.
@@ -187,8 +149,8 @@ struct SnapshotLayout {
 /// Section name in error messages ("out_targets", "perm", ...).
 const char* section_name(std::uint32_t version, std::size_t s) noexcept;
 
-/// Writes the 72-byte digest table at `at`: the eight section digests
-/// (0 for an absent section), then a checksum over those 64 bytes.
+/// Writes the 72-byte digest table at `at`: the eight slot digests (0 for
+/// the reserved slots), then a checksum over those 64 bytes.
 void store_digest_table(
     std::byte* at,
     const std::array<std::uint64_t, kSnapshotSectionCount>& digests);
@@ -215,10 +177,6 @@ std::vector<graph::NodeId> degree_rank_order(std::size_t n,
             });
   return order;
 }
-
-/// Copies the index into the two country sections of an in-memory file.
-void store_country_index(std::byte* base, const SnapshotLayout& layout,
-                         const CountryIndex& index);
 
 /// Two-level row index of one compressed adjacency section, built row by
 /// row in rank order: a u64 base per 64-row group and a u32 offset per row
@@ -254,11 +212,10 @@ class RowIndexBuilder {
 /// reciprocal bitmap are written in parallel with disjoint writes, so the
 /// bytes are the same at any thread count.
 template <typename Rows>
-SnapshotBuffer write_flat_snapshot(const Rows& rows, std::uint64_t edges,
-                                   const CountryIndex* countries) {
+SnapshotBuffer write_flat_snapshot(const Rows& rows, std::uint64_t edges) {
   const std::size_t n = rows.node_count();
   const SnapshotLayout layout =
-      SnapshotLayout::place(kSnapshotVersion2, n, edges, {}, countries);
+      SnapshotLayout::place(kSnapshotVersion2, n, edges, {});
 
   SnapshotBuffer buffer = zeroed_buffer(layout.total);
   std::byte* base = buffer.data();
@@ -309,7 +266,6 @@ SnapshotBuffer write_flat_snapshot(const Rows& rows, std::uint64_t edges,
     if (recip_bytes[e]) recip[e >> 6] |= std::uint64_t{1} << (e & 63);
   }
 
-  if (countries != nullptr) store_country_index(base, layout, *countries);
   layout.seal(base);
   return buffer;
 }

@@ -182,7 +182,6 @@ void expect_pinned(const Pins& got, const Pins& want, const std::string& label) 
 template <class Fn>
 void for_each_snapshot_view(const core::Dataset& dataset, Fn&& fn) {
   serve::SnapshotOptions options;
-  options.country_index = false;
   const serve::SnapshotBuffer v2 = serve::build_snapshot(dataset, options);
   fn(serve::SnapshotView(v2.bytes()), "v2 flat");
   options.version = serve::kSnapshotVersion3;

@@ -203,7 +203,7 @@ TEST_F(CliPipelineTest, H_SnapshotBuildAndInspect) {
       << inspect.str();
   EXPECT_NE(inspect.str().find("Nodes"), std::string::npos);
   EXPECT_NE(inspect.str().find("Reciprocity"), std::string::npos);
-  EXPECT_NE(inspect.str().find("Country index"), std::string::npos);
+  EXPECT_NE(inspect.str().find("Located users"), std::string::npos);
   std::filesystem::remove(snap);
 
   // Format 1 is retired: asking for it fails with a message, writes nothing.

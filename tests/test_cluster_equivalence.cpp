@@ -1,8 +1,8 @@
 // Cluster answer equivalence: every request family served through the
 // K-shard router must be identical — status, flags, payload — to the
-// unsharded engine, at K=1 and K=4, under both sharding policies, and the
-// full response stream must be bit-identical at every GPLUS_THREADS
-// value. This is the DESIGN.md §13 contract the CI matrix gates; the
+// unsharded engine, at K=1, K=4 and K=7, and the full response stream
+// must be bit-identical at every GPLUS_THREADS value. This is the
+// DESIGN.md §13 contract the CI matrix gates; the
 // CTest ".threads1" variant re-runs every case on the serial fallback.
 #include <gtest/gtest.h>
 
@@ -34,18 +34,14 @@ const SnapshotView& full_view() {
   return instance;
 }
 
-const ShardedSnapshot& sharded(std::size_t shards, ShardingPolicy policy) {
-  static std::vector<std::pair<std::pair<std::size_t, ShardingPolicy>,
-                               ShardedSnapshot>>
-      cache;
+const ShardedSnapshot& sharded(std::size_t shards) {
+  static std::vector<std::pair<std::size_t, ShardedSnapshot>> cache;
   for (const auto& [key, value] : cache) {
-    if (key.first == shards && key.second == policy) return value;
+    if (key == shards) return value;
   }
   ShardingOptions opts;
   opts.shard_count = shards;
-  opts.policy = policy;
-  cache.emplace_back(std::make_pair(shards, policy),
-                     split_snapshot(full_view(), opts));
+  cache.emplace_back(shards, split_snapshot(full_view(), opts));
   return cache.back().second;
 }
 
@@ -114,9 +110,8 @@ std::vector<Response> drain_unsharded(const std::vector<Request>& batch) {
 }
 
 std::vector<Response> drain_cluster(const std::vector<Request>& batch,
-                                    std::size_t shards,
-                                    ShardingPolicy policy) {
-  const auto& split = sharded(shards, policy);
+                                    std::size_t shards) {
+  const auto& split = sharded(shards);
   std::vector<SnapshotView> storage;
   storage.reserve(split.shards.size());
   for (const auto& shard : split.shards) storage.emplace_back(shard.bytes());
@@ -147,19 +142,14 @@ TEST(ClusterEquivalence, EveryFamilyMatchesUnshardedAtK1AndK4) {
   const auto batch = probe_batch();
   const auto want = drain_unsharded(batch);
   ASSERT_EQ(want.size(), batch.size());
-  expect_identical(want, drain_cluster(batch, 1, ShardingPolicy::kRankStripe),
-                   "K=1 stripe");
-  expect_identical(want, drain_cluster(batch, 4, ShardingPolicy::kRankStripe),
-                   "K=4 stripe");
+  expect_identical(want, drain_cluster(batch, 1), "K=1");
+  expect_identical(want, drain_cluster(batch, 4), "K=4");
 }
 
-TEST(ClusterEquivalence, RangePolicyMatchesToo) {
+TEST(ClusterEquivalence, OddShardCountMatchesToo) {
+  // 3000 nodes over 7 shards: stripes of unequal size.
   const auto batch = probe_batch();
-  const auto want = drain_unsharded(batch);
-  expect_identical(want, drain_cluster(batch, 4, ShardingPolicy::kRankRange),
-                   "K=4 range");
-  expect_identical(want, drain_cluster(batch, 7, ShardingPolicy::kRankRange),
-                   "K=7 range");
+  expect_identical(drain_unsharded(batch), drain_cluster(batch, 7), "K=7");
 }
 
 TEST(ClusterEquivalence, ScatterCostsMatchTheEngineExactly) {
@@ -179,7 +169,7 @@ TEST(ClusterEquivalence, ScatterCostsMatchTheEngineExactly) {
     batch.push_back(q);
   }
   const auto want = drain_unsharded(batch);
-  const auto got = drain_cluster(batch, 4, ShardingPolicy::kRankStripe);
+  const auto got = drain_cluster(batch, 4);
   ASSERT_EQ(want.size(), got.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(want[i].status, got[i].status) << i;
@@ -196,7 +186,7 @@ struct ClusterRun {
 ClusterRun run_cluster_workload(std::size_t shards,
                                 const WorkloadMix& mix,
                                 std::uint64_t requests) {
-  const auto& split = sharded(shards, ShardingPolicy::kRankStripe);
+  const auto& split = sharded(shards);
   std::vector<SnapshotView> storage;
   storage.reserve(split.shards.size());
   for (const auto& shard : split.shards) storage.emplace_back(shard.bytes());
@@ -259,9 +249,9 @@ TEST_P(ClusterLaneEquivalence, WorkloadBitIdenticalAcrossLaneCounts) {
 TEST_P(ClusterLaneEquivalence, DrainPayloadsMatchSerialExecution) {
   const auto batch = probe_batch();
   core::set_thread_count(1);
-  const auto base = drain_cluster(batch, 4, ShardingPolicy::kRankStripe);
+  const auto base = drain_cluster(batch, 4);
   core::set_thread_count(GetParam());
-  const auto got = drain_cluster(batch, 4, ShardingPolicy::kRankStripe);
+  const auto got = drain_cluster(batch, 4);
   ASSERT_EQ(base.size(), got.size());
   for (std::size_t i = 0; i < base.size(); ++i) {
     EXPECT_EQ(base[i].status, got[i].status) << i;
@@ -278,7 +268,7 @@ TEST_P(ClusterLaneEquivalence, StormStateBitIdenticalAcrossLaneCounts) {
   config.rounds = 48;
   config.probes = 64;
   config.replicas = 2;
-  const auto& split = sharded(4, ShardingPolicy::kRankStripe);
+  const auto& split = sharded(4);
   core::set_thread_count(1);
   const auto base = run_cluster_storm(split, full_view(), config);
   core::set_thread_count(GetParam());
