@@ -4,7 +4,10 @@
 #
 # TSan catches the races a serial-equivalence test cannot: unsynchronized
 # pool state, kernels writing overlapping slots, etc. The same script works
-# for the other sanitizers via GPLUS_SANITIZE=address|undefined.
+# for the other sanitizers via GPLUS_SANITIZE=address|undefined. CI's TSan
+# job runs this script; CMake takes the generator and compiler launcher
+# from CMAKE_GENERATOR and CMAKE_<LANG>_COMPILER_LAUNCHER in the
+# environment.
 set -eu
 
 SANITIZER="${GPLUS_SANITIZE:-thread}"
