@@ -57,6 +57,11 @@ struct NeighborhoodFunction {
   double effective_diameter = 0.0;
   /// Number of BFS-level passes executed until convergence.
   std::size_t iterations = 0;
+  /// merge_registers calls over all passes. A full pass would merge once
+  /// per arc (twice when undirected); the systolic loop skips neighbours
+  /// whose registers did not grow on the previous pass, so this is at most
+  /// iterations × arcs (× 2 when undirected).
+  std::uint64_t register_merges = 0;
 };
 
 /// HyperANF options.
@@ -76,6 +81,16 @@ void summarize_distances(NeighborhoodFunction& anf) noexcept;
 
 /// Runs HyperANF over any view. Throws std::invalid_argument when the
 /// precision is outside [4, 16].
+///
+/// Systolic passes (HyperBall): registers only grow, so merging from a
+/// neighbour whose registers did not change on the previous pass is a
+/// no-op. Each pass merges only from neighbours flagged as changed, and
+/// flags a node when a merge grew its registers. Only flagged rows are
+/// copied back and re-estimated; every other node keeps its cached
+/// estimate. The cache is summed over the same chunk grid as a full
+/// re-estimate would be, so `reachable_pairs` is bit-identical to the
+/// full-merge loop. Extra memory: 8 B/node of estimates, 2 B/node of
+/// flags.
 template <class View>
 NeighborhoodFunction approximate_neighborhood_function(
     const View& view, const AnfOptions& options = {}) {
@@ -88,61 +103,82 @@ NeighborhoodFunction approximate_neighborhood_function(
 
   // Flat register planes, current and next, seeded with each node's own
   // hash. Register unions are max — commutative and associative — and
-  // each lane only writes next[u] for its own u range, so every phase of
-  // a pass is race-free and thread-count independent.
+  // each lane only writes next[u], estimate[u] and grew[u] for its own u
+  // range, so every phase of a pass is race-free and thread-count
+  // independent.
   std::vector<std::uint8_t> current(n * m, 0);
+  std::vector<double> estimate(n);
   constexpr std::size_t kGrain = 1024;
   core::parallel_for(n, kGrain, [&](std::size_t begin, std::size_t end) {
     for (auto u = static_cast<graph::NodeId>(begin); u < end; ++u) {
+      std::uint8_t* row = current.data() + std::size_t{u} * m;
       std::uint64_t state = options.seed ^ (0x9E3779B97F4A7C15ULL * (u + 1));
-      add_hash_to_registers(current.data() + std::size_t{u} * m, p,
-                            stats::splitmix64_next(state));
+      add_hash_to_registers(row, p, stats::splitmix64_next(state));
+      estimate[u] = estimate_registers(row, m);
     }
   });
 
   auto total_estimate = [&] {
-    // Per-node estimates are exact doubles of the serial path; the fixed
-    // combine tree keeps the sum bit-identical across thread counts.
+    // The fixed combine tree keeps the sum bit-identical across thread
+    // counts.
     return core::parallel_reduce(
         n, kGrain, 0.0,
         [&](std::size_t begin, std::size_t end, double& acc) {
-          for (std::size_t u = begin; u < end; ++u) {
-            acc += estimate_registers(current.data() + u * m, m);
-          }
+          for (std::size_t u = begin; u < end; ++u) acc += estimate[u];
         },
         [](double& into, const double& from) { into += from; });
   };
   out.reachable_pairs.push_back(total_estimate());  // h = 0: the nodes
 
+  struct PassTally {
+    std::uint64_t merges = 0;
+    std::uint64_t grown = 0;  // nodes whose registers grew this pass
+  };
   std::vector<std::uint8_t> next = current;
+  // Every seed row is new, so every node counts as changed before hop 1.
+  std::vector<std::uint8_t> changed(n, 1);
+  std::vector<std::uint8_t> grew(n, 0);
   for (std::size_t hop = 1; hop <= options.max_hops; ++hop) {
-    // char, not bool: std::vector<bool> slots can't bind the combine refs.
-    const bool any_change =
-        core::parallel_reduce(
-            n, kGrain, char{0},
-            [&](std::size_t begin, std::size_t end, char& changed) {
-              for (auto u = static_cast<graph::NodeId>(begin); u < end;
-                   ++u) {
-                std::uint8_t* mine = next.data() + std::size_t{u} * m;
-                auto merge_row = [&](auto scan) {
-                  graph::NodeId v = 0;
-                  while (scan.next(v)) {
-                    changed |= merge_registers(
-                        mine, current.data() + std::size_t{v} * m, m);
-                  }
-                };
-                merge_row(view.out_scan(u));
-                if (options.undirected) merge_row(view.in_scan(u));
+    const PassTally tally = core::parallel_reduce(
+        n, kGrain, PassTally{},
+        [&](std::size_t begin, std::size_t end, PassTally& acc) {
+          for (auto u = static_cast<graph::NodeId>(begin); u < end; ++u) {
+            std::uint8_t* mine = next.data() + std::size_t{u} * m;
+            bool grown = false;
+            auto merge_row = [&](auto scan) {
+              graph::NodeId v = 0;
+              while (scan.next(v)) {
+                if (!changed[v]) continue;
+                grown |= merge_registers(
+                    mine, current.data() + std::size_t{v} * m, m);
+                ++acc.merges;
               }
-            },
-            [](char& into, const char& from) { into |= from; }) != 0;
+            };
+            merge_row(view.out_scan(u));
+            if (options.undirected) merge_row(view.in_scan(u));
+            grew[u] = grown;
+            if (grown) {
+              estimate[u] = estimate_registers(mine, m);
+              ++acc.grown;
+            }
+          }
+        },
+        [](PassTally& into, const PassTally& from) {
+          into.merges += from.merges;
+          into.grown += from.grown;
+        });
     core::parallel_for(n, kGrain, [&](std::size_t begin, std::size_t end) {
-      std::memcpy(current.data() + begin * m, next.data() + begin * m,
-                  (end - begin) * m);
+      for (std::size_t u = begin; u < end; ++u) {
+        if (grew[u]) {
+          std::memcpy(current.data() + u * m, next.data() + u * m, m);
+        }
+      }
     });
+    changed.swap(grew);
+    out.register_merges += tally.merges;
     out.iterations = hop;
     out.reachable_pairs.push_back(total_estimate());
-    if (!any_change) break;
+    if (tally.grown == 0) break;
   }
   anf_detail::summarize_distances(out);
   return out;

@@ -56,7 +56,8 @@ double degree_assortativity(const DiGraph& g, DegreeMode mode) {
   return sxy / std::sqrt(sxx * syy);
 }
 
-std::vector<double> neighbor_degree_profile(const DiGraph& g, std::size_t max_k) {
+std::vector<double> neighbor_degree_profile(const DiGraph& g,
+                                            std::size_t max_k) {
   const auto in = in_degrees(g);
   std::vector<double> sum(max_k + 1, 0.0);
   std::vector<std::uint64_t> count(max_k + 1, 0);

@@ -15,7 +15,8 @@ namespace {
 
 // One Brandes source accumulation: BFS orders nodes by distance, the
 // reverse sweep pushes pair-dependencies down the shortest-path DAG.
-void accumulate_from(const DiGraph& g, NodeId source, std::vector<double>& score,
+void accumulate_from(const DiGraph& g, NodeId source,
+                     std::vector<double>& score,
                      std::vector<std::uint32_t>& dist,
                      std::vector<double>& sigma, std::vector<double>& delta,
                      std::vector<NodeId>& order) {

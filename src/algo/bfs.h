@@ -25,7 +25,8 @@
 namespace gplus::algo {
 
 /// Distance value meaning "unreachable".
-constexpr std::uint32_t kUnreachable = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint32_t kUnreachable =
+    std::numeric_limits<std::uint32_t>::max();
 
 /// Estimated hop-count distribution from `sources` BFS roots.
 struct PathLengthEstimate {
@@ -202,8 +203,8 @@ PathLengthEstimate estimate_path_lengths(const View& view,
     prev_pmf = std::move(pmf);
     if (converged || used >= cap) break;
     round_target = std::min(
-        cap, static_cast<std::size_t>(
-                 std::ceil(static_cast<double>(round_target) * options.growth)));
+        cap, static_cast<std::size_t>(std::ceil(
+                 static_cast<double>(round_target) * options.growth)));
   }
 
   PathLengthEstimate est;

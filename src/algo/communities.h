@@ -69,8 +69,8 @@ Partition label_propagation(const View& view, stats::Rng& rng,
       for (const auto& [l, c] : votes) {
         if (c == best_count) best_labels.push_back(l);
       }
-      const std::uint32_t pick =
-          best_labels[static_cast<std::size_t>(rng.next_below(best_labels.size()))];
+      const std::uint32_t pick = best_labels[static_cast<std::size_t>(
+          rng.next_below(best_labels.size()))];
       if (pick != label[u]) {
         label[u] = pick;
         changed = true;

@@ -14,6 +14,7 @@ namespace gplus::algo {
 double jaccard_index(std::span<const int> a, std::span<const int> b);
 
 /// String-keyed variant.
-double jaccard_index(std::span<const std::string> a, std::span<const std::string> b);
+double jaccard_index(std::span<const std::string> a,
+                     std::span<const std::string> b);
 
 }  // namespace gplus::algo

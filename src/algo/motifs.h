@@ -123,7 +123,8 @@ inline constexpr std::size_t kMotifRowGrain = 2048;
 /// Mixes (seed, index) into an independent per-sample RNG seed, so the
 /// sample set is a pure function of the config — independent of
 /// evaluation order and thread count.
-std::uint64_t fork_sample_seed(std::uint64_t seed, std::uint64_t index) noexcept;
+std::uint64_t fork_sample_seed(std::uint64_t seed,
+                               std::uint64_t index) noexcept;
 
 }  // namespace motif_detail
 

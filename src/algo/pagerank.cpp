@@ -50,8 +50,8 @@ PageRankResult pagerank(const DiGraph& g, const PageRankOptions& options) {
           }
         },
         add);
-    const double base =
-        (1.0 - options.damping) * uniform + options.damping * dangling * uniform;
+    const double base = (1.0 - options.damping) * uniform +
+                        options.damping * dangling * uniform;
     core::parallel_for(n, kGrain / 4, [&](std::size_t begin, std::size_t end) {
       for (NodeId v = static_cast<NodeId>(begin); v < end; ++v) {
         double total = base;
@@ -79,11 +79,13 @@ PageRankResult pagerank(const DiGraph& g, const PageRankOptions& options) {
   return result;
 }
 
-std::vector<NodeId> top_by_pagerank(const PageRankResult& result, std::size_t k) {
+std::vector<NodeId> top_by_pagerank(const PageRankResult& result,
+                                    std::size_t k) {
   std::vector<NodeId> order(result.score.size());
   std::iota(order.begin(), order.end(), NodeId{0});
   const std::size_t keep = std::min(k, order.size());
-  std::partial_sort(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(keep),
+  std::partial_sort(order.begin(),
+                    order.begin() + static_cast<std::ptrdiff_t>(keep),
                     order.end(), [&](NodeId a, NodeId b) {
                       if (result.score[a] != result.score[b]) {
                         return result.score[a] > result.score[b];

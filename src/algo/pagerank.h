@@ -29,7 +29,8 @@ struct PageRankResult {
 
 /// Power iteration with uniform teleportation; dangling (out-degree 0)
 /// mass is redistributed uniformly, so scores always sum to 1.
-PageRankResult pagerank(const graph::DiGraph& g, const PageRankOptions& options = {});
+PageRankResult pagerank(const graph::DiGraph& g,
+                        const PageRankOptions& options = {});
 
 /// Nodes ranked by PageRank, descending (ties by ascending id), top `k`.
 std::vector<graph::NodeId> top_by_pagerank(const PageRankResult& result,

@@ -323,7 +323,8 @@ CalibrationMeasurement measure_profile(const DiGraph& g,
         sampled_clustering_coefficients(g, config.clustering_sample, rng);
     double sum = 0.0;
     for (const double v : values) sum += v;
-    out.clustering = values.empty() ? 0.0 : sum / static_cast<double>(values.size());
+    out.clustering =
+        values.empty() ? 0.0 : sum / static_cast<double>(values.size());
   }
   out.reciprocity = global_reciprocity(g);
   if (objective.closure_weight > 0.0) {

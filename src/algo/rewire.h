@@ -22,7 +22,8 @@ namespace gplus::algo {
 /// controls mixing (10 is plenty in practice). In- and out-degree of every
 /// node are exactly preserved.
 graph::DiGraph rewire_configuration_model(const graph::DiGraph& g,
-                                          double swaps_per_edge, stats::Rng& rng);
+                                          double swaps_per_edge,
+                                          stats::Rng& rng);
 
 /// Erdős–Rényi-style directed G(n, m) with the same node and edge counts
 /// as `g` (degrees NOT preserved); the cruder baseline.
@@ -113,9 +114,9 @@ double objective_error(const CalibrationMeasurement& measured,
 /// each round is accepted only if the measured objective error drops.
 /// Deterministic in `config.seed` at any GPLUS_THREADS and on any host
 /// (proposals are serial; measurements run on the deterministic parallel
-/// runtime and the result-identical shared intersection). Self-loops in the input are
-/// preserved or retargeted but never created; isolated nodes are
-/// untouched.
+/// runtime and the result-identical shared intersection). Self-loops in
+/// the input are preserved or retargeted but never created; isolated
+/// nodes are untouched.
 CalibrationResult calibrate_to_profile(const graph::DiGraph& g,
                                        const RewireObjective& objective,
                                        const CalibrateConfig& config = {});

@@ -76,7 +76,8 @@ WccResult weakly_connected_components(const DiGraph& g) {
 
   WccResult result;
   result.component.assign(n, 0);
-  constexpr std::uint32_t kUnassigned = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::uint32_t kUnassigned =
+      std::numeric_limits<std::uint32_t>::max();
   std::vector<std::uint32_t> root_to_comp(n, kUnassigned);
   for (NodeId u = 0; u < n; ++u) {
     const NodeId root = uf.find(u);

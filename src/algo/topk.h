@@ -18,10 +18,12 @@ struct RankedNode {
 };
 
 /// The `k` nodes with largest in-degree, descending (ties by ascending id).
-std::vector<RankedNode> top_by_in_degree(const graph::DiGraph& g, std::size_t k);
+std::vector<RankedNode> top_by_in_degree(const graph::DiGraph& g,
+                                         std::size_t k);
 
 /// The `k` nodes with largest out-degree, descending.
-std::vector<RankedNode> top_by_out_degree(const graph::DiGraph& g, std::size_t k);
+std::vector<RankedNode> top_by_out_degree(const graph::DiGraph& g,
+                                          std::size_t k);
 
 /// The `k` nodes with largest in-degree among those satisfying `keep`
 /// (Table 5 ranks within each country).

@@ -67,8 +67,10 @@ TriangleCensus count_triangles(const View& view) {
         for (auto u = static_cast<graph::NodeId>(begin); u < end; ++u) {
           auto& row = nbr[u];
           row.reserve(view.out_degree(u) + view.in_degree(u));
-          for_each_union_neighbor(
-              view, u, [&](graph::NodeId v, std::uint8_t) { row.push_back(v); });
+          for_each_union_neighbor(view, u,
+                                  [&](graph::NodeId v, std::uint8_t) {
+                                    row.push_back(v);
+                                  });
         }
       });
   return triangle_detail::census_from_rows(nbr);

@@ -59,10 +59,11 @@ std::vector<AttributeAvailability> attribute_availability(const Dataset& ds) {
     out.push_back(row);
   }
   // Table 2 lists attributes by decreasing availability (Name first).
-  std::stable_sort(out.begin(), out.end(),
-                   [](const AttributeAvailability& a, const AttributeAvailability& b) {
-                     return a.available > b.available;
-                   });
+  std::stable_sort(
+      out.begin(), out.end(),
+      [](const AttributeAvailability& a, const AttributeAvailability& b) {
+        return a.available > b.available;
+      });
   return out;
 }
 
@@ -139,7 +140,8 @@ std::vector<stats::CurvePoint> fields_shared_ccdf(const Dataset& ds,
 }
 
 StructuralSummary structural_summary(const graph::DiGraph& g,
-                                     std::size_t path_sources, stats::Rng& rng) {
+                                     std::size_t path_sources,
+                                     stats::Rng& rng) {
   GPLUS_EXPECT(path_sources > 0, "need at least one BFS source");
   StructuralSummary s;
   s.nodes = g.node_count();

@@ -62,7 +62,8 @@ CohortBreakdown cohort_breakdown(const Dataset& ds, bool tel_only);
 // ----------------------------------------------------------------- Fig 2 ---
 /// CCDF of the number of shared profile fields (Work/Home contact excluded,
 /// matching the figure), for the whole population or the tel-user cohort.
-std::vector<stats::CurvePoint> fields_shared_ccdf(const Dataset& ds, bool tel_only);
+std::vector<stats::CurvePoint> fields_shared_ccdf(const Dataset& ds,
+                                                  bool tel_only);
 
 // ---------------------------------------------------------------- Table 4 --
 /// Our measured counterpart of a Table 4 row.

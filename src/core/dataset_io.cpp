@@ -26,7 +26,9 @@ std::uint64_t read_u64(std::istream& in) {
   in.read(reinterpret_cast<char*>(buf), 8);
   if (!in) fail("truncated stream");
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(buf[i]) << (8 * i);
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<std::uint64_t>(buf[i]) << (8 * i);
+  }
   return v;
 }
 
@@ -63,7 +65,9 @@ synth::Profile read_profile(std::istream& in) {
   const auto occupation = read_u64(in);
   const auto country = read_u64(in);
   if (gender >= synth::kGenderCount) fail("gender out of range");
-  if (relationship >= synth::kRelationshipCount) fail("relationship out of range");
+  if (relationship >= synth::kRelationshipCount) {
+    fail("relationship out of range");
+  }
   if (occupation >= synth::kOccupationCount) fail("occupation out of range");
   if (country != geo::kNoCountry && country >= geo::country_count()) {
     fail("country out of range");

@@ -106,7 +106,9 @@ void write_nodes_csv(const Dataset& dataset, std::ostream& out,
     }
     if (options.include_occupation) {
       out << ',';
-      if (occupation_visible(p, options)) out << synth::occupation_code(p.occupation);
+      if (occupation_visible(p, options)) {
+        out << synth::occupation_code(p.occupation);
+      }
     }
     if (options.include_celebrity) out << ',' << (p.celebrity ? 1 : 0);
     if (options.include_coordinates) {

@@ -118,8 +118,10 @@ PathMileSamples sample_path_miles(const Dataset& ds, std::size_t max_pairs,
   const std::size_t max_attempts = max_pairs * 20;
   while (out.random.size() < max_pairs && attempts < max_attempts) {
     ++attempts;
-    const NodeId a = located[static_cast<std::size_t>(rng.next_below(located.size()))];
-    const NodeId b = located[static_cast<std::size_t>(rng.next_below(located.size()))];
+    const NodeId a =
+        located[static_cast<std::size_t>(rng.next_below(located.size()))];
+    const NodeId b =
+        located[static_cast<std::size_t>(rng.next_below(located.size()))];
     if (a == b || g.has_edge(a, b) || g.has_edge(b, a)) continue;
     out.random.push_back(miles(a, b));
   }
@@ -135,7 +137,8 @@ std::vector<CountryPathMiles> path_miles_by_country(const Dataset& ds) {
     const geo::CountryId c = ds.profiles[u].country;
     for (NodeId v : g.out_neighbors(u)) {
       if (!ds.located(v) || v == u) continue;
-      acc[c].add(geo::haversine_miles(ds.profiles[u].home, ds.profiles[v].home));
+      acc[c].add(
+          geo::haversine_miles(ds.profiles[u].home, ds.profiles[v].home));
     }
   }
   std::vector<CountryPathMiles> out;
@@ -204,7 +207,9 @@ CountryLinkGraph country_link_graph(const Dataset& ds) {
 
   // slot[c]: index into the top-10, or -1.
   std::vector<int> slot(geo::country_count(), -1);
-  for (std::size_t i = 0; i < top10.size(); ++i) slot[top10[i]] = static_cast<int>(i);
+  for (std::size_t i = 0; i < top10.size(); ++i) {
+    slot[top10[i]] = static_cast<int>(i);
+  }
 
   std::vector<std::vector<std::uint64_t>> counts(
       top10.size(), std::vector<std::uint64_t>(top10.size(), 0));

@@ -40,7 +40,8 @@ RouteResult greedy_geo_route(const Dataset& ds, NodeId source, NodeId target,
         break;
       }
       if (!ds.located(next)) continue;
-      const double d = geo::haversine_miles(ds.profiles[next].home, destination);
+      const double d =
+          geo::haversine_miles(ds.profiles[next].home, destination);
       if (d < best_distance) {
         best_distance = d;
         best = next;

@@ -9,7 +9,7 @@
 //    grid* (chunk boundaries derived from `n` and `grain` only, never
 //    from the thread count) and runs `body(begin, end)` per chunk.
 //  * `parallel_reduce(n, grain, identity, map, combine)` — maps each
-//    chunk into its own accumulator slot and combines the slots with a
+//    chunk into its own accumulator and combines the accumulators with a
 //    fixed-order pairwise tree. Because the chunk grid and the combine
 //    order are both thread-count independent, the result is *identical*
 //    for every thread count: exact for integer accumulators, and
@@ -43,6 +43,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <utility>
 #include <vector>
 
 namespace gplus::core {
@@ -103,15 +104,23 @@ inline void parallel_for(
 /// tree over the chunk grid, so the result depends only on (n, grain,
 /// map, combine) — never on the thread count. Integer reductions are
 /// exact; floating-point reductions are bit-for-bit reproducible.
+///
+/// The accumulator `map` folds into is a local of the chunk's lane, moved
+/// into its `partials` slot once the chunk ends. Adjacent slots share
+/// cache lines, so folding into the slot itself would bounce that line
+/// between lanes on every update (HyperANF updates its tally per arc).
 template <typename T, typename Map, typename Combine>
 T parallel_reduce(std::size_t n, std::size_t grain, T identity, Map map,
                   Combine combine) {
   const std::size_t chunks = detail::chunk_count(n, grain);
   if (chunks == 0) return identity;
   std::vector<T> partials(chunks, identity);
-  detail::run_chunks(n, grain,
-                     [&](std::size_t chunk, std::size_t begin,
-                         std::size_t end) { map(begin, end, partials[chunk]); });
+  detail::run_chunks(
+      n, grain, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+        T acc = identity;
+        map(begin, end, acc);
+        partials[chunk] = std::move(acc);
+      });
   // Fixed-order pairwise tree: partials[i] absorbs partials[i + stride].
   for (std::size_t stride = 1; stride < chunks; stride *= 2) {
     for (std::size_t i = 0; i + stride < chunks; i += 2 * stride) {

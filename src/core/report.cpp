@@ -104,7 +104,8 @@ void write_report(const Dataset& dataset, std::ostream& out,
       if (v.empty()) return 0.0;
       std::sort(v.begin(), v.end());
       const auto it = std::upper_bound(v.begin(), v.end(), x);
-      return static_cast<double>(it - v.begin()) / static_cast<double>(v.size());
+      return static_cast<double>(it - v.begin()) /
+             static_cast<double>(v.size());
     };
     out << "\nPath miles: " << fmt_percent(within(miles.friends, 1000.0))
         << " of friend pairs within 1,000 miles (paper: 58%); random pairs "

@@ -13,14 +13,17 @@ TextTable::TextTable(std::vector<std::string> headers)
 }
 
 void TextTable::add_row(std::vector<std::string> cells) {
-  GPLUS_EXPECT(cells.size() <= headers_.size(), "row has more cells than columns");
+  GPLUS_EXPECT(cells.size() <= headers_.size(),
+               "row has more cells than columns");
   cells.resize(headers_.size());
   rows_.push_back(std::move(cells));
 }
 
 std::string TextTable::str() const {
   std::vector<std::size_t> width(headers_.size());
-  for (std::size_t c = 0; c < headers_.size(); ++c) width[c] = headers_[c].size();
+  for (std::size_t c = 0; c < headers_.size(); ++c) {
+    width[c] = headers_[c].size();
+  }
   for (const auto& row : rows_) {
     for (std::size_t c = 0; c < row.size(); ++c) {
       width[c] = std::max(width[c], row[c].size());

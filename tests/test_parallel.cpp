@@ -5,6 +5,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -99,6 +100,31 @@ TEST_F(ParallelTest, DoubleReduceIsBitIdenticalAcrossThreadCounts) {
   for (std::size_t threads : {2u, 3u, 7u}) {
     set_thread_count(threads);
     EXPECT_EQ(serial, sum()) << threads << " threads";
+  }
+}
+
+TEST_F(ParallelTest, ReduceGivesEachChunkAFreshAccumulatorAndAFixedTree) {
+  // Every chunk's map must start from `identity`, never from what another
+  // chunk folded on the same lane, and the chunk results must combine in
+  // the fixed pairwise tree whatever the lane count.
+  const std::string identity = "identity";
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    set_thread_count(threads);
+    std::atomic<int> dirty{0};
+    const std::string got = parallel_reduce(
+        14, 2, identity,
+        [&](std::size_t begin, std::size_t end, std::string& acc) {
+          if (acc != identity) dirty.fetch_add(1);
+          acc = std::to_string(begin) + "-" + std::to_string(end);
+        },
+        [](std::string& into, const std::string& from) {
+          into = "(" + into + " " + from + ")";
+        });
+    EXPECT_EQ(dirty.load(), 0) << threads << " lanes";
+    // Seven chunks: pairs at stride 1, then 2, then 4; chunk 6 has no
+    // partner until stride 2.
+    EXPECT_EQ(got, "(((0-2 2-4) (4-6 6-8)) ((8-10 10-12) 12-14))")
+        << threads << " lanes";
   }
 }
 
