@@ -2,7 +2,7 @@
 //
 // Reproduces the paper's collection pipeline on the simulated service:
 //  * bidirectional BFS from the most popular user (the paper seeded at
-//    Mark Zuckerberg), with 11 simulated machines and a latency model;
+//    Mark Zuckerberg), charged to 11 simulated rate-limited machines;
 //  * the lost-edge estimate from the 10,000-entry public-circle cap (the
 //    paper found 915 users above the cap and a 1.6% loss);
 //  * the BFS degree-bias caveat, quantified at several coverage levels —
@@ -14,7 +14,6 @@
 #include "core/table.h"
 #include "crawler/bias.h"
 #include "crawler/crawler.h"
-#include "crawler/fleet.h"
 #include "service/service.h"
 
 int main() {
@@ -35,10 +34,12 @@ int main() {
 
   std::cout << "--- Full bidirectional crawl (11 simulated machines) ---\n";
   const auto full = crawler::run_bfs_crawl(svc, config);
-  std::cout << "profiles crawled: " << core::fmt_count(full.stats.profiles_crawled)
-            << ", boundary nodes: " << core::fmt_count(full.stats.boundary_nodes)
-            << "\n";
-  std::cout << "edges collected: " << core::fmt_count(full.stats.edges_collected)
+  std::cout << "profiles crawled: "
+            << core::fmt_count(full.stats.profiles_crawled)
+            << ", boundary nodes: "
+            << core::fmt_count(full.stats.boundary_nodes) << "\n";
+  std::cout << "edges collected: "
+            << core::fmt_count(full.stats.edges_collected)
             << " (deduped graph: " << core::fmt_count(full.graph.edge_count())
             << ")\n";
   std::cout << "requests: " << core::fmt_count(full.stats.requests)
@@ -59,9 +60,10 @@ int main() {
     service::SocialService fresh(&ds.graph(), ds.profiles, sconfig);
     crawler::CrawlConfig partial = config;
     partial.max_profiles =
-        coverage >= 1.0 ? 0
-                        : static_cast<std::size_t>(coverage *
-                                                   static_cast<double>(ds.user_count()));
+        coverage >= 1.0
+            ? 0
+            : static_cast<std::size_t>(
+                  coverage * static_cast<double>(ds.user_count()));
     const auto crawl = crawler::run_bfs_crawl(fresh, partial);
     const auto est = crawler::estimate_lost_edges(fresh, crawl);
     lost.add_row({core::fmt_percent(coverage, 0),
@@ -71,7 +73,8 @@ int main() {
                   core::fmt_percent(est.lost_fraction, 2)});
   }
   std::cout << lost.str();
-  std::cout << "(a complete bidirectional crawl recovers capped edges from the\n"
+  std::cout << "(a complete bidirectional crawl recovers capped edges from "
+               "the\n"
                " source side — exactly the paper's recovery argument; the\n"
                " residual loss comes from never-crawled followers)\n\n";
 
@@ -82,9 +85,10 @@ int main() {
     service::SocialService fresh(&ds.graph(), ds.profiles, sconfig);
     crawler::CrawlConfig partial = config;
     partial.max_profiles =
-        coverage >= 1.0 ? 0
-                        : static_cast<std::size_t>(coverage *
-                                                   static_cast<double>(ds.user_count()));
+        coverage >= 1.0
+            ? 0
+            : static_cast<std::size_t>(
+                  coverage * static_cast<double>(ds.user_count()));
     const auto crawl = crawler::run_bfs_crawl(fresh, partial);
     const auto report = crawler::measure_bias(ds.graph(), crawl);
     bias.add_row({core::fmt_percent(report.coverage, 0),
@@ -95,7 +99,8 @@ int main() {
   }
   std::cout << bias.str();
   std::cout << "(the paper crawled 56% of the network: at that coverage the\n"
-               " BFS over-samples popular users, inflating degree estimates)\n\n";
+               " BFS over-samples popular users, inflating degree "
+               "estimates)\n\n";
 
   std::cout << "--- Crawl fleet: makespan vs machine count (paper: 11 machines,"
                " Nov 11 - Dec 27 = 46 days) ---\n";
@@ -103,14 +108,13 @@ int main() {
                                "Requests"});
   for (std::size_t machines : {1u, 4u, 11u, 22u}) {
     service::SocialService fresh(&ds.graph(), ds.profiles, sconfig);
-    crawler::FleetConfig fconfig;
-    fconfig.seed_node = config.seed_node;
-    fconfig.machines = machines;
-    const auto fleet = crawler::run_crawl_fleet(fresh, fconfig);
+    crawler::CrawlConfig fleet_config = config;
+    fleet_config.machines = machines;
+    const auto fleet = crawler::run_bfs_crawl(fresh, fleet_config);
     fleet_table.add_row({std::to_string(machines),
                          core::fmt_double(fleet.makespan_days, 1),
                          core::fmt_percent(fleet.mean_utilization, 0),
-                         core::fmt_count(fleet.crawl.stats.requests)});
+                         core::fmt_count(fleet.stats.requests)});
   }
   std::cout << fleet_table.str();
   std::cout << "(rate-limited machines with a shared frontier: at 2 req/s per\n"

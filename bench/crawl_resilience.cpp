@@ -4,7 +4,8 @@
 // rate-limited service — machines failed, pages truncated, requests were
 // throttled. This bench turns the operating reality into a measurement:
 //  * a fault-rate sweep showing how retries and backoff buy graph
-//    fidelity with simulated wall-clock time;
+//    fidelity with simulated wall-clock time, and the 11-machine fleet's
+//    makespan and utilization under faults;
 //  * the bit-identity check: every faulty crawl must collect exactly the
 //    fault-free graph, or the retry layer is broken;
 //  * a kill-and-resume demo: checkpoint mid-crawl, "lose" the fleet, and
@@ -19,7 +20,6 @@
 #include "core/analysis.h"
 #include "core/table.h"
 #include "crawler/crawler.h"
-#include "crawler/fleet.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "service/service.h"
@@ -111,7 +111,8 @@ int main() {
     service::SocialService svc(&ds.graph(), ds.profiles, sconfig);
     const auto before = registry.snapshot();
     const auto crawl = crawler::run_bfs_crawl(svc, base);
-    failures += reconcile_crawl("sweep", obs::delta(registry.snapshot(), before),
+    failures += reconcile_crawl("sweep",
+                                obs::delta(registry.snapshot(), before),
                                 crawl.stats.retry,
                                 crawl.stats.checkpoints_written);
     sweep.add_row({core::fmt_percent(rate, 0),
@@ -138,20 +139,17 @@ int main() {
     service::ServiceConfig sconfig;
     sconfig.faults = faults_at(rate);
     service::SocialService svc(&ds.graph(), ds.profiles, sconfig);
-    crawler::FleetConfig fconfig;
-    fconfig.seed_node = base.seed_node;
-    fconfig.machines = 11;
-    fconfig.max_profiles = profiles;
     const auto before = registry.snapshot();
-    const auto fleet = crawler::run_crawl_fleet(svc, fconfig);
-    failures += reconcile_crawl("fleet", obs::delta(registry.snapshot(), before),
-                                fleet.crawl.stats.retry,
-                                fleet.crawl.stats.checkpoints_written);
+    const auto fleet = crawler::run_bfs_crawl(svc, base);
+    failures += reconcile_crawl("fleet",
+                                obs::delta(registry.snapshot(), before),
+                                fleet.stats.retry,
+                                fleet.stats.checkpoints_written);
     fleet_table.add_row({core::fmt_percent(rate, 0),
                          core::fmt_double(fleet.makespan_days, 2),
                          core::fmt_percent(fleet.mean_utilization, 0),
-                         core::fmt_count(fleet.crawl.stats.retry.rate_limited),
-                         same_graph(fleet.crawl) ? "OK" : "MISS"});
+                         core::fmt_count(fleet.stats.retry.rate_limited),
+                         same_graph(fleet) ? "OK" : "MISS"});
   }
   std::cout << fleet_table.str();
   std::cout << "(rate limits and backoff show up as idle machine time: the\n"
@@ -159,7 +157,8 @@ int main() {
 
   std::cout << "--- Kill and resume (checkpoint every 2,000 profiles) ---\n";
   const auto ckpt = std::filesystem::temp_directory_path() /
-                    ("gplus_resilience_" + std::to_string(::getpid()) + ".ckpt");
+                    ("gplus_resilience_" + std::to_string(::getpid()) +
+                     ".ckpt");
   std::filesystem::remove(ckpt);
   service::ServiceConfig sconfig;
   sconfig.faults = faults_at(0.10);

@@ -1,5 +1,6 @@
 #include "crawler/checkpoint.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -9,58 +10,116 @@ namespace gplus::crawler {
 
 namespace {
 
-constexpr char kMagic[8] = {'G', 'P', 'L', 'U', 'S', 'C', 'K', '2'};
+constexpr char kMagic[8] = {'G', 'P', 'L', 'U', 'S', 'C', 'K', '3'};
+// Retired versions, named when refused: GPLUSCK1 stored the backoff total
+// as a double of milliseconds, GPLUSCK2 carried no checksum.
+constexpr const char* kRetired[] = {"GPLUSCK1", "GPLUSCK2"};
+constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
+constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("checkpoint: " + what);
 }
 
-void write_u64(std::ostream& out, std::uint64_t v) {
-  unsigned char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<unsigned char>(v >> (8 * i));
-  out.write(reinterpret_cast<const char*>(buf), 8);
-}
-
-std::uint64_t read_u64(std::istream& in) {
-  unsigned char buf[8];
-  in.read(reinterpret_cast<char*>(buf), 8);
-  if (!in) fail("truncated stream");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(buf[i]) << (8 * i);
-  return v;
-}
-
-void write_f64(std::ostream& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  write_u64(out, bits);
-}
-
-double read_f64(std::istream& in) {
-  const std::uint64_t bits = read_u64(in);
-  double v;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
-}
-
-void write_flags(std::ostream& out, const std::vector<std::uint8_t>& flags) {
-  write_u64(out, flags.size());
-  if (!flags.empty()) {
-    out.write(reinterpret_cast<const char*>(flags.data()),
-              static_cast<std::streamsize>(flags.size()));
+void fnv1a(std::uint64_t& hash, const char* data, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    hash ^= static_cast<unsigned char>(data[i]);
+    hash *= kFnvPrime;
   }
 }
 
-std::vector<std::uint8_t> read_flags(std::istream& in, std::uint64_t expected) {
-  const std::uint64_t n = read_u64(in);
-  if (n != expected) fail("flag vector length mismatch");
-  std::vector<std::uint8_t> flags(n);
-  if (n > 0) {
-    in.read(reinterpret_cast<char*>(flags.data()),
-            static_cast<std::streamsize>(n));
+// Writes the body little-endian, hashing every byte it writes.
+class BodyWriter {
+ public:
+  explicit BodyWriter(std::ostream& out) : out_(out) {}
+
+  void bytes(const void* data, std::size_t n) {
+    fnv1a(hash_, static_cast<const char*>(data), n);
+    out_.write(static_cast<const char*>(data),
+               static_cast<std::streamsize>(n));
+  }
+  void u64(std::uint64_t v) {
+    unsigned char buf[8];
+    for (int i = 0; i < 8; ++i) {
+      buf[i] = static_cast<unsigned char>(v >> (8 * i));
+    }
+    bytes(buf, 8);
+  }
+  void f64(double v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    u64(bits);
+  }
+  void flags(const std::vector<std::uint8_t>& flags) {
+    u64(flags.size());
+    bytes(flags.data(), flags.size());
+  }
+  std::uint64_t hash() const noexcept { return hash_; }
+
+ private:
+  std::ostream& out_;
+  std::uint64_t hash_ = kFnvOffset;
+};
+
+// Reads `size` bytes of the file, never past them.
+class BodyReader {
+ public:
+  BodyReader(std::istream& in, std::uint64_t size) : in_(in), left_(size) {}
+
+  void bytes(void* data, std::uint64_t n) {
+    if (n > left_) fail("truncated stream");
+    in_.read(static_cast<char*>(data), static_cast<std::streamsize>(n));
+    if (!in_) fail("truncated stream");
+    left_ -= n;
+  }
+  std::uint64_t u64() {
+    unsigned char buf[8];
+    bytes(buf, 8);
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) {
+      v |= static_cast<std::uint64_t>(buf[i]) << (8 * i);
+    }
+    return v;
+  }
+  double f64() {
+    const std::uint64_t bits = u64();
+    double v;
+    std::memcpy(&v, &bits, sizeof v);
+    return v;
+  }
+  /// A count read from the file sizes an allocation only once the bytes
+  /// left can hold that many 8-byte records.
+  std::uint64_t count(const char* what) {
+    const std::uint64_t count = u64();
+    if (count > left_ / 8) fail(std::string(what) + " count exceeds file size");
+    return count;
+  }
+  std::vector<std::uint8_t> flags(std::uint64_t expected) {
+    if (u64() != expected) fail("flag vector length mismatch");
+    std::vector<std::uint8_t> flags(expected);
+    bytes(flags.data(), expected);
+    return flags;
+  }
+  std::uint64_t left() const noexcept { return left_; }
+
+ private:
+  std::istream& in_;
+  std::uint64_t left_;
+};
+
+// FNV-1a of the next `n` bytes of `in`, read in bounded chunks.
+std::uint64_t hash_stream(std::istream& in, std::uint64_t n) {
+  std::uint64_t hash = kFnvOffset;
+  std::vector<char> buf(std::size_t{1} << 16);
+  while (n > 0) {
+    const auto chunk = static_cast<std::size_t>(
+        std::min<std::uint64_t>(n, buf.size()));
+    in.read(buf.data(), static_cast<std::streamsize>(chunk));
     if (!in) fail("truncated stream");
+    fnv1a(hash, buf.data(), chunk);
+    n -= chunk;
   }
-  return flags;
+  return hash;
 }
 
 }  // namespace
@@ -76,28 +135,31 @@ void save_checkpoint(const CrawlCheckpoint& checkpoint,
     if (!out) fail("cannot open " + temp + " for writing");
     out.write(kMagic, sizeof kMagic);
 
-    write_u64(out, checkpoint.original_id.size());
-    for (graph::NodeId id : checkpoint.original_id) write_u64(out, id);
-    write_flags(out, checkpoint.crawled);
-    write_flags(out, checkpoint.degraded);
-    write_u64(out, checkpoint.queue_head);
+    BodyWriter body(out);
+    body.u64(checkpoint.original_id.size());
+    for (graph::NodeId id : checkpoint.original_id) body.u64(id);
+    body.flags(checkpoint.crawled);
+    body.flags(checkpoint.degraded);
+    body.u64(checkpoint.queue_head);
 
-    write_u64(out, checkpoint.edges.size());
+    body.u64(checkpoint.edges.size());
     for (const graph::Edge& e : checkpoint.edges) {
-      write_u64(out, (std::uint64_t{e.from} << 32) | e.to);
+      body.u64((std::uint64_t{e.from} << 32) | e.to);
     }
 
-    write_u64(out, checkpoint.profiles_crawled);
-    write_u64(out, checkpoint.edges_collected);
-    write_u64(out, checkpoint.requests);
-    write_u64(out, checkpoint.hidden_list_users);
-    write_u64(out, checkpoint.capped_users);
+    body.u64(checkpoint.profiles_crawled);
+    body.u64(checkpoint.edges_collected);
+    body.u64(checkpoint.requests);
+    body.u64(checkpoint.hidden_list_users);
+    body.u64(checkpoint.capped_users);
 
     for (const auto& field : kRetryCounters) {
-      write_u64(out, checkpoint.retry.*field.member);
+      body.u64(checkpoint.retry.*field.member);
     }
-    write_f64(out, checkpoint.elapsed_seconds);
+    body.f64(checkpoint.elapsed_seconds);
 
+    const std::uint64_t checksum = body.hash();
+    BodyWriter(out).u64(checksum);
     out.flush();
     if (!out) fail("write to " + temp + " failed");
   }
@@ -116,50 +178,52 @@ std::optional<CrawlCheckpoint> load_checkpoint(const std::string& path) {
   char magic[8];
   in.read(magic, sizeof magic);
   if (!in || std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
-    // Version 1 stored the backoff total as a double of milliseconds.
-    fail(in && std::memcmp(magic, "GPLUSCK1", 8) == 0
-             ? "unsupported format GPLUSCK1 in " + path +
-                   " (reader knows GPLUSCK2)"
-             : "bad magic in " + path);
+    for (const char* retired : kRetired) {
+      if (in && std::memcmp(magic, retired, sizeof magic) == 0) {
+        fail("unsupported format " + std::string(retired) + " in " + path +
+             " (reader knows GPLUSCK3)");
+      }
+    }
+    fail("bad magic in " + path);
   }
-  // A count read from the file sizes an allocation only once the bytes
-  // left in the file can hold that many 8-byte records.
-  const auto read_count = [&](const char* what) {
-    const std::uint64_t count = read_u64(in);
-    const auto left = size - static_cast<std::uint64_t>(in.tellg());
-    if (count > left / 8) fail(std::string(what) + " count exceeds file size");
-    return count;
-  };
+  // No field is trusted before the trailing checksum matches the body.
+  if (size < sizeof kMagic + 8) fail("truncated stream");
+  const std::uint64_t body_size = size - sizeof kMagic - 8;
+  const std::uint64_t hash = hash_stream(in, body_size);
+  if (BodyReader(in, 8).u64() != hash) fail("checksum mismatch in " + path);
+  in.seekg(sizeof kMagic);
+  BodyReader body(in, body_size);
 
   CrawlCheckpoint cp;
-  const std::uint64_t nodes = read_count("node");
+  const std::uint64_t nodes = body.count("node");
   cp.original_id.reserve(nodes);
   for (std::uint64_t i = 0; i < nodes; ++i) {
-    cp.original_id.push_back(static_cast<graph::NodeId>(read_u64(in)));
+    cp.original_id.push_back(static_cast<graph::NodeId>(body.u64()));
   }
-  cp.crawled = read_flags(in, nodes);
-  cp.degraded = read_flags(in, nodes);
-  cp.queue_head = read_u64(in);
+  cp.crawled = body.flags(nodes);
+  cp.degraded = body.flags(nodes);
+  cp.queue_head = body.u64();
   if (cp.queue_head > nodes) fail("queue head beyond frontier");
 
-  const std::uint64_t edges = read_count("edge");
+  const std::uint64_t edges = body.count("edge");
   cp.edges.reserve(edges);
   for (std::uint64_t i = 0; i < edges; ++i) {
-    const std::uint64_t packed = read_u64(in);
+    const std::uint64_t packed = body.u64();
     cp.edges.push_back({static_cast<graph::NodeId>(packed >> 32),
                         static_cast<graph::NodeId>(packed & 0xFFFFFFFFULL)});
   }
 
-  cp.profiles_crawled = read_u64(in);
-  cp.edges_collected = read_u64(in);
-  cp.requests = read_u64(in);
-  cp.hidden_list_users = read_u64(in);
-  cp.capped_users = read_u64(in);
+  cp.profiles_crawled = body.u64();
+  cp.edges_collected = body.u64();
+  cp.requests = body.u64();
+  cp.hidden_list_users = body.u64();
+  cp.capped_users = body.u64();
 
   for (const auto& field : kRetryCounters) {
-    cp.retry.*field.member = read_u64(in);
+    cp.retry.*field.member = body.u64();
   }
-  cp.elapsed_seconds = read_f64(in);
+  cp.elapsed_seconds = body.f64();
+  if (body.left() != 0) fail("trailing bytes in " + path);
   return cp;
 }
 

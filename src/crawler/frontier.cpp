@@ -2,13 +2,7 @@
 
 #include <limits>
 #include <numeric>
-#include <optional>
 #include <stdexcept>
-#include <type_traits>
-
-#include "crawler/fleet.h"
-#include "obs/trace.h"
-#include "stats/expect.h"
 
 namespace gplus::crawler {
 
@@ -130,6 +124,12 @@ void FrontierState::restore(const CrawlCheckpoint& checkpoint) {
     }
     new_id_[original] = static_cast<NodeId>(dense);
   }
+  // An endpoint past the frontier would size the graph beyond it.
+  for (const graph::Edge& e : checkpoint.edges) {
+    if (e.from >= original_id_.size() || e.to >= original_id_.size()) {
+      throw std::runtime_error("checkpoint: inconsistent with this service");
+    }
+  }
   edges_.clear();
   edges_.add_edges(checkpoint.edges);
   stats_.profiles_crawled =
@@ -190,78 +190,5 @@ void FrontierState::finish(CrawlResult& result) {
   result.crawled = std::move(crawled_);
   result.degraded = std::move(degraded_);
 }
-
-template <typename Config>
-CrawlResult run_crawl(service::SocialService& service, const Config& config,
-                      CrawlClock& clock) {
-  const std::size_t universe = service.user_count();
-  GPLUS_EXPECT(universe > 0, "service has no users");
-  GPLUS_EXPECT(config.seed_node < universe, "seed node out of range");
-  GPLUS_EXPECT(config.machines > 0, "need at least one crawl machine");
-
-  FrontierState state(universe);
-  const bool checkpointing = !config.checkpoint.path.empty();
-  const auto restored = checkpointing && config.checkpoint.resume
-                            ? load_checkpoint(config.checkpoint.path)
-                            : std::nullopt;
-  if (restored) state.restore(*restored);
-  if (state.seen() == 0) state.see(config.seed_node);
-  const std::uint64_t base_requests = restored ? restored->requests : 0;
-  clock.start(restored ? restored->elapsed_seconds : 0.0);
-
-  // Spans are named for the entry point; the fleet's run span also
-  // carries its machine count, the crawler's its edge count.
-  constexpr bool kFleet = std::is_same_v<Config, FleetConfig>;
-  auto& trace = obs::TraceLog::global();
-  obs::TraceLog::Scope run_span(trace, kFleet ? "fleet.run" : "crawl.run");
-  const std::uint64_t requests_before = service.request_count();
-  const auto run_requests = [&] {
-    return service.request_count() - requests_before;
-  };
-  // The trace clock advances by simulated requests issued since the last
-  // stamp — a deterministic quantity — so spans land at reproducible
-  // virtual times at any thread count.
-  std::uint64_t traced_requests = 0;
-  const auto stamp_clock = [&] {
-    trace.advance(run_requests() - traced_requests);
-    traced_requests = run_requests();
-  };
-  const auto take_checkpoint = [&] {
-    const std::uint64_t requests = base_requests + run_requests();
-    stamp_clock();
-    obs::TraceLog::Scope span(trace,
-                              kFleet ? "fleet.checkpoint" : "crawl.checkpoint");
-    span.attr("profiles", state.profiles_crawled());
-    span.attr("requests", requests);
-    state.save(config.checkpoint.path, requests, clock.elapsed_seconds());
-  };
-
-  while (state.pending() && (config.max_profiles == 0 ||
-                              state.profiles_crawled() < config.max_profiles)) {
-    clock.charge(
-        state.expand_next(service, config.retry, config.bidirectional));
-    if (checkpointing && config.checkpoint.every_profiles != 0 &&
-        state.profiles_crawled() % config.checkpoint.every_profiles == 0) {
-      take_checkpoint();
-    }
-  }
-  if (checkpointing) take_checkpoint();
-  stamp_clock();
-
-  CrawlResult result;
-  state.finish(result);
-  result.stats.requests = base_requests + run_requests();
-  result.stats.simulated_hours = clock.run_hours();
-  if constexpr (kFleet) run_span.attr("machines", config.machines);
-  run_span.attr("profiles", result.stats.profiles_crawled);
-  if constexpr (!kFleet) run_span.attr("edges", result.stats.edges_collected);
-  run_span.attr("requests", run_requests());
-  return result;
-}
-
-template CrawlResult run_crawl(service::SocialService&, const CrawlConfig&,
-                               CrawlClock&);
-template CrawlResult run_crawl(service::SocialService&, const FleetConfig&,
-                               CrawlClock&);
 
 }  // namespace gplus::crawler

@@ -1,12 +1,11 @@
-// Shared crawl engine (internal to gplus_crawler).
+// Crawl frontier state (internal to gplus_crawler).
 //
-// The BFS crawler and the event-driven fleet are one crawl: fetch the page,
-// fetch both circle lists with retries, record edges, enqueue newcomers,
-// checkpoint on a cadence. run_crawl is that loop, written once; the two
-// entry points differ only in the CrawlClock that charges each unit of work
-// simulated time. So checkpoint/resume and fault handling behave
-// bit-identically on both paths: the collected graph is a pure function of
-// the service's data and the frontier state, never of the timing model.
+// One unit of crawl work — fetch the page, fetch both circle lists with
+// retries, record edges, enqueue newcomers — is FrontierState::expand_next;
+// run_bfs_crawl loops over it, checkpoints on a cadence and charges each
+// unit's UnitCost to the machine pool. So checkpoint/resume and fault
+// handling never depend on the timing model: the collected graph is a pure
+// function of the service's data and the frontier state.
 //
 // Counts are kept once. FrontierState keeps this run's retry counts and
 // checkpoint writes in an obs::CounterStore laid out by kRetryCounters, the
@@ -60,7 +59,7 @@ class FrontierState {
                        const RetryPolicy& policy, bool bidirectional);
 
   /// Restores state from a checkpoint; throws std::runtime_error when the
-  /// checkpoint does not fit the universe.
+  /// checkpoint does not fit the universe or its own frontier.
   void restore(const CrawlCheckpoint& checkpoint);
 
   /// Snapshots the current state to `path` and counts the write.
@@ -93,32 +92,5 @@ class FrontierState {
   CrawlStats stats_;
   obs::CounterStore counts_;  // this run: kRetryCounters, then checkpoints
 };
-
-/// A crawl's timing model: how run_bfs_crawl and run_crawl_fleet charge
-/// simulated time, the one way they differ beyond their trace span names.
-class CrawlClock {
- public:
-  /// Starts the clock at the simulated seconds a restored checkpoint had
-  /// already spent (0 for a fresh crawl); a clock may restart instead.
-  virtual void start(double /*elapsed_seconds*/) {}
-  /// Charges one expanded profile.
-  virtual void charge(const UnitCost& unit) = 0;
-  /// Cumulative simulated seconds, as a checkpoint records them.
-  virtual double elapsed_seconds() const { return 0.0; }
-  /// Simulated hours this run took.
-  virtual double run_hours() const = 0;
-
- protected:
-  ~CrawlClock() = default;
-};
-
-/// The crawl loop over a CrawlConfig or FleetConfig: validates it, restores
-/// from the checkpoint or seeds, expands profiles until the frontier or the
-/// max_profiles budget runs out, checkpoints on the cadence and at the end,
-/// and charges each unit to `clock`. Spans land on the trace's virtual
-/// clock, advanced by requests issued.
-template <typename Config>
-CrawlResult run_crawl(service::SocialService& service, const Config& config,
-                      CrawlClock& clock);
 
 }  // namespace gplus::crawler

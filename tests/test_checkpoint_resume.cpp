@@ -7,10 +7,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "crawler/checkpoint.h"
 #include "crawler/crawler.h"
-#include "crawler/fleet.h"
 #include "graph/builder.h"
 #include "service/service.h"
 
@@ -147,37 +147,95 @@ TEST(Checkpoint, RejectsCorruptFiles) {
   std::filesystem::resize_file(path, size / 2);
   EXPECT_THROW(load_checkpoint(path), std::runtime_error);
 
-  // Counts that no file of this size can back must be rejected before
-  // they size an allocation.
+  // Crafted files: the magic, then little-endian words and, for the
+  // current format, the FNV-1a of the words' bytes as the trailing u64.
   const auto write_words = [](const std::string& file, const char* magic,
-                              std::initializer_list<std::uint64_t> words) {
+                              const std::vector<std::uint64_t>& words) {
+    std::string body;
+    const auto put = [&body](std::uint64_t w) {
+      for (int i = 0; i < 8; ++i) {
+        body.push_back(static_cast<char>(w >> (8 * i)));
+      }
+    };
+    for (std::uint64_t w : words) put(w);
+    if (std::string(magic) == "GPLUSCK3") {
+      std::uint64_t hash = 14695981039346656037ULL;
+      for (char c : body) {
+        hash = (hash ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
+      }
+      put(hash);
+    }
     std::ofstream out(file, std::ios::binary);
     out.write(magic, 8);
-    for (std::uint64_t w : words) {
-      unsigned char buf[8];
-      for (int i = 0; i < 8; ++i) {
-        buf[i] = static_cast<unsigned char>(w >> (8 * i));
-      }
-      out.write(reinterpret_cast<const char*>(buf), 8);
-    }
+    out.write(body.data(), static_cast<std::streamsize>(body.size()));
   };
+  // An empty frontier, no edges, five crawl counters, eight retry counters
+  // and the elapsed seconds: the smallest well-formed body.
+  const std::vector<std::uint64_t> empty_body(19, 0);
+  const auto crafted = scratch_file("crafted.ckpt");
+  write_words(crafted, "GPLUSCK3", empty_body);
+  ASSERT_TRUE(load_checkpoint(crafted).has_value());
+
+  // Counts that no file of this size can back must be rejected before
+  // they size an allocation, even under a matching checksum.
   const auto huge_nodes = scratch_file("huge_nodes.ckpt");
-  write_words(huge_nodes, "GPLUSCK2", {std::uint64_t{1} << 62});
+  write_words(huge_nodes, "GPLUSCK3", {std::uint64_t{1} << 62});
   EXPECT_THROW(load_checkpoint(huge_nodes), std::runtime_error);
   // Zero nodes, two empty flag vectors, queue head 0, then 2^61 edges.
   const auto huge_edges = scratch_file("huge_edges.ckpt");
-  write_words(huge_edges, "GPLUSCK2", {0, 0, 0, 0, std::uint64_t{1} << 61});
+  write_words(huge_edges, "GPLUSCK3", {0, 0, 0, 0, std::uint64_t{1} << 61});
   EXPECT_THROW(load_checkpoint(huge_edges), std::runtime_error);
+  // A checksummed body with a word after its last field.
+  const auto trailing = scratch_file("trailing.ckpt");
+  auto trailing_body = empty_body;
+  trailing_body.push_back(7);
+  write_words(trailing, "GPLUSCK3", trailing_body);
+  EXPECT_THROW(load_checkpoint(trailing), std::runtime_error);
 
-  // The retired version is named, not reported as garbage.
-  const auto v1 = scratch_file("v1.ckpt");
-  write_words(v1, "GPLUSCK1", {0, 0, 0, 0, 0});
-  try {
-    load_checkpoint(v1);
-    ADD_FAILURE() << "a GPLUSCK1 checkpoint loaded";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("GPLUSCK1"), std::string::npos)
-        << e.what();
+  // The retired versions are named, not reported as garbage.
+  for (const char* retired : {"GPLUSCK1", "GPLUSCK2"}) {
+    const auto old = scratch_file("retired.ckpt");
+    write_words(old, retired, empty_body);
+    try {
+      load_checkpoint(old);
+      ADD_FAILURE() << "a " << retired << " checkpoint loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(retired), std::string::npos)
+          << e.what();
+    }
+  }
+
+  // Every single-byte flip of a saved checkpoint is refused: the magic
+  // stops matching, or the checksum over the rest does.
+  CrawlCheckpoint small;
+  small.original_id = {4, 1, 7};
+  small.crawled = {1, 0, 0};
+  small.degraded = {0, 1, 0};
+  small.queue_head = 1;
+  small.edges = {{0, 1}, {2, 0}};
+  small.profiles_crawled = 1;
+  small.edges_collected = 2;
+  small.requests = 3;
+  small.retry.attempts = 3;
+  small.retry.backoff_micros = 250;
+  small.elapsed_seconds = 1.5;
+  const auto flipped = scratch_file("flipped.ckpt");
+  save_checkpoint(small, flipped);
+  std::string bytes;
+  {
+    std::ifstream in(flipped, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_TRUE(load_checkpoint(flipped).has_value());
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    std::string corrupt = bytes;
+    corrupt[i] = static_cast<char>(corrupt[i] ^ 0xFF);
+    {
+      std::ofstream out(flipped, std::ios::binary | std::ios::trunc);
+      out.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
+    }
+    EXPECT_THROW(load_checkpoint(flipped), std::runtime_error)
+        << "byte " << i << " of " << bytes.size();
   }
 }
 
@@ -361,6 +419,17 @@ TEST(CheckpointResume, CountsInconsistentWithFrontierAreRejected) {
   cp.hidden_list_users = 1;
   cp.capped_users = 1;
   expect_rejected(cp);
+
+  // An edge endpoint past the saved frontier would size the collected
+  // graph beyond it, even when the budget allows no further expansion.
+  cp.original_id = {0, 1};
+  cp.crawled = {1, 0};
+  cp.degraded = {0, 0};
+  cp.hidden_list_users = 0;
+  cp.capped_users = 0;
+  cp.edges = {{0, 1}, {0, 7}};
+  config.max_profiles = 1;
+  expect_rejected(cp);
 }
 
 TEST(CheckpointResume, KilledFleetResumesToBitIdenticalGraph) {
@@ -375,22 +444,22 @@ TEST(CheckpointResume, KilledFleetResumesToBitIdenticalGraph) {
   const auto path = scratch_file("fleet_resume.ckpt");
   std::filesystem::remove(path);
 
-  FleetConfig config;
+  CrawlConfig config;
   config.seed_node = 0;
   config.checkpoint.path = path;
   config.max_profiles = 80;
   auto first_svc = fx.service(faulty);
-  const auto first = run_crawl_fleet(first_svc, config);
-  EXPECT_EQ(first.crawl.stats.profiles_crawled, 80u);
+  const auto first = run_bfs_crawl(first_svc, config);
+  EXPECT_EQ(first.stats.profiles_crawled, 80u);
   const auto killed = load_checkpoint(path);
   ASSERT_TRUE(killed.has_value());
   const double clock_start = killed->elapsed_seconds;
 
   config.max_profiles = 0;
   auto second_svc = fx.service(faulty);
-  const auto resumed = run_crawl_fleet(second_svc, config);
-  expect_identical_crawl(reference, resumed.crawl);
-  EXPECT_EQ(resumed.crawl.stats.resumed_profiles, 80u);
+  const auto resumed = run_bfs_crawl(second_svc, config);
+  expect_identical_crawl(reference, resumed);
+  EXPECT_EQ(resumed.stats.resumed_profiles, 80u);
   // The resumed clock starts where the killed fleet stopped.
   EXPECT_GT(resumed.makespan_days, first.makespan_days);
   // Utilization is this run's busy time over this run's machine time.
@@ -399,32 +468,6 @@ TEST(CheckpointResume, KilledFleetResumesToBitIdenticalGraph) {
   const double run_seconds = resumed.makespan_days * 86'400.0 - clock_start;
   EXPECT_DOUBLE_EQ(resumed.mean_utilization,
                    busy / (run_seconds * static_cast<double>(config.machines)));
-}
-
-TEST(CheckpointResume, FleetAndCrawlerShareTheCheckpointFormat) {
-  Fixture fx;
-  const auto path = scratch_file("cross_format.ckpt");
-  std::filesystem::remove(path);
-  // Fleet writes the checkpoint...
-  FleetConfig fleet_config;
-  fleet_config.seed_node = 0;
-  fleet_config.checkpoint.path = path;
-  fleet_config.max_profiles = 40;
-  auto fleet_svc = fx.service();
-  run_crawl_fleet(fleet_svc, fleet_config);
-
-  // ...and the single-machine crawler finishes the crawl from it.
-  CrawlConfig crawl_config;
-  crawl_config.seed_node = 0;
-  crawl_config.checkpoint.path = path;
-  auto crawl_svc = fx.service();
-  const auto resumed = run_bfs_crawl(crawl_svc, crawl_config);
-
-  auto reference_svc = fx.service();
-  CrawlConfig reference_config;
-  reference_config.seed_node = 0;
-  const auto reference = run_bfs_crawl(reference_svc, reference_config);
-  expect_identical_crawl(reference, resumed);
 }
 
 }  // namespace

@@ -123,7 +123,7 @@ TEST(Crawler, StatsAccounting) {
   EXPECT_GT(result.stats.requests, 0u);
   EXPECT_EQ(result.stats.requests, svc.request_count());
   EXPECT_GT(result.stats.simulated_hours, 0.0);
-  // More machines -> proportionally less wall-clock.
+  // More machines -> less wall-clock.
   auto svc2 = fx.service();
   CrawlConfig one_machine = config;
   one_machine.machines = 1;
@@ -190,6 +190,103 @@ TEST(Crawler, RejectsBadConfig) {
   CrawlConfig no_machines;
   no_machines.machines = 0;
   EXPECT_THROW(run_bfs_crawl(svc, no_machines), std::invalid_argument);
+}
+
+// A connected mutual community of 200 users: enough profiles for the
+// machine pool's scheduling to show.
+Fixture mutual_community() {
+  GraphBuilder b;
+  for (NodeId u = 0; u < 200; ++u) {
+    b.add_reciprocal_edge(u, (u + 1) % 200);
+    b.add_reciprocal_edge(u, (u + 7) % 200);
+  }
+  return Fixture(b.build());
+}
+
+TEST(Fleet, CrawlsEverythingReachable) {
+  Fixture fx = mutual_community();
+  auto svc = fx.service();
+  CrawlConfig config;
+  const auto result = run_bfs_crawl(svc, config);
+  EXPECT_EQ(result.stats.profiles_crawled, fx.graph.node_count());
+  EXPECT_EQ(result.stats.requests, svc.request_count());
+  EXPECT_GT(result.makespan_days, 0.0);
+  EXPECT_EQ(result.machines.size(), 11u);
+}
+
+TEST(Fleet, BudgetStopsEarly) {
+  Fixture fx = mutual_community();
+  auto svc = fx.service();
+  CrawlConfig config;
+  config.max_profiles = 50;
+  const auto result = run_bfs_crawl(svc, config);
+  EXPECT_EQ(result.stats.profiles_crawled, 50u);
+}
+
+TEST(Fleet, MoreMachinesShrinkMakespan) {
+  Fixture fx = mutual_community();
+  CrawlConfig one;
+  one.machines = 1;
+  CrawlConfig eleven;
+  eleven.machines = 11;
+  auto svc1 = fx.service();
+  const auto slow = run_bfs_crawl(svc1, one);
+  auto svc2 = fx.service();
+  const auto fast = run_bfs_crawl(svc2, eleven);
+  EXPECT_GT(slow.makespan_days, fast.makespan_days * 4.0);
+  // Work conserved: same total requests either way.
+  EXPECT_EQ(slow.stats.requests, fast.stats.requests);
+}
+
+TEST(Fleet, RateLimitDominatesMakespan) {
+  Fixture fx = mutual_community();
+  CrawlConfig fast_rate;
+  fast_rate.requests_per_second = 10.0;
+  fast_rate.mean_latency_seconds = 0.0;
+  CrawlConfig slow_rate = fast_rate;
+  slow_rate.requests_per_second = 1.0;
+  auto svc1 = fx.service();
+  const auto fast = run_bfs_crawl(svc1, fast_rate);
+  auto svc2 = fx.service();
+  const auto slow = run_bfs_crawl(svc2, slow_rate);
+  // 10x slower rate -> ~10x the makespan (exact without latency noise).
+  EXPECT_NEAR(slow.makespan_days / fast.makespan_days, 10.0, 0.5);
+}
+
+TEST(Fleet, UtilizationAndAccountingAreCoherent) {
+  Fixture fx = mutual_community();
+  auto svc = fx.service();
+  CrawlConfig config;
+  config.machines = 4;
+  const auto result = run_bfs_crawl(svc, config);
+  EXPECT_GT(result.mean_utilization, 0.0);
+  EXPECT_LE(result.mean_utilization, 1.0 + 1e-9);
+  std::uint64_t machine_requests = 0;
+  for (const auto& m : result.machines) {
+    machine_requests += m.requests;
+    EXPECT_GE(m.busy_seconds, 0.0);
+  }
+  EXPECT_EQ(machine_requests, result.stats.requests);
+  // A fresh crawl's run time is its whole makespan.
+  EXPECT_DOUBLE_EQ(result.stats.simulated_hours * 3'600.0,
+                   result.makespan_days * 86'400.0);
+}
+
+TEST(Fleet, Validation) {
+  Fixture fx = mutual_community();
+  auto svc = fx.service();
+  CrawlConfig bad_seed;
+  bad_seed.seed_node = 9999;
+  EXPECT_THROW(run_bfs_crawl(svc, bad_seed), std::invalid_argument);
+  CrawlConfig no_machines;
+  no_machines.machines = 0;
+  EXPECT_THROW(run_bfs_crawl(svc, no_machines), std::invalid_argument);
+  CrawlConfig bad_rate;
+  bad_rate.requests_per_second = 0.0;
+  EXPECT_THROW(run_bfs_crawl(svc, bad_rate), std::invalid_argument);
+  CrawlConfig bad_latency;
+  bad_latency.mean_latency_seconds = -1.0;
+  EXPECT_THROW(run_bfs_crawl(svc, bad_latency), std::invalid_argument);
 }
 
 TEST(Bias, PartialBfsOversamplesPopularNodes) {

@@ -74,7 +74,8 @@ TEST_F(DiffusionTest, CelebritySeedsGoViral) {
     }
   }
   const auto ordinary_cascade = sim.simulate_post(ordinary, true, rng);
-  EXPECT_GT(celeb_cascade.views, 50 * std::max<std::uint64_t>(1, ordinary_cascade.views));
+  EXPECT_GT(celeb_cascade.views,
+            50 * std::max<std::uint64_t>(1, ordinary_cascade.views));
 }
 
 TEST_F(DiffusionTest, ViewsAreDistinctUsers) {
@@ -84,7 +85,9 @@ TEST_F(DiffusionTest, ViewsAreDistinctUsers) {
   const auto cascade = sim.simulate_post(author, true, rng);
   EXPECT_LT(cascade.views, ds_->user_count());
   EXPECT_LE(cascade.reshares, cascade.views);
-  if (cascade.reshares > 0) EXPECT_GE(cascade.depth, 1u);
+  if (cascade.reshares > 0) {
+    EXPECT_GE(cascade.depth, 1u);
+  }
 }
 
 TEST_F(DiffusionTest, CascadeCapIsHonored) {

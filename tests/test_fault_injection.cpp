@@ -6,7 +6,6 @@
 #include <cmath>
 
 #include "crawler/crawler.h"
-#include "crawler/fleet.h"
 #include "crawler/retry.h"
 #include "crawler/samplers.h"
 #include "graph/builder.h"
@@ -213,7 +212,8 @@ TEST(Backoff, HonorsRetryAfterFloor) {
   service::FetchStatus limited;
   limited.error = service::FetchError::kRateLimited;
   limited.retry_after_ms = 5'000;
-  EXPECT_GE(backoff_delay_ms(policy, limited, request_key(1, 0, 0), 0), 5'000.0);
+  EXPECT_GE(backoff_delay_ms(policy, limited, request_key(1, 0, 0), 0),
+            5'000.0);
 }
 
 TEST(Backoff, RetryHelpersAccountEveryAttempt) {
@@ -336,19 +336,18 @@ TEST(FaultyCrawl, ExhaustedRetryBudgetDegradesAndIsAccounted) {
 TEST(FaultyFleet, ConvergesToFaultFreeGraphAndPaysInTime) {
   Fixture fx;
   auto clean = fx.service();
-  FleetConfig config;
+  CrawlConfig config;
   config.seed_node = 0;
-  const auto reference = run_crawl_fleet(clean, config);
+  const auto reference = run_bfs_crawl(clean, config);
 
   service::ServiceConfig faulty_config;
   faulty_config.faults = modest_faults();
   auto faulty = fx.service(faulty_config);
-  const auto fleet = run_crawl_fleet(faulty, config);
+  const auto fleet = run_bfs_crawl(faulty, config);
 
-  expect_identical_crawl(reference.crawl, fleet.crawl);
-  EXPECT_EQ(fleet.crawl.stats.profiles_crawled,
-            reference.crawl.stats.profiles_crawled);
-  EXPECT_GT(fleet.crawl.stats.requests, reference.crawl.stats.requests);
+  expect_identical_crawl(reference, fleet);
+  EXPECT_EQ(fleet.stats.profiles_crawled, reference.stats.profiles_crawled);
+  EXPECT_GT(fleet.stats.requests, reference.stats.requests);
   EXPECT_GT(fleet.makespan_days, reference.makespan_days);
   EXPECT_LE(fleet.mean_utilization, 1.0 + 1e-9);
   double waiting = 0.0;
@@ -359,22 +358,7 @@ TEST(FaultyFleet, ConvergesToFaultFreeGraphAndPaysInTime) {
   }
   EXPECT_GT(waiting, 0.0);
   EXPECT_GT(rate_limited, 0u);
-  EXPECT_EQ(rate_limited, fleet.crawl.stats.retry.rate_limited);
-}
-
-TEST(FaultyFleet, FleetAndCrawlerCollectTheSameGraph) {
-  Fixture fx;
-  service::ServiceConfig config;
-  config.faults = modest_faults();
-  auto svc_fleet = fx.service(config);
-  auto svc_crawl = fx.service(config);
-  FleetConfig fconfig;
-  fconfig.seed_node = 5;
-  CrawlConfig cconfig;
-  cconfig.seed_node = 5;
-  const auto fleet = run_crawl_fleet(svc_fleet, fconfig);
-  const auto crawl = run_bfs_crawl(svc_crawl, cconfig);
-  expect_identical_crawl(fleet.crawl, crawl);
+  EXPECT_EQ(rate_limited, fleet.stats.retry.rate_limited);
 }
 
 TEST(FaultySamplers, SamplersConvergeUnderFaults) {
@@ -468,27 +452,6 @@ TEST(ObsRegistry, DegradedCrawlPublishesLostEdgeGauges) {
   EXPECT_EQ(snap.value("crawler.lost.fault_fraction_ppm"),
             std::llround(est.fault_lost_fraction * 1e6));
   EXPECT_GT(snap.value("crawler.lost.fault_fraction_ppm"), 0);
-}
-
-TEST(ObsRegistry, FleetCrawlMirrorsIntoTheSameCounters) {
-  Fixture fx;
-  service::ServiceConfig config;
-  config.faults = modest_faults();
-  auto svc = fx.service(config);
-  FleetConfig fconfig;
-  fconfig.seed_node = 0;
-
-  auto& registry = obs::MetricsRegistry::global();
-  const auto before = registry.snapshot();
-  const auto fleet = run_crawl_fleet(svc, fconfig);
-  const auto d = obs::delta(registry.snapshot(), before);
-
-  EXPECT_EQ(d.value("crawler.fetch.attempts"),
-            static_cast<std::int64_t>(fleet.crawl.stats.retry.attempts));
-  EXPECT_EQ(d.value("crawler.fault.rate_limited"),
-            static_cast<std::int64_t>(fleet.crawl.stats.retry.rate_limited));
-  EXPECT_EQ(d.value("crawler.checkpoint.writes"),
-            static_cast<std::int64_t>(fleet.crawl.stats.checkpoints_written));
 }
 
 TEST(FaultConfig, RejectsInvalidRates) {

@@ -58,7 +58,9 @@ TEST_P(GeneratorProperties, ProfileInvariants) {
     ASSERT_GE(p.openness, 0.0F);
     ASSERT_LE(p.openness, 1.0F);
     // Located implies the latent country is set (it always is here).
-    if (p.is_located()) ASSERT_NE(p.country, geo::kNoCountry);
+    if (p.is_located()) {
+      ASSERT_NE(p.country, geo::kNoCountry);
+    }
   }
 }
 
