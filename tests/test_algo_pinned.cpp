@@ -1,9 +1,10 @@
 // Pinned outputs of the view-templated src/algo kernels: triangles, k-core,
 // label propagation and modularity, reciprocity, clustering, BFS
-// distances, sampled path lengths, the double sweep and the degree
-// distributions. The values were recorded once and must never move: each
-// kernel is one template over the graph view (algo/graph_view.h), so there
-// is no second implementation left to act as its oracle.
+// distances, sampled path lengths, the double sweep, the degree
+// distributions and the 16 triad-class counts. The values were recorded
+// once and must never move: each kernel is one template over the graph
+// view (algo/graph_view.h), so there is no second implementation left to
+// act as its oracle.
 //
 // Two inputs: the standard synthetic dataset, and a seeded random digraph
 // built with keep_self_loops = true, so the self-loop corrections in the
@@ -28,6 +29,7 @@
 #include "algo/communities.h"
 #include "algo/degrees.h"
 #include "algo/kcore.h"
+#include "algo/motifs.h"
 #include "algo/reciprocity.h"
 #include "algo/triangles.h"
 #include "core/dataset.h"
@@ -167,6 +169,11 @@ Pins measure(const View& view) {
     p.emplace_back(tag + "_degree_max", dist.max);
     p.emplace_back(tag + "_degree_alpha", bits(dist.power_law.alpha));
   }
+  const TriadCensus triads = triad_census(view);
+  for (std::size_t k = 0; k < kTriadClassCount; ++k) {
+    const auto cls = static_cast<TriadClass>(k);
+    p.emplace_back("triad_" + std::string(triad_class_name(cls)), triads[cls]);
+  }
   return p;
 }
 
@@ -201,8 +208,10 @@ void for_each_snapshot_view(const core::Dataset& dataset, Fn&& fn) {
   std::filesystem::remove(path);
 }
 
-// The first eight pins predate the view port; the rest were recorded at
-// the commit before it, on the DiGraph-only implementations.
+// The first eight pins predate the view port; the rest up to the degree
+// pins were recorded at the commit before it, on the DiGraph-only
+// implementations. The triad pins were recorded on the census that
+// intersected forward lists and binary-searched each dyad code.
 const Pins kStandardPins = {
     {"triangles", 121'338},
     {"triples", 6'749'809},
@@ -236,6 +245,22 @@ const Pins kStandardPins = {
     {"out_degree_mean", 0x40303ee402bb0cf8ULL},
     {"out_degree_max", 1171},
     {"out_degree_alpha", 0x3ff28594c0ab7195ULL},
+    {"triad_003", 4'384'167'165},
+    {"triad_012", 78'009'815},
+    {"triad_102", 26'816'887},
+    {"triad_021D", 4'530'077},
+    {"triad_021U", 441'430},
+    {"triad_021C", 258'664},
+    {"triad_111D", 201'741},
+    {"triad_111U", 855'016},
+    {"triad_030T", 64'102},
+    {"triad_030C", 252},
+    {"triad_201", 98'867},
+    {"triad_120D", 15'033},
+    {"triad_120U", 15'471},
+    {"triad_120C", 9'369},
+    {"triad_210", 11'364},
+    {"triad_300", 5'747},
 };
 
 const Pins kLoopedPins = {
@@ -271,6 +296,22 @@ const Pins kLoopedPins = {
     {"out_degree_mean", 0x4029bc28f5c28f5cULL},
     {"out_degree_max", 26},
     {"out_degree_alpha", 0x400631a4b1c5d0f4ULL},
+    {"triad_003", 9'114'369},
+    {"triad_012", 967'588},
+    {"triad_102", 431'464},
+    {"triad_021D", 8'833},
+    {"triad_021U", 8'662},
+    {"triad_021C", 17'161},
+    {"triad_111D", 15'557},
+    {"triad_111U", 15'218},
+    {"triad_030T", 294},
+    {"triad_030C", 108},
+    {"triad_201", 6'732},
+    {"triad_120D", 140},
+    {"triad_120U", 151},
+    {"triad_120C", 274},
+    {"triad_210", 211},
+    {"triad_300", 38},
 };
 
 TEST(AlgoPinned, StandardDataset) {
@@ -297,6 +338,23 @@ TEST(AlgoPinned, RandomGraphWithSelfLoopsOnSnapshotViews) {
                          [](const serve::SnapshotView& view, const char* label) {
                            expect_pinned(measure(view), kLoopedPins, label);
                          });
+}
+
+// The triad census and the triangle census walk the same triangles: every
+// closed triad is one triangle, and every wedge sits in an open triad or
+// is one of a closed triad's three.
+TEST(AlgoPinned, TriadCensusAgreesWithTriangleCensus) {
+  const auto expect_agree = [](const auto& view, const char* label) {
+    SCOPED_TRACE(label);
+    const TriadCensus triads = triad_census(view);
+    const TriangleCensus census = count_triangles(view);
+    EXPECT_EQ(triads.closed(), census.triangles);
+    EXPECT_EQ(triads.open_wedges() + 3 * triads.closed(), census.triples);
+  };
+  for (const core::Dataset* ds : {&standard_dataset(), &looped_dataset()}) {
+    expect_agree(ds->graph(), "DiGraph");
+    for_each_snapshot_view(*ds, expect_agree);
+  }
 }
 
 // Snapshot accessors are unchecked loads, so each per-node entry checks

@@ -237,6 +237,58 @@ TEST(TriadCensusOracle, FuzzAcrossDensityAndReciprocity) {
   }
 }
 
+// The triangle walk orients every edge by (union degree, id), so ties in
+// union degree are broken by id alone. Circulant graphs give every node
+// the same union degree; spreading their nodes over interleaved ids, with
+// isolated nodes in the gaps and self-loops (which the union walk drops,
+// so they must not count toward the degree), exercises that tie-break.
+TEST(TriadCensusOracle, SelfLoopsIsolatedNodesAndEqualDegreeTies) {
+  // Circulant on 12 nodes with offsets 1..3; node i has id 3i, so ids
+  // 3i + 1 and 3i + 2 stay isolated. Arc direction and reciprocation are
+  // drawn per pair, so every union degree is 6 but the dyads differ.
+  constexpr NodeId kRing = 12;
+  stats::Rng rng(31);
+  std::vector<Edge> edges;
+  for (NodeId i = 0; i < kRing; ++i) {
+    for (NodeId step = 1; step <= 3; ++step) {
+      NodeId a = 3 * i;
+      NodeId b = 3 * ((i + step) % kRing);
+      if (rng.next_bool(0.5)) std::swap(a, b);
+      edges.push_back({a, b});
+      if (rng.next_bool(0.4)) edges.push_back({b, a});
+    }
+    if (i % 3 == 0) edges.push_back({3 * i, 3 * i});
+  }
+  const DiGraph ring =
+      DiGraph::from_edges(3 * kRing, edges, /*keep_self_loops=*/true);
+  EXPECT_EQ(algo::triad_census(ring), oracle_census(ring));
+
+  // Two equal mutual cliques and an equal-degree directed ring beside
+  // random sparse arcs, all with self-loops, among isolated nodes.
+  for (std::uint64_t seed = 40; seed < 44; ++seed) {
+    stats::Rng mix(seed);
+    std::vector<Edge> arcs;
+    for (const NodeId base : {NodeId{2}, NodeId{20}}) {
+      for (NodeId u = 0; u < 5; ++u) {
+        for (NodeId v = 0; v < 5; ++v) {
+          if (u != v) arcs.push_back({base + 2 * u, base + 2 * v});
+        }
+        arcs.push_back({base + 2 * u, base + 2 * u});
+      }
+    }
+    for (NodeId i = 0; i < 8; ++i) {
+      arcs.push_back({35 + i, 35 + (i + 1) % 8});
+      arcs.push_back({35 + i, 35 + (i + 3) % 8});
+    }
+    for (int k = 0; k < 30; ++k) {
+      arcs.push_back({static_cast<NodeId>(mix.next_below(48)),
+                      static_cast<NodeId>(mix.next_below(48))});
+    }
+    const DiGraph g = DiGraph::from_edges(52, arcs, /*keep_self_loops=*/true);
+    EXPECT_EQ(algo::triad_census(g), oracle_census(g)) << "seed=" << seed;
+  }
+}
+
 TEST(TriadCensusDeterminism, ThreadCountInvariant) {
   const auto ds = core::make_standard_dataset(2000, 11);
   core::set_thread_count(1);
