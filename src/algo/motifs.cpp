@@ -1,10 +1,6 @@
 #include "algo/motifs.h"
 
 #include <algorithm>
-#include <vector>
-
-#include "algo/intersect.h"
-#include "algo/triangles.h"
 
 namespace gplus::algo {
 
@@ -164,8 +160,8 @@ std::uint64_t fork_sample_seed(std::uint64_t seed,
   return stats::splitmix64_next(state);
 }
 
-TriadCensus census_from_union(const UnionAdjacency& adj) {
-  const std::size_t n = adj.nbr.size();
+TriadCensus census_from_union(const triangle_detail::FlatRows& adj) {
+  const std::size_t n = adj.node_count();
   GPLUS_EXPECT(n <= kTriadCensusMaxNodes,
                "exact census limited to 4.8M nodes (C(n,3) must fit u64)");
   TriadCensus census;
@@ -187,7 +183,8 @@ TriadCensus census_from_union(const UnionAdjacency& adj) {
       n, kMotifRowGrain, CensusAcc{},
       [&](std::size_t begin, std::size_t end, CensusAcc& out) {
         for (auto u = static_cast<NodeId>(begin); u < end; ++u) {
-          const auto& codes = adj.code[u];
+          const auto row = adj.row(u);
+          const auto codes = adj.codes(u);
           std::uint64_t per_code[4] = {0, 0, 0, 0};
           for (const std::uint8_t c : codes) ++per_code[c];
           for (std::uint8_t c1 = 1; c1 <= 3; ++c1) {
@@ -199,11 +196,11 @@ TriadCensus census_from_union(const UnionAdjacency& adj) {
                   static_cast<std::int64_t>(pairs);
             }
           }
-          const auto du = static_cast<std::int64_t>(adj.nbr[u].size());
-          for (std::size_t i = 0; i < adj.nbr[u].size(); ++i) {
-            const NodeId v = adj.nbr[u][i];
+          const auto du = static_cast<std::int64_t>(row.size());
+          for (std::size_t i = 0; i < row.size(); ++i) {
+            const NodeId v = row[i];
             if (v <= u) continue;
-            const auto dv = static_cast<std::int64_t>(adj.nbr[v].size());
+            const auto dv = static_cast<std::int64_t>(adj.degree[v]);
             const std::int64_t isolated_thirds =
                 static_cast<std::int64_t>(n) - du - dv;
             const TriadClass dyad =
@@ -214,44 +211,27 @@ TriadCensus census_from_union(const UnionAdjacency& adj) {
       },
       combine);
 
-  // Phase 2 — triangles. The triangle census's forward lists count each
-  // triangle once at its lowest-ranked corner.
-  const triangle_detail::Rows forward = triangle_detail::forward_lists(adj.nbr);
-  const auto code_of = [&](NodeId u, NodeId v) {
-    const auto& row = adj.nbr[u];
-    const auto it = std::lower_bound(row.begin(), row.end(), v);
-    return adj.code[u][static_cast<std::size_t>(it - row.begin())];
-  };
-  CensusAcc triangle_acc = core::parallel_reduce(
-      n, kMotifRowGrain / 8, CensusAcc{},
-      [&](std::size_t begin, std::size_t end, CensusAcc& out) {
-        std::vector<NodeId> common;
-        for (auto u = static_cast<NodeId>(begin); u < end; ++u) {
-          const auto& fu = forward[u];
-          for (const NodeId v : fu) {
-            intersect(fu, forward[v], common);
-            const std::uint8_t cuv = code_of(u, v);
-            for (const NodeId w : common) {
-              const std::uint8_t cuw = code_of(u, w);
-              const std::uint8_t cvw = code_of(v, w);
-              const unsigned mask = static_cast<unsigned>(cuv) |
-                                    (static_cast<unsigned>(cuw) << 2) |
-                                    (static_cast<unsigned>(cvw) << 4);
-              out.counts[idx(triad_class_of_mask(mask))] += 1;
-              // Repair phase 1: this triple was counted as an open wedge
-              // at each corner and as having an isolated third at each
-              // linked pair.
-              out.counts[idx(triad_class_of_mask(wedge_mask(cuv, cuw)))] -= 1;
-              out.counts[idx(triad_class_of_mask(
-                  wedge_mask(flip_code(cuv), cvw)))] -= 1;
-              out.counts[idx(triad_class_of_mask(
-                  wedge_mask(flip_code(cuw), flip_code(cvw))))] -= 1;
-              for (const std::uint8_t c : {cuv, cuw, cvw}) {
-                out.counts[idx(c == 3 ? TriadClass::k102
-                                      : TriadClass::k012)] += 1;
-              }
-            }
-          }
+  // Phase 2 — triangles. The triangle census's walk visits each triangle
+  // once, at its lowest-ranked corner u, with the codes of its three
+  // dyads (u, v), (u, w) and (v, w).
+  const CensusAcc triangle_acc = triangle_detail::reduce_triangles(
+      triangle_detail::forward_rows(adj), CensusAcc{},
+      [&](CensusAcc& out, std::uint8_t cuv, std::uint8_t cuw,
+          std::uint8_t cvw) {
+        const unsigned mask = static_cast<unsigned>(cuv) |
+                              (static_cast<unsigned>(cuw) << 2) |
+                              (static_cast<unsigned>(cvw) << 4);
+        out.counts[idx(triad_class_of_mask(mask))] += 1;
+        // Repair phase 1: this triple was counted as an open wedge at
+        // each corner and as having an isolated third at each linked
+        // pair.
+        out.counts[idx(triad_class_of_mask(wedge_mask(cuv, cuw)))] -= 1;
+        out.counts[idx(
+            triad_class_of_mask(wedge_mask(flip_code(cuv), cvw)))] -= 1;
+        out.counts[idx(triad_class_of_mask(
+            wedge_mask(flip_code(cuw), flip_code(cvw))))] -= 1;
+        for (const std::uint8_t c : {cuv, cuw, cvw}) {
+          out.counts[idx(c == 3 ? TriadClass::k102 : TriadClass::k012)] += 1;
         }
       },
       combine);

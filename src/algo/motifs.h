@@ -15,14 +15,14 @@
 // canonical table built once by minimizing over the 6 node permutations.
 //
 // The exact census never enumerates triples: per-center dyad-code pair
-// counts give the open-wedge classes, one triangle enumeration pass over
-// the triangle census's forward lists (algo/triangles.h) and the shared
-// intersection (algo/intersect.h) classifies every closed triad and
-// repairs the wedge overcounts, and the two dyadic classes follow from
-// degree arithmetic. Rows come from the one out∪in walk
-// (for_each_union_neighbor, algo/graph_view.h). Everything runs on the
-// deterministic parallel runtime (core/parallel.h), so counts are
-// identical at any GPLUS_THREADS and on every host.
+// counts give the open-wedge classes, the triangle census's marked walk
+// over its flat forward rows (algo/triangles.h) classifies every closed
+// triad from the codes stored beside each neighbor and repairs the wedge
+// overcounts, and the two dyadic classes follow from degree arithmetic.
+// Rows come from the one out∪in walk (for_each_union_neighbor,
+// algo/graph_view.h). Everything runs on the deterministic parallel
+// runtime (core/parallel.h), so counts are identical at any GPLUS_THREADS
+// and on every host.
 //
 // Census entry points are templated over a graph view (algo/graph_view.h)
 // so the same code runs on an in-RAM `graph::DiGraph` and on every serving
@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "algo/graph_view.h"
+#include "algo/triangles.h"
 #include "core/parallel.h"
 #include "graph/digraph.h"
 #include "stats/expect.h"
@@ -104,20 +105,12 @@ bool triad_class_closed(TriadClass cls) noexcept;
 
 namespace motif_detail {
 
-/// Union adjacency with per-neighbor direction codes: nbr[u] is the
-/// ascending merge of out- and in-lists (self-loops dropped), code[u][i]
-/// the 2-bit dyad code of the pair (u, nbr[u][i]).
-struct UnionAdjacency {
-  std::vector<std::vector<graph::NodeId>> nbr;
-  std::vector<std::vector<std::uint8_t>> code;
-};
-
-/// Census core over a prebuilt union adjacency (motifs.cpp). Throws
+/// Census core over prebuilt union rows (algo/triangles.h). Throws
 /// std::invalid_argument when node count exceeds kTriadCensusMaxNodes.
-TriadCensus census_from_union(const UnionAdjacency& adj);
+TriadCensus census_from_union(const triangle_detail::FlatRows& adj);
 
-/// Per-node row grain for the union-adjacency build (matches the other
-/// per-row graph kernels).
+/// Per-node row grain of the census's row passes and of the sampler
+/// (matches the other per-row graph kernels).
 inline constexpr std::size_t kMotifRowGrain = 2048;
 
 /// Mixes (seed, index) into an independent per-sample RNG seed, so the
@@ -128,32 +121,10 @@ std::uint64_t fork_sample_seed(std::uint64_t seed,
 
 }  // namespace motif_detail
 
-/// Builds the union adjacency of any view on the shared pool. Rows are
-/// written disjointly, so the result is thread-count independent.
-template <class View>
-motif_detail::UnionAdjacency build_union_adjacency(const View& view) {
-  const std::size_t n = view.node_count();
-  motif_detail::UnionAdjacency adj;
-  adj.nbr.resize(n);
-  adj.code.resize(n);
-  core::parallel_for(
-      n, motif_detail::kMotifRowGrain,
-      [&](std::size_t begin, std::size_t end) {
-        for (auto u = static_cast<graph::NodeId>(begin); u < end; ++u) {
-          for_each_union_neighbor(view, u,
-                                  [&](graph::NodeId v, std::uint8_t c) {
-                                    adj.nbr[u].push_back(v);
-                                    adj.code[u].push_back(c);
-                                  });
-        }
-      });
-  return adj;
-}
-
 /// Exact census of any view (DiGraph, flat v2, compressed v3, mmap).
 template <class View>
 TriadCensus triad_census(const View& view) {
-  return motif_detail::census_from_union(build_union_adjacency(view));
+  return motif_detail::census_from_union(triangle_detail::union_rows(view));
 }
 
 /// Forward kept only because the repository benchmark

@@ -53,6 +53,10 @@ struct InsideRegionGuard {
   ~InsideRegionGuard() { t_inside_region = false; }
 };
 
+// Pool workers set their lane when spawned; every other thread (each
+// submitter) keeps lane 0.
+thread_local std::size_t t_lane = 0;
+
 std::atomic<std::size_t> g_threads_spawned{0};
 
 std::size_t default_lanes() {
@@ -146,7 +150,10 @@ class ThreadPool {
     stopping_ = false;
     workers_.reserve(lanes_ - 1);
     for (std::size_t i = 0; i + 1 < lanes_; ++i) {
-      workers_.emplace_back([this] { worker_loop(); });
+      workers_.emplace_back([this, lane = i + 1] {
+        t_lane = lane;
+        worker_loop();
+      });
       g_threads_spawned.fetch_add(1, std::memory_order_relaxed);
       spawned_counter().add(1);
     }
@@ -227,6 +234,8 @@ class ThreadPool {
 std::size_t thread_count() { return ThreadPool::instance().lanes(); }
 
 void set_thread_count(std::size_t n) { ThreadPool::instance().set_lanes(n); }
+
+std::size_t lane_index() noexcept { return t_lane; }
 
 std::size_t pool_threads_spawned() noexcept {
   return g_threads_spawned.load(std::memory_order_relaxed);

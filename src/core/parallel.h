@@ -57,6 +57,14 @@ std::size_t thread_count();
 /// called from inside a parallel region.
 void set_thread_count(std::size_t n);
 
+/// Lane of the calling thread, in [0, thread_count()) inside a region:
+/// the submitting thread is lane 0 and the pool's workers are lanes
+/// 1 … lanes−1. A nested region runs inline and so keeps its thread's
+/// lane; outside any region the caller is lane 0. No two chunks of a
+/// region run on the same lane at once, so a kernel may index per-call
+/// scratch by it.
+std::size_t lane_index() noexcept;
+
 /// Total worker threads ever spawned by the pool in this process —
 /// introspection for oversubscription regression tests.
 std::size_t pool_threads_spawned() noexcept;
