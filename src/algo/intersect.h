@@ -1,11 +1,11 @@
 // Shared sorted-set intersection (DESIGN.md §14).
 //
 // Every sorted-list intersection in src/algo and src/serve (suggest's
-// mutual counts, the triangle and triad-census passes, reciprocity,
-// clustering, jaccard) calls `intersect_count` or `intersect`. Both take
-// two ascending, duplicate-free id lists and return the same count and
-// the same ascending elements whichever kernel runs, so the payloads
-// built on top are identical on every host and at every GPLUS_THREADS.
+// mutual counts, reciprocity, clustering, jaccard) calls
+// `intersect_count` or `intersect`. Both take two ascending,
+// duplicate-free id lists and return the same count and the same
+// ascending elements whichever kernel runs, so the payloads built on top
+// are identical on every host and at every GPLUS_THREADS.
 //
 // The kernel is chosen per call from what the code can observe, and from
 // nothing a user sets:

@@ -45,7 +45,9 @@ TEST_F(GeoAnalysisTest, CountrySharesMatchFig6) {
   double total = 0.0;
   for (std::size_t i = 0; i < shares.size(); ++i) {
     total += shares[i].fraction;
-    if (i > 0) EXPECT_GE(shares[i - 1].users, shares[i].users);
+    if (i > 0) {
+      EXPECT_GE(shares[i - 1].users, shares[i].users);
+    }
     EXPECT_FALSE(geo::country(shares[i].country).aggregate);
   }
   EXPECT_GT(total, 0.7);

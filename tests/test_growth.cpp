@@ -39,8 +39,12 @@ TEST_F(GrowthTest, JoinDaysAlignWithCurve) {
   for (int d = 1; d <= sim_->days(); ++d) {
     // node_count_at(d) users have join day <= d.
     const auto count = sim_->node_count_at(d);
-    if (count > 0) EXPECT_LE(joins[count - 1], d);
-    if (count < joins.size()) EXPECT_GT(joins[count], d);
+    if (count > 0) {
+      EXPECT_LE(joins[count - 1], d);
+    }
+    if (count < joins.size()) {
+      EXPECT_GT(joins[count], d);
+    }
   }
 }
 
