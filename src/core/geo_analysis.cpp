@@ -154,52 +154,6 @@ std::vector<CountryPathMiles> path_miles_by_country(const Dataset& ds) {
   return out;
 }
 
-std::vector<LinkProbabilityBin> link_probability_by_distance(
-    const Dataset& ds, std::size_t pair_samples, stats::Rng& rng) {
-  GPLUS_EXPECT(pair_samples > 0, "need a positive sample budget");
-  static constexpr double kEdges[] = {0.0,    10.0,   30.0,    100.0, 300.0,
-                                      1000.0, 3000.0, 10000.0, 14000.0};
-  constexpr std::size_t kBins = std::size(kEdges) - 1;
-
-  std::vector<NodeId> located;
-  for (NodeId u = 0; u < ds.user_count(); ++u) {
-    if (ds.located(u)) located.push_back(u);
-  }
-  std::vector<LinkProbabilityBin> bins(kBins);
-  for (std::size_t b = 0; b < kBins; ++b) {
-    bins[b].min_miles = kEdges[b];
-    bins[b].max_miles = kEdges[b + 1];
-  }
-  if (located.size() < 2) return bins;
-
-  const graph::DiGraph& g = ds.graph();
-  for (std::size_t i = 0; i < pair_samples; ++i) {
-    const NodeId a =
-        located[static_cast<std::size_t>(rng.next_below(located.size()))];
-    const NodeId b =
-        located[static_cast<std::size_t>(rng.next_below(located.size()))];
-    if (a == b) continue;
-    const double miles =
-        geo::haversine_miles(ds.profiles[a].home, ds.profiles[b].home);
-    std::size_t bin = kBins - 1;
-    for (std::size_t k = 0; k < kBins; ++k) {
-      if (miles < kEdges[k + 1]) {
-        bin = k;
-        break;
-      }
-    }
-    ++bins[bin].pairs;
-    bins[bin].linked += g.has_edge(a, b) || g.has_edge(b, a) ? 1 : 0;
-  }
-  for (auto& b : bins) {
-    if (b.pairs > 0) {
-      b.probability =
-          static_cast<double>(b.linked) / static_cast<double>(b.pairs);
-    }
-  }
-  return bins;
-}
-
 CountryLinkGraph country_link_graph(const Dataset& ds) {
   const auto top10 = geo::paper_top10();
   CountryLinkGraph out;

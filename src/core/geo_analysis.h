@@ -69,24 +69,6 @@ struct CountryPathMiles {
 /// Average path miles for the paper's top-10 countries.
 std::vector<CountryPathMiles> path_miles_by_country(const Dataset& ds);
 
-// ------------------------------------------------- link prob vs distance --
-/// One bin of the P(link | distance) curve.
-struct LinkProbabilityBin {
-  double min_miles = 0.0;
-  double max_miles = 0.0;
-  std::uint64_t pairs = 0;   // sampled pairs in this distance bin
-  std::uint64_t linked = 0;  // of which connected (either direction)
-  double probability = 0.0;  // linked / pairs
-};
-
-/// Liben-Nowell's [29] core measurement: the probability two located users
-/// are linked as a function of their distance. Estimated from
-/// `pair_samples` uniform located pairs bucketed into log-spaced distance
-/// bins. The decay of this curve is the mechanism behind Fig 9 and the
-/// reason greedy geo-routing works.
-std::vector<LinkProbabilityBin> link_probability_by_distance(
-    const Dataset& ds, std::size_t pair_samples, stats::Rng& rng);
-
 // ----------------------------------------------------------------- Fig 10 --
 /// Country-to-country link weights over the top-10 countries.
 struct CountryLinkGraph {
