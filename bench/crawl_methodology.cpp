@@ -11,6 +11,7 @@
 
 #include "algo/scc.h"
 #include "core/analysis.h"
+#include "core/reference.h"
 #include "core/table.h"
 #include "crawler/bias.h"
 #include "crawler/crawler.h"
@@ -48,12 +49,17 @@ int main() {
             << " h (paper: Nov 11 - Dec 27, 2011)\n";
   std::cout << "users with a truncated list: "
             << core::fmt_count(full.stats.capped_users) << "\n";
+  const auto& paper = core::paper_constants();
   const auto sccs = algo::strongly_connected_components(full.graph);
   std::cout << "giant SCC of the crawled snapshot: "
             << core::fmt_percent(sccs.giant_fraction(), 1)
-            << " of crawled nodes (paper: 72%)\n\n";
+            << " of crawled nodes (paper: "
+            << core::fmt_percent(paper.giant_scc_fraction(), 0) << ")\n\n";
 
-  std::cout << "--- Lost-edge estimate (paper: 915 users over cap, 1.6%) ---\n";
+  std::cout << "--- Lost-edge estimate (paper: "
+            << core::fmt_count(paper.users_over_circle_cap)
+            << " users over cap, "
+            << core::fmt_percent(paper.lost_edge_fraction, 1) << ") ---\n";
   core::TextTable lost({"Crawl coverage", "Users over cap", "Displayed",
                         "Collected", "Lost fraction"});
   for (double coverage : {0.25, 0.5, 1.0}) {

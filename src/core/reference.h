@@ -4,6 +4,7 @@
 // Google+ measurements).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -37,6 +38,7 @@ struct PaperConstants {
   double yahoo360_reciprocity = 0.84;        // [25]
   double in_degree_alpha = 1.3;              // §3.3.1 fit
   double out_degree_alpha = 1.2;             // §3.3.1 fit
+  double degree_fit_r_squared = 0.99;        // both fits
   double directed_mean_path = 5.9;           // §3.3.5
   int directed_mode_path = 6;
   double undirected_mean_path = 4.7;
@@ -46,8 +48,14 @@ struct PaperConstants {
   double giant_scc_nodes = 25'240'000;       // §3.3.4
   double scc_count = 9'771'696;
   double lost_edge_fraction = 0.016;         // §2.2
+  std::uint64_t users_over_circle_cap = 915; // §2.2, 10,000-entry cap
   double tel_user_fraction = 0.0026;         // §3.2
   double located_fraction = 0.2675;          // §4
+
+  /// The giant SCC as a share of the Google+ row's nodes (72%).
+  double giant_scc_fraction() const {
+    return giant_scc_nodes / google_plus_reference().nodes;
+  }
 };
 
 /// The constants above.
