@@ -38,12 +38,14 @@ inline std::uint64_t seed() { return env_or("GPLUS_SEED", 42); }
 
 /// The shared standard dataset (generated once per process).
 inline const core::Dataset& dataset() {
-  static const core::Dataset instance = core::make_standard_dataset(scale(), seed());
+  static const core::Dataset instance =
+      core::make_standard_dataset(scale(), seed());
   return instance;
 }
 
 /// Prints the bench banner: what paper artifact this binary regenerates.
-inline void banner(const std::string& artifact, const std::string& description) {
+inline void banner(const std::string& artifact,
+                   const std::string& description) {
   std::cout << "=== " << artifact << " — " << description << " ===\n";
   std::cout << "dataset: " << scale() << " synthetic users, seed " << seed()
             << " (paper: 27.5M crawled profiles)\n\n";

@@ -20,10 +20,12 @@ int main() {
   for (auto c : graph.countries) headers.emplace_back(geo::country(c).code);
   core::TextTable table(std::move(headers));
   for (std::size_t i = 0; i < graph.countries.size(); ++i) {
-    std::vector<std::string> row = {std::string(geo::country(graph.countries[i]).code)};
+    std::vector<std::string> row = {
+        std::string(geo::country(graph.countries[i]).code)};
     for (std::size_t j = 0; j < graph.countries.size(); ++j) {
       const double w = graph.weight[i][j];
-      row.push_back(w < 0.01 ? "." : core::fmt_double(w, 2));  // figure omits <0.01
+      // The figure omits weights below 0.01.
+      row.push_back(w < 0.01 ? "." : core::fmt_double(w, 2));
     }
     table.add_row(std::move(row));
   }
@@ -42,10 +44,12 @@ int main() {
     if (code == "ES") return 0.49;
     return 0.0;
   };
-  core::TextTable self_loops({"Country", "Self-loop (ours)", "Self-loop (paper)"});
+  core::TextTable self_loops(
+      {"Country", "Self-loop (ours)", "Self-loop (paper)"});
   for (std::size_t i = 0; i < graph.countries.size(); ++i) {
     const auto code = geo::country(graph.countries[i]).code;
-    self_loops.add_row({std::string(code), core::fmt_double(graph.self_loop(i), 2),
+    self_loops.add_row({std::string(code),
+                        core::fmt_double(graph.self_loop(i), 2),
                         core::fmt_double(paper_self(code), 2)});
   }
   std::cout << self_loops.str() << "\n";

@@ -108,7 +108,8 @@ int main() {
             << "\n(OUT is dominated by the dormant sign-up-and-leave accounts"
                " the core follows into the void)\n";
 
-  std::cout << "\n--- Ablation: RR response to the friend-reciprocation knob ---\n";
+  std::cout << "\n--- Ablation: RR response to the "
+               "friend-reciprocation knob ---\n";
   const synth::PopulationModel population;
   const geo::World world;
   const std::size_t n = std::min<std::size_t>(bench::scale(), 60'000);
@@ -123,7 +124,8 @@ int main() {
     for (double r : rr) high += r > 0.6;
     ablation.add_row({core::fmt_double(p_back, 2),
                       core::fmt_percent(algo::global_reciprocity(net.graph)),
-                      core::fmt_percent(static_cast<double>(high) / rr.size())});
+                      core::fmt_percent(static_cast<double>(high) /
+                                        rr.size())});
   }
   std::cout << ablation.str();
   return 0;

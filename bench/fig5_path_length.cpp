@@ -93,6 +93,7 @@ int main() {
             << " hops over " << core::fmt_count(split.international_pairs)
             << " pairs\n";
   std::cout << "(the Fig 10 self-loop structure shows up as a hop discount\n"
-               " for domestic pairs — the topological face of §4's geography)\n";
+               " for domestic pairs — the topological face of §4's "
+               "geography)\n";
   return 0;
 }

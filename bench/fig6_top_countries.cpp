@@ -26,7 +26,8 @@ int main() {
     return "-";
   };
 
-  core::TextTable table({"Rank", "Country", "Located users", "Fraction", "Paper"});
+  core::TextTable table(
+      {"Rank", "Country", "Located users", "Fraction", "Paper"});
   for (std::size_t i = 0; i < std::min<std::size_t>(10, shares.size()); ++i) {
     const auto& s = shares[i];
     table.add_row({std::to_string(i + 1),

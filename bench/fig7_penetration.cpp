@@ -23,10 +23,11 @@ int main() {
   for (std::size_t i = 0; i < top_n; ++i) {
     const auto& p = points[i];
     const auto& c = geo::country(p.country);
-    table.add_row({std::string(c.name), std::string(geo::region_name(c.region)),
-                   core::fmt_count(static_cast<std::uint64_t>(p.gdp_per_capita)),
-                   core::fmt_double(p.gpr_relative, 3),
-                   core::fmt_percent(p.ipr, 0), core::fmt_count(p.dataset_users)});
+    table.add_row(
+        {std::string(c.name), std::string(geo::region_name(c.region)),
+         core::fmt_count(static_cast<std::uint64_t>(p.gdp_per_capita)),
+         core::fmt_double(p.gpr_relative, 3), core::fmt_percent(p.ipr, 0),
+         core::fmt_count(p.dataset_users)});
   }
   std::cout << table.str() << "\n";
 

@@ -43,7 +43,8 @@ int main() {
   std::cout << table.str() << "\n";
 
   // Paper's two headline contrasts.
-  auto curve_of = [&](std::string_view code) -> const std::vector<stats::CurvePoint>& {
+  auto curve_of =
+      [&](std::string_view code) -> const std::vector<stats::CurvePoint>& {
     for (std::size_t i = 0; i < top10.size(); ++i) {
       if (geo::country(top10[i]).code == code) return curves[i];
     }

@@ -23,7 +23,8 @@ namespace {
 using namespace gplus;
 
 double cdf_at(const std::vector<double>& sorted_samples, double x) {
-  const auto it = std::upper_bound(sorted_samples.begin(), sorted_samples.end(), x);
+  const auto it =
+      std::upper_bound(sorted_samples.begin(), sorted_samples.end(), x);
   return sorted_samples.empty()
              ? 0.0
              : static_cast<double>(it - sorted_samples.begin()) /
@@ -34,7 +35,8 @@ double cdf_at(const std::vector<double>& sorted_samples, double x) {
 
 int main() {
   using namespace gplus;
-  bench::banner("Figure 9", "physical distance between user pairs (path miles)");
+  bench::banner("Figure 9",
+                "physical distance between user pairs (path miles)");
 
   const auto& ds = bench::dataset();
   stats::Rng rng(bench::seed());
@@ -62,7 +64,8 @@ int main() {
     stats::Rng ci_rng(3);
     const auto friends_ci =
         stats::bootstrap_mean_ci(samples.friends, 200, ci_rng);
-    const auto random_ci = stats::bootstrap_mean_ci(samples.random, 200, ci_rng);
+    const auto random_ci =
+        stats::bootstrap_mean_ci(samples.random, 200, ci_rng);
     std::cout << "mean distance, 95% bootstrap CI: friends "
               << core::fmt_double(friends_ci.mean, 0) << " ["
               << core::fmt_double(friends_ci.lower, 0) << ", "
@@ -73,7 +76,8 @@ int main() {
               << "] mi (non-overlapping: the gap is not sampling noise)\n";
   }
   std::cout << "ordering (reciprocal closest, random farthest): "
-            << ((stats::mean(samples.reciprocal) <= stats::mean(samples.friends) &&
+            << ((stats::mean(samples.reciprocal) <=
+                     stats::mean(samples.friends) &&
                  stats::mean(samples.friends) < stats::mean(samples.random))
                     ? "ok"
                     : "MISS")
@@ -88,8 +92,10 @@ int main() {
                          core::fmt_count(row.edges)});
   }
   std::cout << per_country.str();
-  std::cout << "(paper: no pattern relating country size to average path mile;\n"
-               " small countries export many edges, e.g. GB/CA into the US)\n\n";
+  std::cout << "(paper: no pattern relating country size to average "
+               "path mile;\n"
+               " small countries export many edges, e.g. GB/CA into the "
+               "US)\n\n";
 
   std::cout << "--- Ablation: geo-mixing knob vs friends/random gap ---\n";
   const synth::PopulationModel population;

@@ -35,7 +35,8 @@ int main() {
             : "open sign-up";
     adoption.add_row({std::to_string(day),
                       core::fmt_count(sim.node_count_at(day)),
-                      core::fmt_count(curve.daily_new[static_cast<std::size_t>(day)]),
+                      core::fmt_count(
+                          curve.daily_new[static_cast<std::size_t>(day)]),
                       phase});
   }
   std::cout << adoption.str();
@@ -72,15 +73,19 @@ int main() {
             << core::fmt_double(series.back().effective_diameter, 2)
             << " while the network grew "
             << core::fmt_double(static_cast<double>(series.back().nodes) /
-                                    static_cast<double>(series.front().nodes), 1)
+                                    static_cast<double>(series.front().nodes),
+                                1)
             << "x ([28]: non-increasing)\n";
-  std::cout << "\n(the paper measured one snapshot at ~day 180 and conjectured\n"
-               " its 5.9-hop mean path would shrink 'as the network densifies' —\n"
+  std::cout << "\n(the paper measured one snapshot at ~day 180 and "
+               "conjectured\n"
+               " its 5.9-hop mean path would shrink 'as the network "
+               "densifies' —\n"
                " the snapshot series shows exactly that mechanism)\n\n";
 
   // §7's program executed: re-crawl the network at several dates and
   // track the measured (not ground-truth) metrics over time.
-  std::cout << "--- Multi-snapshot crawling (the §7 proposal, end to end) ---\n";
+  std::cout << "--- Multi-snapshot crawling "
+               "(the §7 proposal, end to end) ---\n";
   core::TextTable crawls({"Day", "Crawled", "Measured mean degree",
                           "Measured reciprocity", "Degree bias"});
   for (int day : {95, 130, 180}) {
@@ -95,8 +100,8 @@ int main() {
       if (snapshot.in_degree(u) > snapshot.in_degree(seed_node)) seed_node = u;
     }
     cconfig.seed_node = seed_node;
-    cconfig.max_profiles =
-        static_cast<std::size_t>(0.56 * static_cast<double>(snapshot.node_count()));
+    cconfig.max_profiles = static_cast<std::size_t>(
+        0.56 * static_cast<double>(snapshot.node_count()));
     const auto crawl = crawler::run_bfs_crawl(svc, cconfig);
     const auto bias = crawler::measure_bias(snapshot, crawl);
     crawls.add_row({std::to_string(day),

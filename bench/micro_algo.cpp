@@ -56,7 +56,9 @@ void BM_GenerateNetwork(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(nodes));
 }
-BENCHMARK(BM_GenerateNetwork)->Range(1 << 12, 1 << 15)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GenerateNetwork)
+    ->Range(1 << 12, 1 << 15)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_GlobalReciprocity(benchmark::State& state) {
   const auto& g = preset_graph(static_cast<std::size_t>(state.range(0)));
@@ -108,7 +110,8 @@ BENCHMARK(BM_SampledClustering)->Range(256, 4096);
 void BM_DegreeDistribution(benchmark::State& state) {
   const auto& g = preset_graph(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(algo::in_degree_distribution(g, 3).power_law.alpha);
+    benchmark::DoNotOptimize(
+        algo::in_degree_distribution(g, 3).power_law.alpha);
   }
 }
 BENCHMARK(BM_DegreeDistribution)->Range(1 << 12, 1 << 15);
@@ -169,7 +172,11 @@ void BM_SampledBetweenness(benchmark::State& state) {
     benchmark::DoNotOptimize(algo::sampled_betweenness(g, sources, rng).size());
   }
 }
-BENCHMARK(BM_SampledBetweenness)->Arg(8)->Arg(32)->Arg(128)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SampledBetweenness)
+    ->Arg(8)
+    ->Arg(32)
+    ->Arg(128)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_LabelPropagation(benchmark::State& state) {
   const auto& g = preset_graph(static_cast<std::size_t>(state.range(0)));
@@ -178,7 +185,9 @@ void BM_LabelPropagation(benchmark::State& state) {
     benchmark::DoNotOptimize(algo::label_propagation(g, rng).community_count);
   }
 }
-BENCHMARK(BM_LabelPropagation)->Range(1 << 12, 1 << 14)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LabelPropagation)
+    ->Range(1 << 12, 1 << 14)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

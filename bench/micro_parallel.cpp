@@ -71,8 +71,10 @@ int main() {
   const std::size_t cores = std::max(1u, std::thread::hardware_concurrency());
   gplus::bench::banner("micro_parallel",
                        "serial vs shared-pool speedup of the hot kernels");
-  std::printf("lanes: serial=1, parallel=%zu (GPLUS_THREADS honored), host cores=%zu\n\n",
-              gplus::core::thread_count(), cores);
+  std::printf(
+      "lanes: serial=1, parallel=%zu (GPLUS_THREADS honored), "
+      "host cores=%zu\n\n",
+      gplus::core::thread_count(), cores);
 
   const synth::PopulationModel population;
   const geo::World world;

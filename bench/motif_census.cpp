@@ -90,7 +90,8 @@ int main(int argc, char** argv) {
   // paper-scale path (mmap-served graphs too big for exact counting).
   serve::SnapshotOptions options;
   options.version = serve::kSnapshotVersion3;
-  const serve::SnapshotBuffer snapshot = serve::build_snapshot(dataset, options);
+  const serve::SnapshotBuffer snapshot =
+      serve::build_snapshot(dataset, options);
   const serve::SnapshotView view(snapshot.bytes());
   algo::TriadSampleConfig sconfig;
   sconfig.samples = samples;
@@ -102,7 +103,8 @@ int main(int argc, char** argv) {
   const double wedges_per_s =
       static_cast<double>(sampled.sampled) / sampled_s;
   std::printf("sampled census   %8.0f wedges/s  (%.3fs, %zu samples)\n",
-              wedges_per_s, sampled_s, static_cast<std::size_t>(sampled.sampled));
+              wedges_per_s, sampled_s,
+              static_cast<std::size_t>(sampled.sampled));
 
   const double exact_closure = census.wedge_closure();
   const double err = std::abs(sampled.closed_fraction - exact_closure);
@@ -145,9 +147,10 @@ int main(int argc, char** argv) {
   const double calib_s = seconds_since(start);
   const double improvement =
       calib.final_error > 0.0 ? calib.initial_error / calib.final_error : 1.0;
-  std::printf("calibration      %8.2fx error improvement  (%.3fs, %llu swaps)\n",
-              improvement, calib_s,
-              static_cast<unsigned long long>(calib.swaps_applied));
+  std::printf(
+      "calibration      %8.2fx error improvement  (%.3fs, %llu swaps)\n",
+      improvement, calib_s,
+      static_cast<unsigned long long>(calib.swaps_applied));
   if (calib.final_error > calib.initial_error) {
     std::printf("VIOLATION: calibration regressed its objective\n");
     ++failures;

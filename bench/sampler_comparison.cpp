@@ -25,8 +25,8 @@ int main() {
     truth_mean += static_cast<double>(d);
   }
   truth_mean /= static_cast<double>(ds.user_count());
-  std::cout << "ground-truth mean in-degree: " << core::fmt_double(truth_mean, 2)
-            << "\n\n";
+  std::cout << "ground-truth mean in-degree: "
+            << core::fmt_double(truth_mean, 2) << "\n\n";
 
   // Whole-population degree sample for the KS comparison.
   std::vector<double> truth_degrees;
@@ -38,7 +38,8 @@ int main() {
   const std::size_t target = std::min<std::size_t>(ds.user_count() / 20, 5'000);
   core::TextTable table({"Sampler", "Users", "Mean in-degree", "Bias ratio",
                          "KS vs truth", "Requests", "Steps"});
-  for (auto kind : {crawler::SamplerKind::kBfs, crawler::SamplerKind::kRandomWalk,
+  for (auto kind : {crawler::SamplerKind::kBfs,
+                    crawler::SamplerKind::kRandomWalk,
                     crawler::SamplerKind::kMetropolisHastings,
                     crawler::SamplerKind::kUniformOracle}) {
     // Average over a few seeds to steady the walk estimators.

@@ -388,7 +388,8 @@ int main(int argc, char** argv) {
     const auto d_cluster = obs::delta(after_cluster, before_cluster);
     const auto d_cluster_serial =
         obs::delta(after_cluster_serial, after_cluster);
-    const std::string cluster_json = obs::to_json(deterministic_only(d_cluster));
+    const std::string cluster_json =
+        obs::to_json(deterministic_only(d_cluster));
     if (cluster_json != obs::to_json(deterministic_only(d_cluster_serial))) {
       std::printf("VIOLATION: deterministic cluster metrics deltas differ "
                   "between %zu lanes and 1\n",

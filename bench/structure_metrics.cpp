@@ -32,7 +32,8 @@
 
 int main() {
   using namespace gplus;
-  bench::banner("Structural appendix", "mixing, cores, null models, communities");
+  bench::banner("Structural appendix",
+                "mixing, cores, null models, communities");
 
   const auto& ds = bench::dataset();
   const graph::DiGraph& g = ds.graph();
@@ -59,9 +60,11 @@ int main() {
   for (std::uint32_t k : {1u, 2u, 4u, 8u, 16u, 32u}) {
     if (k > cores.degeneracy) break;
     const auto size = cores.core_size(k);
-    core_table.add_row({std::to_string(k), core::fmt_count(size),
-                        core::fmt_percent(static_cast<double>(size) /
-                                          static_cast<double>(g.node_count()), 1)});
+    core_table.add_row(
+        {std::to_string(k), core::fmt_count(size),
+         core::fmt_percent(static_cast<double>(size) /
+                               static_cast<double>(g.node_count()),
+                           1)});
   }
   std::cout << core_table.str();
   std::cout << "degeneracy (deepest core): " << cores.degeneracy << "\n\n";
@@ -90,7 +93,8 @@ int main() {
                         core::fmt_percent(algo::global_reciprocity(rewired))});
     std::cout << null_table.str();
     std::cout << "(both collapse under rewiring: the triangles and mutual\n"
-               " links are genuine structure, not a degree-sequence artifact)\n\n";
+                 " links are genuine structure, not a degree-sequence "
+                 "artifact)\n\n";
   }
 
   std::cout << "--- Communities vs planted geography ---\n";
@@ -123,9 +127,9 @@ int main() {
     country_labels.reserve(sub.original_id.size());
     for (auto orig : sub.original_id) {
       country_labels.push_back(ds.profiles[orig].country);
-      city_labels.push_back((static_cast<std::uint32_t>(ds.profiles[orig].country)
-                             << 8) |
-                            ds.net.city[orig]);
+      city_labels.push_back(
+          (static_cast<std::uint32_t>(ds.profiles[orig].country) << 8) |
+          ds.net.city[orig]);
     }
     const auto by_country = algo::partition_from_labels(country_labels);
     const auto by_city = algo::partition_from_labels(city_labels);
@@ -133,13 +137,16 @@ int main() {
     core::TextTable nmi_table({"Comparison", "NMI"});
     nmi_table.add_row(
         {"detected vs planted country",
-         core::fmt_double(algo::normalized_mutual_information(detected, by_country), 3)});
+         core::fmt_double(
+             algo::normalized_mutual_information(detected, by_country), 3)});
     nmi_table.add_row(
         {"detected vs planted city",
-         core::fmt_double(algo::normalized_mutual_information(detected, by_city), 3)});
+         core::fmt_double(
+             algo::normalized_mutual_information(detected, by_city), 3)});
     nmi_table.add_row(
         {"country vs city (upper context)",
-         core::fmt_double(algo::normalized_mutual_information(by_country, by_city), 3)});
+         core::fmt_double(
+             algo::normalized_mutual_information(by_country, by_city), 3)});
     std::cout << nmi_table.str();
     std::cout << "detected communities: " << detected.community_count
               << "; modularity: "
@@ -176,8 +183,9 @@ int main() {
         algo::removal_sweep(g, algo::RemovalStrategy::kRandom, fractions, rng1);
     const auto targeted = algo::removal_sweep(
         g, algo::RemovalStrategy::kTopInDegree, fractions, rng2);
-    core::TextTable table({"Removed", "Giant WCC (random)", "Giant WCC (top hubs)",
-                           "Edges left (random)", "Edges left (top hubs)"});
+    core::TextTable table({"Removed", "Giant WCC (random)",
+                           "Giant WCC (top hubs)", "Edges left (random)",
+                           "Edges left (top hubs)"});
     for (std::size_t i = 0; i < fractions.size(); ++i) {
       table.add_row({core::fmt_percent(fractions[i], 0),
                      core::fmt_percent(random[i].giant_wcc_fraction, 1),
@@ -187,7 +195,8 @@ int main() {
     }
     std::cout << table.str();
     std::cout << "(the Albert-Jeong-Barabási asymmetry of scale-free graphs:\n"
-                 " hubs 'play a central role' — §3.3.1 — in a measurable way)\n\n";
+                 " hubs 'play a central role' — §3.3.1 — in a measurable "
+                 "way)\n\n";
   }
 
   std::cout << "--- PageRank vs in-degree (Table 1 robustness) ---\n";

@@ -27,7 +27,8 @@ int main() {
                    core::fmt_count(u.in_degree)});
   }
   std::cout << table.str() << "\n";
-  std::cout << "IT share of top 20: " << core::fmt_percent(core::it_fraction(top))
+  std::cout << "IT share of top 20: "
+            << core::fmt_percent(core::it_fraction(top))
             << "  (paper: 7/20 = 35%)\n";
 
   std::size_t celebs = 0;

@@ -15,19 +15,22 @@ int main() {
   const auto all = core::cohort_breakdown(ds, false);
   const auto tel = core::cohort_breakdown(ds, true);
 
-  core::TextTable table({"", "All users", "Tel-users", "Paper (all)", "Paper (tel)"});
-  table.add_row({"Total", core::fmt_count(all.total), core::fmt_count(tel.total),
-                 "27,556,390", "72,736"});
+  core::TextTable table(
+      {"", "All users", "Tel-users", "Paper (all)", "Paper (tel)"});
+  table.add_row({"Total", core::fmt_count(all.total),
+                 core::fmt_count(tel.total), "27,556,390", "72,736"});
 
   table.add_row({"Gender (N)", core::fmt_count(all.gender_n),
                  core::fmt_count(tel.gender_n), "26,914,758", "71,267"});
   const char* paper_gender_all[] = {"67.65%", "31.46%", "0.89%"};
   const char* paper_gender_tel[] = {"85.99%", "11.26%", "2.75%"};
   for (std::size_t g = 0; g < synth::kGenderCount; ++g) {
-    table.add_row({"  " + std::string(synth::gender_name(static_cast<synth::Gender>(g))),
-                   core::fmt_percent(all.gender_share[g]),
-                   core::fmt_percent(tel.gender_share[g]), paper_gender_all[g],
-                   paper_gender_tel[g]});
+    table.add_row(
+        {"  " +
+             std::string(synth::gender_name(static_cast<synth::Gender>(g))),
+         core::fmt_percent(all.gender_share[g]),
+         core::fmt_percent(tel.gender_share[g]), paper_gender_all[g],
+         paper_gender_tel[g]});
   }
 
   table.add_row({"Relationship (N)", core::fmt_count(all.relationship_n),
@@ -38,7 +41,8 @@ int main() {
                                  "2.77%",  "0.58%",  "0.77%",  "0.41%"};
   for (std::size_t r = 0; r < synth::kRelationshipCount; ++r) {
     table.add_row(
-        {"  " + std::string(synth::relationship_name(static_cast<synth::Relationship>(r))),
+        {"  " + std::string(synth::relationship_name(
+                    static_cast<synth::Relationship>(r))),
          core::fmt_percent(all.relationship_share[r]),
          core::fmt_percent(tel.relationship_share[r]), paper_rel_all[r],
          paper_rel_tel[r]});

@@ -40,7 +40,8 @@ int main() {
     }
     const auto code = geo::country(row.country).code;
     table.add_row({std::string(geo::country(row.country).name), codes,
-                   core::fmt_double(row.jaccard_vs_us, 2), paper_jaccard(code)});
+                   core::fmt_double(row.jaccard_vs_us, 2),
+                   paper_jaccard(code)});
   }
   std::cout << table.str() << "\n";
 

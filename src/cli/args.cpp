@@ -23,7 +23,8 @@ void ArgParser::add_flag(const std::string& name, const std::string& help) {
   declaration_order_.push_back(name);
 }
 
-std::optional<std::string> ArgParser::parse(const std::vector<std::string>& args) {
+std::optional<std::string> ArgParser::parse(
+    const std::vector<std::string>& args) {
   for (auto& [name, option] : options_) option.value = option.default_value;
   positional_.clear();
 

@@ -141,8 +141,10 @@ int cmd_analyze(const std::vector<std::string>& args, std::ostream& out) {
   table.add_row({"Edges", core::fmt_count(s.edges), "575M"});
   table.add_row({"Mean degree", core::fmt_double(s.mean_degree, 2), "16.4"});
   table.add_row({"Reciprocity", core::fmt_percent(s.reciprocity), "32%"});
-  table.add_row({"Mean path length", core::fmt_double(s.path_length, 2), "5.9"});
-  table.add_row({"Diameter (lb)", std::to_string(s.diameter_lower_bound), "19"});
+  table.add_row(
+      {"Mean path length", core::fmt_double(s.path_length, 2), "5.9"});
+  table.add_row(
+      {"Diameter (lb)", std::to_string(s.diameter_lower_bound), "19"});
   table.add_row({"Giant SCC", core::fmt_percent(s.giant_scc_fraction), "72%"});
   table.add_row({"In-degree alpha", core::fmt_double(s.in_alpha, 2), "1.3"});
   table.add_row({"Out-degree alpha", core::fmt_double(s.out_alpha, 2), "1.2"});
@@ -221,21 +223,26 @@ int cmd_crawl(const std::vector<std::string>& args, std::ostream& out) {
   const auto lost = crawler::estimate_lost_edges(svc, crawl);
 
   core::TextTable table({"Metric", "Value"});
-  table.add_row({"Profiles crawled", core::fmt_count(crawl.stats.profiles_crawled)});
-  table.add_row({"Boundary nodes", core::fmt_count(crawl.stats.boundary_nodes)});
+  table.add_row(
+      {"Profiles crawled", core::fmt_count(crawl.stats.profiles_crawled)});
+  table.add_row(
+      {"Boundary nodes", core::fmt_count(crawl.stats.boundary_nodes)});
   table.add_row({"Edges collected", core::fmt_count(crawl.graph.edge_count())});
   table.add_row({"Requests", core::fmt_count(crawl.stats.requests)});
   table.add_row({"Simulated hours",
                  core::fmt_double(crawl.stats.simulated_hours, 1)});
-  table.add_row({"Degree-bias ratio", core::fmt_double(bias.degree_bias_ratio, 2)});
+  table.add_row(
+      {"Degree-bias ratio", core::fmt_double(bias.degree_bias_ratio, 2)});
   table.add_row({"Edge recall", core::fmt_percent(bias.edge_recall, 1)});
   table.add_row({"Users over cap", core::fmt_count(lost.users_over_cap)});
-  table.add_row({"Lost-edge fraction", core::fmt_percent(lost.lost_fraction, 2)});
+  table.add_row(
+      {"Lost-edge fraction", core::fmt_percent(lost.lost_fraction, 2)});
   if (fault_rate > 0.0 || !config.checkpoint.path.empty()) {
     const auto& retry = crawl.stats.retry;
     table.add_row({"Retries", core::fmt_count(retry.retries)});
     table.add_row({"Transient failures", core::fmt_count(retry.transient)});
-    table.add_row({"Rate-limit responses", core::fmt_count(retry.rate_limited)});
+    table.add_row(
+        {"Rate-limit responses", core::fmt_count(retry.rate_limited)});
     table.add_row({"Truncated pages", core::fmt_count(retry.truncated)});
     table.add_row({"Backoff seconds",
                    core::fmt_double(
@@ -343,11 +350,12 @@ int cmd_snapshot(const std::vector<std::string>& args, std::ostream& out) {
                    view.adjacency_compressed() ? "yes" : "no"});
     table.add_row({"Nodes", core::fmt_count(view.node_count())});
     table.add_row({"Edges", core::fmt_count(view.edge_count())});
-    table.add_row({"Reciprocity",
-                   core::fmt_percent(view.edge_count() == 0
-                                         ? 0.0
-                                         : static_cast<double>(reciprocal) /
-                                               static_cast<double>(view.edge_count()))});
+    table.add_row(
+        {"Reciprocity",
+         core::fmt_percent(view.edge_count() == 0
+                               ? 0.0
+                               : static_cast<double>(reciprocal) /
+                                     static_cast<double>(view.edge_count()))});
     table.add_row({"Located users", core::fmt_count(located)});
     out << table.str();
     return 0;
@@ -355,7 +363,8 @@ int cmd_snapshot(const std::vector<std::string>& args, std::ostream& out) {
 
   const auto dataset = core::load_dataset(parser.get("in"));
   serve::SnapshotOptions options;
-  options.version = static_cast<std::uint32_t>(parser.get_u64("format-version"));
+  options.version =
+      static_cast<std::uint32_t>(parser.get_u64("format-version"));
   const auto snapshot = serve::build_snapshot(dataset, options);
   serve::save_snapshot(snapshot, parser.get("out"));
   out << "wrote " << parser.get("out") << ": "
@@ -372,8 +381,9 @@ int cmd_serve_bench(const std::vector<std::string>& args, std::ostream& out) {
   parser.add_option("requests", "1000000", "total requests to serve");
   parser.add_option("clients", "256", "closed-loop clients (1 in flight each)");
   parser.add_option("workload-seed", "1", "request-stream seed");
-  parser.add_option("mix", "degree-profile",
-                    "request mix: degree-profile, read, path, mixed or suggest");
+  parser.add_option(
+      "mix", "degree-profile",
+      "request mix: degree-profile, read, path, mixed or suggest");
   parser.add_option("zipf", "1.3", "Zipf exponent over the in-degree ranking");
   parser.add_option("queue", "4096", "bounded request-queue capacity");
   parser.add_option("cache", "65536", "result-cache entries (0 disables)");
@@ -745,7 +755,8 @@ constexpr Command kCommands[] = {
     {"crawl", "simulate the paper's BFS crawl against the dataset", cmd_crawl},
     {"export", "dump the edge list for other graph tools", cmd_export},
     {"report", "full markdown reproduction report", cmd_report},
-    {"snapshot", "build or inspect an immutable serving snapshot", cmd_snapshot},
+    {"snapshot", "build or inspect an immutable serving snapshot",
+     cmd_snapshot},
     {"serve-bench", "closed-loop query-serving load harness", cmd_serve_bench},
     {"metrics", "exercise the instrumented stack, dump the registry",
      cmd_metrics},

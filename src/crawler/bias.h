@@ -19,7 +19,8 @@ namespace gplus::crawler {
 struct BiasReport {
   double coverage = 0.0;            // crawled profiles / ground-truth nodes
   double truth_mean_in_degree = 0.0;
-  double sample_mean_in_degree = 0.0;   // ground-truth in-degree of crawled users
+  /// Mean ground-truth in-degree of the crawled users.
+  double sample_mean_in_degree = 0.0;
   /// Mean ground-truth in-degree of crawled users divided by the global
   /// mean: > 1 means the BFS over-sampled popular users.
   double degree_bias_ratio = 0.0;

@@ -19,8 +19,9 @@ std::uint64_t request_key(NodeId id, std::uint64_t endpoint,
 double backoff_delay_ms(const RetryPolicy& policy,
                         const service::FetchStatus& status, std::uint64_t key,
                         std::uint32_t attempt) noexcept {
-  double delay = policy.base_backoff_ms *
-                 std::pow(policy.backoff_multiplier, static_cast<double>(attempt));
+  double delay =
+      policy.base_backoff_ms *
+      std::pow(policy.backoff_multiplier, static_cast<double>(attempt));
   delay = std::min(delay, policy.max_backoff_ms);
   if (policy.jitter > 0.0) {
     std::uint64_t state = policy.seed ^ key;
@@ -75,7 +76,8 @@ Result retry_loop(const RetryPolicy& policy, std::uint64_t key, Fetch&& fetch,
       counts.add(kRetryCell<&RetryStats::abandoned>);
       return result;
     }
-    const double delay_ms = backoff_delay_ms(policy, result.status, key, attempt);
+    const double delay_ms =
+        backoff_delay_ms(policy, result.status, key, attempt);
     // llround of a deterministic double is deterministic; micros keep the
     // integer counter faithful to sub-millisecond jitter.
     counts.add(kRetryCell<&RetryStats::backoff_micros>,
@@ -108,7 +110,9 @@ service::ProfileFetch fetch_profile_with_retry(service::SocialService& service,
   const std::uint64_t key = request_key(id, /*endpoint=*/0, 0);
   return retry_loop<service::ProfileFetch>(
       policy, key,
-      [&](std::uint32_t attempt) { return service.try_fetch_profile(id, attempt); },
+      [&](std::uint32_t attempt) {
+        return service.try_fetch_profile(id, attempt);
+      },
       counts);
 }
 

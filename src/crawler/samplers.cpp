@@ -142,8 +142,8 @@ SampleResult sample_users(service::SocialService& service, SamplerKind kind,
         if (kind == SamplerKind::kMetropolisHastings) {
           const double du = static_cast<double>(
               std::max<std::uint64_t>(1, displayed_degree_total(page)));
-          const double dv = static_cast<double>(
-              std::max<std::uint64_t>(1, displayed_degree_total(proposal_page)));
+          const double dv = static_cast<double>(std::max<std::uint64_t>(
+              1, displayed_degree_total(proposal_page)));
           accept = rng.next_bool(std::min(1.0, du / dv));
         }
         if (accept) {

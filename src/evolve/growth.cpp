@@ -93,7 +93,8 @@ GrowthSimulation::GrowthSimulation(const GrowthConfig& config)
   std::vector<std::uint32_t> out_count(n, 0);
 
   // Adds scheduled for future days.
-  std::vector<std::vector<NodeId>> trickle(static_cast<std::size_t>(config.days) + 1);
+  std::vector<std::vector<NodeId>> trickle(
+      static_cast<std::size_t>(config.days) + 1);
 
   // Dedup set so the chronological edge stream has no repeats: snapshot
   // edge counts then equal the CSR graph's.
@@ -116,8 +117,8 @@ GrowthSimulation::GrowthSimulation(const GrowthConfig& config)
     NodeId v = u;
     if (config.triadic_closure > 0.0 && rng.next_bool(config.triadic_closure) &&
         !out_adj[u].empty()) {
-      const NodeId mid =
-          out_adj[u][static_cast<std::size_t>(rng.next_below(out_adj[u].size()))];
+      const NodeId mid = out_adj[u][static_cast<std::size_t>(
+          rng.next_below(out_adj[u].size()))];
       if (!out_adj[mid].empty()) {
         v = out_adj[mid][static_cast<std::size_t>(
             rng.next_below(out_adj[mid].size()))];
@@ -147,7 +148,8 @@ GrowthSimulation::GrowthSimulation(const GrowthConfig& config)
             pa_pool[static_cast<std::size_t>(rng.next_below(pa_pool.size()))];
         if (inviter != u && !at_capacity(u)) {
           push_edge(u, inviter, day);
-          if (!dormant[inviter] && !at_capacity(inviter) && rng.next_bool(0.9)) {
+          if (!dormant[inviter] && !at_capacity(inviter) &&
+              rng.next_bool(0.9)) {
             push_edge(inviter, u, day);
           }
         }

@@ -11,8 +11,9 @@ namespace {
 // Builds one CSR direction (offsets + sorted, deduplicated targets) from an
 // edge list, reading endpoints through `src` / `dst` accessors.
 template <typename SrcFn, typename DstFn>
-void build_csr(NodeId node_count, std::span<const Edge> edges, bool keep_self_loops,
-               SrcFn src, DstFn dst, std::vector<std::uint64_t>& offsets,
+void build_csr(NodeId node_count, std::span<const Edge> edges,
+               bool keep_self_loops, SrcFn src, DstFn dst,
+               std::vector<std::uint64_t>& offsets,
                std::vector<NodeId>& targets) {
   offsets.assign(static_cast<std::size_t>(node_count) + 1, 0);
   for (const Edge& e : edges) {
@@ -72,7 +73,8 @@ DiGraph DiGraph::from_edges(NodeId node_count, std::span<const Edge> edges,
 }
 
 void DiGraph::check_node(NodeId u) const {
-  GPLUS_EXPECT(static_cast<std::size_t>(u) < node_count(), "node id out of range");
+  GPLUS_EXPECT(static_cast<std::size_t>(u) < node_count(),
+               "node id out of range");
 }
 
 std::span<const NodeId> DiGraph::out_neighbors(NodeId u) const {

@@ -59,7 +59,9 @@ class DiGraph {
   static DiGraph from_edges(NodeId node_count, std::span<const Edge> edges,
                             bool keep_self_loops = false);
 
-  std::size_t node_count() const noexcept { return out_offsets_.empty() ? 0 : out_offsets_.size() - 1; }
+  std::size_t node_count() const noexcept {
+    return out_offsets_.empty() ? 0 : out_offsets_.size() - 1;
+  }
   std::size_t edge_count() const noexcept { return out_targets_.size(); }
 
   /// Out-neighbors of `u` ("In user's circles" list), sorted ascending.

@@ -26,7 +26,8 @@ std::uint64_t read_u64(std::istream& in) {
   in.read(reinterpret_cast<char*>(buf), 8);
   if (!in) fail_io("truncated binary edge list");
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(buf[i]) << (8 * i);
+  for (int i = 0; i < 8; ++i)
+    v |= static_cast<std::uint64_t>(buf[i]) << (8 * i);
   return v;
 }
 
@@ -41,7 +42,8 @@ std::uint32_t read_u32(std::istream& in) {
   in.read(reinterpret_cast<char*>(buf), 4);
   if (!in) fail_io("truncated binary edge list");
   std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(buf[i]) << (8 * i);
+  for (int i = 0; i < 4; ++i)
+    v |= static_cast<std::uint32_t>(buf[i]) << (8 * i);
   return v;
 }
 

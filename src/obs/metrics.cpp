@@ -16,7 +16,8 @@ std::size_t cell_slot() noexcept {
 
 }  // namespace detail
 
-Histogram::Histogram(std::vector<std::uint64_t> bounds) : bounds_(std::move(bounds)) {
+Histogram::Histogram(std::vector<std::uint64_t> bounds)
+    : bounds_(std::move(bounds)) {
   if (bounds_.empty()) {
     throw std::logic_error("obs: histogram needs at least one bucket bound");
   }
@@ -31,7 +32,8 @@ void Histogram::record(std::uint64_t value) noexcept {
   // Bucket i holds values <= bounds[i], so the target is the first bound
   // >= value; lower_bound lands on bounds_.size() for overflow values.
   const std::size_t idx = static_cast<std::size_t>(
-      std::lower_bound(bounds_.begin(), bounds_.end(), value) - bounds_.begin());
+      std::lower_bound(bounds_.begin(), bounds_.end(), value) -
+      bounds_.begin());
   const std::size_t slot = detail::cell_slot();
   cells_[slot * (bounds_.size() + 1) + idx].value.fetch_add(
       1, std::memory_order_relaxed);
@@ -43,7 +45,8 @@ std::vector<std::uint64_t> Histogram::bucket_counts() const {
   std::vector<std::uint64_t> out(buckets, 0);
   for (std::size_t slot = 0; slot < detail::kCells; ++slot) {
     for (std::size_t b = 0; b < buckets; ++b) {
-      out[b] += cells_[slot * buckets + b].value.load(std::memory_order_relaxed);
+      out[b] +=
+          cells_[slot * buckets + b].value.load(std::memory_order_relaxed);
     }
   }
   return out;
@@ -87,7 +90,8 @@ bool MetricsSnapshot::contains(std::string_view name) const {
   return entries.find(std::string(name)) != entries.end();
 }
 
-MetricsSnapshot delta(const MetricsSnapshot& after, const MetricsSnapshot& before) {
+MetricsSnapshot delta(const MetricsSnapshot& after,
+                      const MetricsSnapshot& before) {
   MetricsSnapshot out;
   for (const auto& [name, entry] : after.entries) {
     MetricsSnapshot::Entry d = entry;
@@ -103,7 +107,8 @@ MetricsSnapshot delta(const MetricsSnapshot& after, const MetricsSnapshot& befor
         case MetricKind::kHistogram:
           d.sum = entry.sum - b.sum;
           d.count = entry.count - b.count;
-          for (std::size_t i = 0; i < d.buckets.size() && i < b.buckets.size(); ++i) {
+          for (std::size_t i = 0;
+               i < d.buckets.size() && i < b.buckets.size(); ++i) {
             d.buckets[i] = entry.buckets[i] - b.buckets[i];
           }
           break;
@@ -152,8 +157,8 @@ Gauge& MetricsRegistry::gauge(std::string_view name, Determinism det) {
   const std::lock_guard<std::mutex> lock(mutex_);
   auto it = metrics_.find(name);
   if (it == metrics_.end()) {
-    Metric m{MetricKind::kGauge, det, nullptr, std::make_unique<Gauge>(), nullptr,
-             {}, 0};
+    Metric m{MetricKind::kGauge, det, nullptr, std::make_unique<Gauge>(),
+             nullptr, {}, 0};
     it = metrics_.emplace(std::string(name), std::move(m)).first;
   } else {
     if (it->second.kind != MetricKind::kGauge) throw_mismatch(name, "kind");
@@ -174,7 +179,8 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
   } else {
     if (it->second.kind != MetricKind::kHistogram) throw_mismatch(name, "kind");
     if (it->second.determinism != det) throw_mismatch(name, "determinism tag");
-    if (it->second.histogram->bounds() != bounds) throw_mismatch(name, "bounds");
+    if (it->second.histogram->bounds() != bounds)
+      throw_mismatch(name, "bounds");
   }
   return *it->second.histogram;
 }
@@ -183,7 +189,8 @@ MetricsSnapshot MetricsRegistry::snapshot(bool deterministic_only) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot snap;
   for (const auto& [name, metric] : metrics_) {
-    if (deterministic_only && metric.determinism == Determinism::kRunDependent) {
+    if (deterministic_only &&
+        metric.determinism == Determinism::kRunDependent) {
       continue;
     }
     MetricsSnapshot::Entry entry;

@@ -93,9 +93,15 @@ class Counter {
 /// (so reads are deterministic); the atomic keeps racy misuse benign.
 class Gauge {
  public:
-  void set(std::int64_t v) noexcept { value_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t d) noexcept { value_.fetch_add(d, std::memory_order_relaxed); }
-  std::int64_t value() const noexcept { return value_.load(std::memory_order_relaxed); }
+  void set(std::int64_t v) noexcept {
+    value_.store(v, std::memory_order_relaxed);
+  }
+  void add(std::int64_t d) noexcept {
+    value_.fetch_add(d, std::memory_order_relaxed);
+  }
+  std::int64_t value() const noexcept {
+    return value_.load(std::memory_order_relaxed);
+  }
 
  private:
   std::atomic<std::int64_t> value_{0};
@@ -124,7 +130,11 @@ class Histogram {
   std::array<detail::Cell, detail::kCells> sum_cells_{};
 };
 
-enum class MetricKind : std::uint8_t { kCounter = 0, kGauge = 1, kHistogram = 2 };
+enum class MetricKind : std::uint8_t {
+  kCounter = 0,
+  kGauge = 1,
+  kHistogram = 2
+};
 
 std::string_view metric_kind_name(MetricKind kind) noexcept;
 
@@ -140,7 +150,7 @@ struct MetricsSnapshot {
     std::uint64_t sum = 0;                // histogram value sum
     std::uint64_t count = 0;              // histogram sample count
     std::vector<std::uint64_t> bounds;    // histogram bucket upper bounds
-    std::vector<std::uint64_t> buckets;   // histogram counts (bounds + overflow)
+    std::vector<std::uint64_t> buckets;   // histogram counts + overflow
   };
 
   std::map<std::string, Entry> entries;
@@ -153,7 +163,8 @@ struct MetricsSnapshot {
 /// after - before. Counters and histograms subtract (entries absent from
 /// `before` pass through whole); gauges are levels, so the delta keeps the
 /// `after` value. Entries only present in `before` are dropped.
-MetricsSnapshot delta(const MetricsSnapshot& after, const MetricsSnapshot& before);
+MetricsSnapshot delta(const MetricsSnapshot& after,
+                      const MetricsSnapshot& before);
 
 class CounterStore;
 

@@ -27,7 +27,8 @@ std::size_t TraceLog::begin_span(std::string_view name) {
   return spans_.size() - 1;
 }
 
-void TraceLog::attr(std::size_t span, std::string_view key, std::uint64_t value) {
+void TraceLog::attr(std::size_t span, std::string_view key,
+                    std::uint64_t value) {
   if (span == kNoSpan || span >= spans_.size()) return;
   spans_[span].attrs.emplace_back(std::string(key), value);
 }

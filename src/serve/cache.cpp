@@ -56,7 +56,8 @@ void ShardedLruCache::insert(std::uint64_t key,
                              const std::vector<std::uint8_t>& payload) {
   if (capacity_ == 0) return;
   Shard& shard = shard_for(key);
-  if (const auto present = shard.index.find(key); present != shard.index.end()) {
+  if (const auto present = shard.index.find(key);
+      present != shard.index.end()) {
     shard.lru.splice(shard.lru.begin(), shard.lru, present->second);
     present->second->payload = payload;
     return;

@@ -23,9 +23,10 @@
 
 namespace gplus::serve {
 
-/// Cache counters, built from the cache's counter store. `stale_hits` counts hits served while the
-/// server was degraded (no live snapshot): those answers may lag the graph,
-/// so they are tallied separately from fresh `hits`.
+/// Cache counters, built from the cache's counter store. `stale_hits`
+/// counts hits served while the server was degraded (no live snapshot):
+/// those answers may lag the graph, so they are tallied separately from
+/// fresh `hits`.
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t stale_hits = 0;

@@ -156,7 +156,8 @@ void RequestEngine::get_circle(const Request& q, bool out_list, Response& r,
   NeighborScan list =
       out_list ? snapshot_->out_scan(q.user) : snapshot_->in_scan(q.user);
   const std::uint64_t total = list.size();
-  const std::uint64_t visible = std::min<std::uint64_t>(total, config_.circle_cap);
+  const std::uint64_t visible =
+      std::min<std::uint64_t>(total, config_.circle_cap);
   const std::uint32_t limit = q.limit == 0 ? config_.max_page : q.limit;
   const std::uint64_t begin = std::min<std::uint64_t>(q.offset, visible);
   const std::uint64_t end = std::min<std::uint64_t>(begin + limit, visible);

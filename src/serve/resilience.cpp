@@ -166,7 +166,8 @@ ChaosSchedule::RequestEvents ChaosSchedule::request_events(
     std::uint64_t seq) const noexcept {
   RequestEvents events;
   if (config_.fault_rate > 0.0) {
-    events.fault = chaos_unit(config_.seed, seq, /*salt=*/0) < config_.fault_rate;
+    events.fault =
+        chaos_unit(config_.seed, seq, /*salt=*/0) < config_.fault_rate;
   }
   if (config_.slow_rate > 0.0) {
     events.slow = chaos_unit(config_.seed, seq, /*salt=*/1) < config_.slow_rate;

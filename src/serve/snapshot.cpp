@@ -386,7 +386,8 @@ SnapshotView::SnapshotView(std::span<const std::byte> bytes) : bytes_(bytes) {
     sections_[s] = {layout.offset[s], layout.length(s)};
   }
   const std::byte* base = bytes.data();
-  digests_ = reinterpret_cast<const std::uint64_t*>(base + layout.digest_table_at());
+  digests_ = reinterpret_cast<const std::uint64_t*>(
+      base + layout.digest_table_at());
   auto section = [&](std::size_t s) { return base + layout.offset[s]; };
 
   if (layout.compressed()) {
@@ -460,7 +461,8 @@ bool SnapshotView::has_edge(graph::NodeId u, graph::NodeId v) const noexcept {
   return dec.contains(v);
 }
 
-std::uint64_t SnapshotView::reciprocal_out_degree(graph::NodeId u) const noexcept {
+std::uint64_t SnapshotView::reciprocal_out_degree(
+    graph::NodeId u) const noexcept {
   if (recip_counts_ != nullptr) return recip_counts_[u];
   const std::uint64_t begin = out_offsets_[u];
   const std::uint64_t end = out_offsets_[u + 1];

@@ -85,7 +85,8 @@ std::size_t encode_adjacency_list(std::span<const graph::NodeId> sorted,
       }
       put_varint(out, sorted[i]);  // restart: absolute id
     } else {
-      put_varint(out, static_cast<std::uint64_t>(sorted[i]) - sorted[i - 1] - 1);
+      put_varint(out,
+                 static_cast<std::uint64_t>(sorted[i]) - sorted[i - 1] - 1);
     }
   }
   return out.size() - start;

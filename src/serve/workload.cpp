@@ -234,7 +234,8 @@ LoadReport closed_loop_impl(ServerT& server, const SnapshotView& snapshot,
   const auto elapsed = Clock::now() - start;
 
   report.elapsed_s =
-      std::chrono::duration_cast<std::chrono::duration<double>>(elapsed).count();
+      std::chrono::duration_cast<std::chrono::duration<double>>(elapsed)
+          .count();
   report.qps = report.elapsed_s > 0.0
                    ? static_cast<double>(report.served) / report.elapsed_s
                    : 0.0;

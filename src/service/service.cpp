@@ -116,7 +116,8 @@ std::uint32_t SocialService::truncation_point(NodeId id, std::uint32_t offset,
   return static_cast<std::uint32_t>(u * config_.page_size);
 }
 
-ProfileFetch SocialService::try_fetch_profile(NodeId id, std::uint32_t attempt) {
+ProfileFetch SocialService::try_fetch_profile(NodeId id,
+                                              std::uint32_t attempt) {
   graph_->check_node(id);
   ++requests_;
   ProfileFetch result;
@@ -131,7 +132,8 @@ ProfileFetch SocialService::try_fetch_profile(NodeId id, std::uint32_t attempt) 
   if (p.shared.test(synth::Attribute::kRelationship)) {
     page.relationship = p.relationship;
   }
-  if (p.shared.test(synth::Attribute::kOccupation)) page.occupation = p.occupation;
+  if (p.shared.test(synth::Attribute::kOccupation))
+    page.occupation = p.occupation;
   if (p.is_located()) page.country = p.country;
   page.have_in_circles_total = graph_->in_degree(id);
   page.in_their_circles_total = graph_->out_degree(id);
@@ -158,8 +160,9 @@ ListFetch SocialService::try_fetch_list(NodeId id, ListKind kind,
     return result;
   }
 
-  const auto full = kind == ListKind::kHaveInCircles ? graph_->in_neighbors(id)
-                                                     : graph_->out_neighbors(id);
+  const auto full = kind == ListKind::kHaveInCircles
+                        ? graph_->in_neighbors(id)
+                        : graph_->out_neighbors(id);
   const std::uint64_t visible =
       std::min<std::uint64_t>(full.size(), config_.circle_list_cap);
   page.capped = full.size() > visible;
@@ -168,8 +171,8 @@ ListFetch SocialService::try_fetch_list(NodeId id, ListKind kind,
     return result;
   }
 
-  std::uint64_t end =
-      std::min<std::uint64_t>(visible, std::uint64_t{offset} + config_.page_size);
+  std::uint64_t end = std::min<std::uint64_t>(
+      visible, std::uint64_t{offset} + config_.page_size);
   if (result.status.error == FetchError::kTruncated) {
     // The connection died mid-page: deliver a strict prefix of the entries
     // this page should have carried, with pagination flags lying the way a

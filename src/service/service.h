@@ -189,7 +189,8 @@ class SocialService {
 
   /// Fetches one complete page of a circle list, transparently retrying
   /// injected faults (including truncated pages) until clean.
-  CircleListPage fetch_list(graph::NodeId id, ListKind kind, std::uint32_t offset);
+  CircleListPage fetch_list(graph::NodeId id, ListKind kind,
+                            std::uint32_t offset);
 
   /// Convenience: fetches every visible page of a list, counting one
   /// request per page (plus retries under faults).
@@ -204,7 +205,9 @@ class SocialService {
   void reset_request_count() noexcept { requests_ = 0; }
 
   /// Faults injected so far, by kind.
-  const FaultCounters& fault_counters() const noexcept { return faults_injected_; }
+  const FaultCounters& fault_counters() const noexcept {
+    return faults_injected_;
+  }
 
   std::size_t user_count() const noexcept { return graph_->node_count(); }
   const ServiceConfig& config() const noexcept { return config_; }

@@ -43,7 +43,8 @@ double quantile(std::span<const double> values, double q) {
 
 double median(std::span<const double> values) { return quantile(values, 0.5); }
 
-double pearson_correlation(std::span<const double> x, std::span<const double> y) {
+double pearson_correlation(std::span<const double> x,
+                           std::span<const double> y) {
   GPLUS_EXPECT(x.size() == y.size(), "paired samples must have equal length");
   GPLUS_EXPECT(!x.empty(), "correlation of empty sample");
   const double mx = mean(x);

@@ -38,7 +38,8 @@ double median(std::span<const double> values);
 
 /// Pearson correlation coefficient of paired samples (same non-zero length,
 /// each with nonzero variance — otherwise returns 0).
-double pearson_correlation(std::span<const double> x, std::span<const double> y);
+double pearson_correlation(std::span<const double> x,
+                           std::span<const double> y);
 
 /// Two-sample Kolmogorov-Smirnov statistic: the maximum absolute gap
 /// between the two samples' empirical CDFs, in [0, 1]. 0 = identical

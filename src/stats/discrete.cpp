@@ -28,7 +28,8 @@ DiscreteDistribution::DiscreteDistribution(std::span<const double> weights)
   // Vose's alias method: partition scaled probabilities into small/large,
   // pair each small bucket with a large donor.
   std::vector<double> scaled(n);
-  for (std::size_t i = 0; i < n; ++i) scaled[i] = norm_[i] * static_cast<double>(n);
+  for (std::size_t i = 0; i < n; ++i)
+    scaled[i] = norm_[i] * static_cast<double>(n);
 
   std::vector<std::size_t> small, large;
   small.reserve(n);
@@ -53,7 +54,8 @@ DiscreteDistribution::DiscreteDistribution(std::span<const double> weights)
 }
 
 std::size_t DiscreteDistribution::sample(Rng& rng) const noexcept {
-  const std::size_t column = static_cast<std::size_t>(rng.next_below(prob_.size()));
+  const std::size_t column =
+      static_cast<std::size_t>(rng.next_below(prob_.size()));
   return rng.next_double() < prob_[column] ? column : alias_[column];
 }
 

@@ -17,7 +17,8 @@ std::vector<CurvePoint> integer_ccdf(std::span<const std::uint64_t> values) {
   const auto n = static_cast<double>(values.size());
   std::uint64_t at_or_above = values.size();
   for (const auto& [value, count] : counts) {
-    out.push_back({static_cast<double>(value), static_cast<double>(at_or_above) / n});
+    out.push_back(
+        {static_cast<double>(value), static_cast<double>(at_or_above) / n});
     at_or_above -= count;
   }
   return out;

@@ -12,7 +12,8 @@
 namespace gplus {
 
 /// Throws std::invalid_argument with a `where: what` message.
-[[noreturn]] inline void fail_expect(const char* where, const std::string& what) {
+[[noreturn]] inline void fail_expect(const char* where,
+                                     const std::string& what) {
   throw std::invalid_argument(std::string(where) + ": " + what);
 }
 

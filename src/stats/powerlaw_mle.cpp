@@ -68,8 +68,8 @@ PowerLawMle fit_power_law_auto(std::span<const std::uint64_t> values,
   // Log-spaced subset of candidates (skip the top decade: too few samples).
   std::vector<std::uint64_t> candidates;
   const std::size_t usable = distinct.size() - distinct.size() / 10;
-  const double step =
-      std::max(1.0, static_cast<double>(usable) / static_cast<double>(max_candidates));
+  const double step = std::max(
+      1.0, static_cast<double>(usable) / static_cast<double>(max_candidates));
   for (double i = 0; i < static_cast<double>(usable); i += step) {
     candidates.push_back(distinct[static_cast<std::size_t>(i)]);
   }

@@ -7,7 +7,8 @@
 
 namespace gplus::stats {
 
-LinearFit linear_regression(std::span<const double> x, std::span<const double> y) {
+LinearFit linear_regression(std::span<const double> x,
+                            std::span<const double> y) {
   GPLUS_EXPECT(x.size() == y.size(), "x and y must have equal length");
   GPLUS_EXPECT(x.size() >= 2, "need at least two points");
   const auto n = static_cast<double>(x.size());
@@ -52,7 +53,8 @@ PowerLawFit fit_power_law_ccdf(std::span<const std::uint64_t> values,
   return fit_power_law_curve(ccdf, static_cast<double>(x_min));
 }
 
-PowerLawFit fit_power_law_curve(std::span<const CurvePoint> ccdf, double x_min) {
+PowerLawFit fit_power_law_curve(std::span<const CurvePoint> ccdf,
+                                double x_min) {
   std::vector<double> lx, ly;
   lx.reserve(ccdf.size());
   ly.reserve(ccdf.size());

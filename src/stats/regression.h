@@ -21,7 +21,8 @@ struct LinearFit {
 };
 
 /// Ordinary least-squares fit. Requires >= 2 points with nonconstant x.
-LinearFit linear_regression(std::span<const double> x, std::span<const double> y);
+LinearFit linear_regression(std::span<const double> x,
+                            std::span<const double> y);
 
 /// Power-law fit of a CCDF: P[X >= x] ≈ C · x^{-alpha}.
 struct PowerLawFit {
@@ -39,6 +40,7 @@ PowerLawFit fit_power_law_ccdf(std::span<const std::uint64_t> values,
 
 /// Same fit applied to an already-computed CCDF curve (points with x < x_min
 /// or y == 0 are skipped).
-PowerLawFit fit_power_law_curve(std::span<const CurvePoint> ccdf, double x_min = 1.0);
+PowerLawFit fit_power_law_curve(std::span<const CurvePoint> ccdf,
+                                double x_min = 1.0);
 
 }  // namespace gplus::stats

@@ -6,8 +6,8 @@
 
 namespace gplus::stats {
 
-std::vector<std::size_t> sample_without_replacement(std::size_t n, std::size_t k,
-                                                    Rng& rng) {
+std::vector<std::size_t> sample_without_replacement(std::size_t n,
+                                                    std::size_t k, Rng& rng) {
   GPLUS_EXPECT(k <= n, "cannot sample more distinct items than exist");
   // Floyd's algorithm: for j = n-k .. n-1, draw t in [0, j]; insert t unless
   // already present, in which case insert j.

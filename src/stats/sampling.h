@@ -16,8 +16,8 @@ namespace gplus::stats {
 
 /// `k` distinct indices drawn uniformly from {0..n-1}, in random order.
 /// Requires k <= n. Uses Floyd's algorithm: O(k) memory even for huge n.
-std::vector<std::size_t> sample_without_replacement(std::size_t n, std::size_t k,
-                                                    Rng& rng);
+std::vector<std::size_t> sample_without_replacement(std::size_t n,
+                                                    std::size_t k, Rng& rng);
 
 /// `k` indices drawn uniformly with replacement from {0..n-1}.
 std::vector<std::size_t> sample_with_replacement(std::size_t n, std::size_t k,
@@ -28,7 +28,8 @@ template <typename T>
 class ReservoirSampler {
  public:
   /// Capacity `k` >= 1.
-  explicit ReservoirSampler(std::size_t k, Rng& rng) : capacity_(k), rng_(&rng) {
+  explicit ReservoirSampler(std::size_t k, Rng& rng)
+      : capacity_(k), rng_(&rng) {
     GPLUS_EXPECT(k >= 1, "reservoir capacity must be positive");
     sample_.reserve(k);
   }

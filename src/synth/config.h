@@ -55,7 +55,7 @@ struct GraphGenConfig {
   /// ...and for consumer users.
   double friend_budget_consumer = 1.0;
 
-  // -- Communities & geography -------------------------------------------------
+  // -- Communities & geography ---------------------------------------------
   /// Mean size of the offline communities (school / workplace / family
   /// cliques) users are partitioned into within their city. Friend adds
   /// concentrate inside the community, creating the dense triangle

@@ -71,8 +71,9 @@ GeneratedNetwork generate_network(const GraphGenConfig& config,
                                   const geo::World& world) {
   GPLUS_EXPECT(config.node_count >= 2, "need at least two users");
   GPLUS_EXPECT(config.node_count <= UINT32_MAX, "node count exceeds NodeId");
-  GPLUS_EXPECT(config.celebrity_fraction >= 0.0 && config.celebrity_fraction <= 1.0,
-               "celebrity fraction must be a probability");
+  GPLUS_EXPECT(
+      config.celebrity_fraction >= 0.0 && config.celebrity_fraction <= 1.0,
+      "celebrity fraction must be a probability");
 
   const auto n = static_cast<NodeId>(config.node_count);
   const std::size_t country_n = geo::country_count();
@@ -103,14 +104,15 @@ GeneratedNetwork generate_network(const GraphGenConfig& config,
   if (celeb_count > 0) {
     std::vector<NodeId> order(n);
     std::iota(order.begin(), order.end(), NodeId{0});
-    std::nth_element(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(celeb_count - 1),
-                     order.end(), [&](NodeId a, NodeId b) {
-                       return net.fitness[a] > net.fitness[b];
-                     });
+    std::nth_element(
+        order.begin(),
+        order.begin() + static_cast<std::ptrdiff_t>(celeb_count - 1),
+        order.end(),
+        [&](NodeId a, NodeId b) { return net.fitness[a] > net.fitness[b]; });
     for (std::size_t i = 0; i < celeb_count; ++i) net.celebrity[order[i]] = 1;
   }
 
-  // ---- User types ------------------------------------------------------------
+  // ---- User types -----------------------------------------------------------
   std::vector<std::uint8_t> dormant(n, 0);
   std::vector<std::uint8_t> social(n, 0);
   for (NodeId u = 0; u < n; ++u) {
@@ -174,8 +176,9 @@ GeneratedNetwork generate_network(const GraphGenConfig& config,
               2.0 + rng.next_exponential(1.0 / (comm_mean - 2.0)));
           const std::size_t end = std::min(members.size(), pos + size);
           const auto id = static_cast<std::uint32_t>(community_members.size());
-          community_members.emplace_back(members.begin() + static_cast<std::ptrdiff_t>(pos),
-                                         members.begin() + static_cast<std::ptrdiff_t>(end));
+          community_members.emplace_back(
+              members.begin() + static_cast<std::ptrdiff_t>(pos),
+              members.begin() + static_cast<std::ptrdiff_t>(end));
           for (std::size_t i = pos; i < end; ++i) community_of[members[i]] = id;
           pos = end;
         }
@@ -198,7 +201,8 @@ GeneratedNetwork generate_network(const GraphGenConfig& config,
 
   // Sample the target country honoring the geo_mixing ablation knob.
   auto sample_target_country = [&](CountryId own) {
-    if (config.geo_mixing < 1.0 && !rng.next_bool(config.geo_mixing)) return own;
+    if (config.geo_mixing < 1.0 && !rng.next_bool(config.geo_mixing))
+      return own;
     return population.sample_target_country(own, rng);
   };
 
@@ -207,8 +211,8 @@ GeneratedNetwork generate_network(const GraphGenConfig& config,
     const CountryId own = net.country[u];
     const std::uint64_t plan_cap =
         (config.enforce_out_cap && !net.celebrity[u]) ? cap : 0;
-    const auto planned = sample_truncated_pareto(config.out_xmin, config.out_alpha,
-                                                 plan_cap, rng);
+    const auto planned = sample_truncated_pareto(
+        config.out_xmin, config.out_alpha, plan_cap, rng);
 
     // Shifted-exponential friend budget: at least one real friend; social
     // users budget far more of their adds to people they know.
@@ -257,7 +261,8 @@ GeneratedNetwork generate_network(const GraphGenConfig& config,
           }
         } else {
           // Interest add: a slice of domestic interest is city-local.
-          const auto& local_pool = city_fitness[tc][tc == own ? net.city[u] : 0];
+          const auto& local_pool =
+              city_fitness[tc][tc == own ? net.city[u] : 0];
           if (tc == own && rng.next_bool(config.local_interest_bias) &&
               !local_pool.empty()) {
             v = local_pool.sample(rng);

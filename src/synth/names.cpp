@@ -98,8 +98,8 @@ std::string synthesize_name(std::uint32_t id, geo::CountryId country) {
           ? pool_for_language("")
           : pool_for_language(geo::country(country).primary_language);
   // Two independent hash draws; deterministic in (id, country).
-  std::uint64_t state =
-      (static_cast<std::uint64_t>(country) << 32) ^ (id * 0x9E3779B97F4A7C15ULL);
+  std::uint64_t state = (static_cast<std::uint64_t>(country) << 32) ^
+                        (id * 0x9E3779B97F4A7C15ULL);
   const auto h1 = stats::splitmix64_next(state);
   const auto h2 = stats::splitmix64_next(state);
   const auto& first = pool.first[h1 % pool.first.size()];

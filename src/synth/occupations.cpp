@@ -14,7 +14,8 @@ constexpr std::size_t idx(Occupation o) { return static_cast<std::size_t>(o); }
 // Table 5 rows converted to weights: each appearance of a code in the
 // country's top-10 list contributes one unit, with +0.2 smoothing so every
 // occupation remains possible.
-Weights from_counts(std::initializer_list<std::pair<Occupation, double>> counts) {
+Weights from_counts(
+    std::initializer_list<std::pair<Occupation, double>> counts) {
   Weights w{};
   w.fill(0.2);
   for (const auto& [o, c] : counts) w[idx(o)] += c;
@@ -33,8 +34,9 @@ const std::map<std::string_view, Weights>& calibrated_rows() {
                           {O::kInformationTech, 3}, {O::kModel, 2},
                           {O::kBusinessman, 1}})},
       // BR: Co TV Jo Wr Ar Bl Bl Co Mu Co
-      {"BR", from_counts({{O::kComedian, 3}, {O::kTvHost, 1}, {O::kJournalist, 1},
-                          {O::kWriter, 1}, {O::kArtist, 1}, {O::kBlogger, 2},
+      {"BR", from_counts({{O::kComedian, 3}, {O::kTvHost, 1},
+                          {O::kJournalist, 1}, {O::kWriter, 1},
+                          {O::kArtist, 1}, {O::kBlogger, 2},
                           {O::kMusician, 1}})},
       // GB: Bu Mu IT IT Mu Mu IT Mo So IT
       {"GB", from_counts({{O::kBusinessman, 1}, {O::kMusician, 3},
@@ -50,11 +52,13 @@ const std::map<std::string_view, Weights>& calibrated_rows() {
                           {O::kMusician, 1}})},
       // ID: Mu IT So Mo Mo IT Mu Ec Ph Jo
       {"ID", from_counts({{O::kMusician, 2}, {O::kInformationTech, 2},
-                          {O::kSocialite, 1}, {O::kModel, 2}, {O::kEconomist, 1},
-                          {O::kPhotographer, 1}, {O::kJournalist, 1}})},
+                          {O::kSocialite, 1}, {O::kModel, 2},
+                          {O::kEconomist, 1}, {O::kPhotographer, 1},
+                          {O::kJournalist, 1}})},
       // MX: Mu Mu Mu IT Mu Bl Bl Mu Ac Jo
       {"MX", from_counts({{O::kMusician, 5}, {O::kInformationTech, 1},
-                          {O::kBlogger, 2}, {O::kActor, 1}, {O::kJournalist, 1}})},
+                          {O::kBlogger, 2}, {O::kActor, 1},
+                          {O::kJournalist, 1}})},
       // IT: Jo Jo IT IT Jo IT Jo Mu Mu IT
       {"IT", from_counts({{O::kJournalist, 4}, {O::kInformationTech, 4},
                           {O::kMusician, 2}})},
@@ -109,7 +113,8 @@ std::span<const double> celebrity_occupation_weights(geo::CountryId country) {
 
 std::span<const double> ordinary_occupation_weights() { return ordinary_mix(); }
 
-Occupation sample_celebrity_occupation(geo::CountryId country, stats::Rng& rng) {
+Occupation sample_celebrity_occupation(geo::CountryId country,
+                                       stats::Rng& rng) {
   const auto weights = celebrity_occupation_weights(country);
   const stats::DiscreteDistribution dist(weights);
   return static_cast<Occupation>(dist.sample(rng));

@@ -124,7 +124,8 @@ PopulationModel::PopulationModel()
     for (std::size_t to = 0; to < all.size(); ++to) {
       if (to == from) continue;
       double affinity = 1.0;
-      if (all[from].primary_language == all[to].primary_language) affinity *= 3.0;
+      if (all[from].primary_language == all[to].primary_language)
+        affinity *= 3.0;
       if (us && to == *us) affinity *= 2.5;
       if (all[from].region == all[to].region) affinity *= 1.5;
       row[to] = params_[to].user_share * affinity;

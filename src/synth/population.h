@@ -44,7 +44,8 @@ class PopulationModel {
   geo::CountryId sample_country(stats::Rng& rng) const;
 
   /// Samples the target country for an edge whose source lives in `from`.
-  geo::CountryId sample_target_country(geo::CountryId from, stats::Rng& rng) const;
+  geo::CountryId sample_target_country(geo::CountryId from,
+                                       stats::Rng& rng) const;
 
   /// Row `from` of the mixing matrix: probability that an edge from `from`
   /// lands in each country (self included).

@@ -95,7 +95,9 @@ class AttributeMask {
 
   constexpr void set(Attribute a) noexcept { bits_ |= bit(a); }
   constexpr void clear(Attribute a) noexcept { bits_ &= ~bit(a); }
-  constexpr bool test(Attribute a) const noexcept { return (bits_ & bit(a)) != 0; }
+  constexpr bool test(Attribute a) const noexcept {
+    return (bits_ & bit(a)) != 0;
+  }
 
   /// Number of shared attributes; `exclude` bits are not counted (Figure 2
   /// excludes Work/Home contact from the field tally).

@@ -121,8 +121,8 @@ ProfileGenerator::ProfileGenerator(const ProfileGenConfig& config,
   }
 }
 
-double ProfileGenerator::disclosure_probability(Attribute a,
-                                                double openness) const noexcept {
+double ProfileGenerator::disclosure_probability(
+    Attribute a, double openness) const noexcept {
   const double base = attribute_base_rate(a);
   const double factor = clamp_correction_[static_cast<std::size_t>(a)];
   return std::min(1.0, base * factor * disclosure_tilt(openness));

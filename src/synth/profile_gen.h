@@ -40,7 +40,8 @@ double tel_relationship_multiplier(Relationship r) noexcept;
 /// mutable state lives in the caller's Rng.
 class ProfileGenerator {
  public:
-  ProfileGenerator(const ProfileGenConfig& config, const PopulationModel& population);
+  ProfileGenerator(const ProfileGenConfig& config,
+                   const PopulationModel& population);
 
   /// Draws the latent openness score of a user in `country`.
   double sample_openness(geo::CountryId country, stats::Rng& rng) const;

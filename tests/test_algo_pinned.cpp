@@ -177,7 +177,8 @@ Pins measure(const View& view) {
   return p;
 }
 
-void expect_pinned(const Pins& got, const Pins& want, const std::string& label) {
+void expect_pinned(const Pins& got, const Pins& want,
+                   const std::string& label) {
   ASSERT_EQ(got.size(), want.size()) << label;
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(got[i].first, want[i].first) << label;
@@ -327,17 +328,19 @@ TEST(AlgoPinned, RandomGraphWithSelfLoops) {
 }
 
 TEST(AlgoPinned, StandardDatasetOnSnapshotViews) {
-  for_each_snapshot_view(standard_dataset(),
-                         [](const serve::SnapshotView& view, const char* label) {
-                           expect_pinned(measure(view), kStandardPins, label);
-                         });
+  for_each_snapshot_view(
+      standard_dataset(),
+      [](const serve::SnapshotView& view, const char* label) {
+        expect_pinned(measure(view), kStandardPins, label);
+      });
 }
 
 TEST(AlgoPinned, RandomGraphWithSelfLoopsOnSnapshotViews) {
-  for_each_snapshot_view(looped_dataset(),
-                         [](const serve::SnapshotView& view, const char* label) {
-                           expect_pinned(measure(view), kLoopedPins, label);
-                         });
+  for_each_snapshot_view(
+      looped_dataset(),
+      [](const serve::SnapshotView& view, const char* label) {
+        expect_pinned(measure(view), kLoopedPins, label);
+      });
 }
 
 // The triad census and the triangle census walk the same triangles: every

@@ -263,9 +263,9 @@ TEST(Cli, SnapshotErrorPaths) {
   EXPECT_NE(missing.str().find("error"), std::string::npos);
 
   std::ostringstream inspect_missing;
-  EXPECT_EQ(
-      run_command({"snapshot", "--inspect", "/no/such/file.snap"}, inspect_missing),
-      1);
+  EXPECT_EQ(run_command({"snapshot", "--inspect", "/no/such/file.snap"},
+                        inspect_missing),
+            1);
   EXPECT_NE(inspect_missing.str().find("snapshot"), std::string::npos);
 
   std::ostringstream bad_option;
@@ -288,7 +288,8 @@ TEST(Cli, ServeBenchErrorPaths) {
   EXPECT_NE(bad_option.str().find("--clients"), std::string::npos);
 
   std::ostringstream missing;
-  EXPECT_EQ(run_command({"serve-bench", "--in", "/no/such/file.ds"}, missing), 1);
+  EXPECT_EQ(
+      run_command({"serve-bench", "--in", "/no/such/file.ds"}, missing), 1);
   EXPECT_NE(missing.str().find("error"), std::string::npos);
 }
 

@@ -150,7 +150,8 @@ class DiGraphSize : public ::testing::TestWithParam<NodeId> {};
 TEST_P(DiGraphSize, RingGraphInvariants) {
   const NodeId n = GetParam();
   std::vector<Edge> edges;
-  for (NodeId u = 0; u < n; ++u) edges.push_back({u, static_cast<NodeId>((u + 1) % n)});
+  for (NodeId u = 0; u < n; ++u)
+    edges.push_back({u, static_cast<NodeId>((u + 1) % n)});
   const auto g = DiGraph::from_edges(n, edges);
   EXPECT_EQ(g.edge_count(), n);
   for (NodeId u = 0; u < n; ++u) {

@@ -111,7 +111,8 @@ TEST_F(ExportTest, FileSavers) {
   std::filesystem::remove(graphml);
   std::filesystem::remove(nodes);
   std::filesystem::remove(edges);
-  EXPECT_THROW(save_graphml(*ds_, "/no/such/dir/x.graphml"), std::runtime_error);
+  EXPECT_THROW(save_graphml(*ds_, "/no/such/dir/x.graphml"),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -186,7 +186,8 @@ TEST(World, RejectsInvalidArguments) {
   const World world;
   stats::Rng rng(5);
   EXPECT_THROW(world.sample_location(kNoCountry, rng), std::invalid_argument);
-  EXPECT_THROW(world.sample_location_in_city(0, 999, rng), std::invalid_argument);
+  EXPECT_THROW(world.sample_location_in_city(0, 999, rng),
+               std::invalid_argument);
 }
 
 }  // namespace

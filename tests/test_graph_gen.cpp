@@ -17,8 +17,8 @@ class GraphGenTest : public ::testing::Test {
   static void SetUpTestSuite() {
     population_ = new PopulationModel();
     world_ = new geo::World();
-    net_ = new GeneratedNetwork(
-        generate_network(google_plus_preset(40'000, 42), *population_, *world_));
+    net_ = new GeneratedNetwork(generate_network(
+        google_plus_preset(40'000, 42), *population_, *world_));
   }
   static void TearDownTestSuite() {
     delete net_;
@@ -55,8 +55,10 @@ TEST(SampleTruncatedPareto, BoundsAndTail) {
 
 TEST(SampleTruncatedPareto, RejectsBadArguments) {
   stats::Rng rng(1);
-  EXPECT_THROW(sample_truncated_pareto(0.0, 1.0, 0, rng), std::invalid_argument);
-  EXPECT_THROW(sample_truncated_pareto(1.0, 0.0, 0, rng), std::invalid_argument);
+  EXPECT_THROW(sample_truncated_pareto(0.0, 1.0, 0, rng),
+               std::invalid_argument);
+  EXPECT_THROW(sample_truncated_pareto(1.0, 0.0, 0, rng),
+               std::invalid_argument);
 }
 
 TEST_F(GraphGenTest, ShapesAreConsistent) {
@@ -156,8 +158,10 @@ TEST_F(GraphGenTest, EdgesPreferSameCountry) {
 TEST(GraphGen, DeterministicForSameSeed) {
   const PopulationModel population;
   const geo::World world;
-  const auto a = generate_network(google_plus_preset(3000, 9), population, world);
-  const auto b = generate_network(google_plus_preset(3000, 9), population, world);
+  const auto a =
+      generate_network(google_plus_preset(3000, 9), population, world);
+  const auto b =
+      generate_network(google_plus_preset(3000, 9), population, world);
   EXPECT_EQ(a.graph.edge_count(), b.graph.edge_count());
   EXPECT_EQ(a.country, b.country);
   EXPECT_EQ(a.celebrity, b.celebrity);
@@ -169,8 +173,10 @@ TEST(GraphGen, DeterministicForSameSeed) {
 TEST(GraphGen, SeedsChangeTheGraph) {
   const PopulationModel population;
   const geo::World world;
-  const auto a = generate_network(google_plus_preset(3000, 1), population, world);
-  const auto b = generate_network(google_plus_preset(3000, 2), population, world);
+  const auto a =
+      generate_network(google_plus_preset(3000, 1), population, world);
+  const auto b =
+      generate_network(google_plus_preset(3000, 2), population, world);
   // Different seeds should differ in edge structure almost surely.
   bool differs = a.graph.edge_count() != b.graph.edge_count();
   for (graph::NodeId u = 0; !differs && u < 3000; ++u) {
@@ -246,7 +252,8 @@ TEST(GraphGen, RejectsDegenerateConfigs) {
   const geo::World world;
   GraphGenConfig tiny;
   tiny.node_count = 1;
-  EXPECT_THROW(generate_network(tiny, population, world), std::invalid_argument);
+  EXPECT_THROW(generate_network(tiny, population, world),
+               std::invalid_argument);
   GraphGenConfig bad = google_plus_preset(100, 1);
   bad.celebrity_fraction = 1.5;
   EXPECT_THROW(generate_network(bad, population, world), std::invalid_argument);
@@ -255,7 +262,8 @@ TEST(GraphGen, RejectsDegenerateConfigs) {
 TEST(GraphGen, SmallNetworksStillConnectSomewhat) {
   const PopulationModel population;
   const geo::World world;
-  const auto net = generate_network(google_plus_preset(500, 8), population, world);
+  const auto net =
+      generate_network(google_plus_preset(500, 8), population, world);
   EXPECT_GT(net.graph.edge_count(), 500u);
 }
 

@@ -191,9 +191,11 @@ TEST(IntersectKernels, AutoDispatchFollowsLengthsAndCpu) {
   using gplus::algo::detail::kIntersectSkewThreshold;
   ASSERT_EQ(kIntersectSkewThreshold, 32u);
   const IntersectKernel simd =
-      gplus::algo::detail::avx2_intersect_available() ? IntersectKernel::kAvx2
-      : gplus::algo::detail::sse_intersect_available() ? IntersectKernel::kSse
-                                                       : IntersectKernel::kScalar;
+      gplus::algo::detail::avx2_intersect_available()
+          ? IntersectKernel::kAvx2
+      : gplus::algo::detail::sse_intersect_available()
+          ? IntersectKernel::kSse
+          : IntersectKernel::kScalar;
   EXPECT_EQ(auto_intersect_kernel(0, 100), IntersectKernel::kScalar);
   EXPECT_EQ(auto_intersect_kernel(100, 0), IntersectKernel::kScalar);
   EXPECT_EQ(auto_intersect_kernel(10, 10), simd);

@@ -89,7 +89,8 @@ TEST(KCore, KCoreSubgraphHasMinDegreeK) {
   for (NodeId u = 0; u < g.node_count(); ++u) {
     if (cores.coreness[u] < k) continue;
     std::uint32_t inside = 0;
-    for (NodeId v : g.out_neighbors(u)) inside += v != u && cores.coreness[v] >= k;
+    for (NodeId v : g.out_neighbors(u))
+      inside += v != u && cores.coreness[v] >= k;
     for (NodeId v : g.in_neighbors(u)) {
       inside += v != u && cores.coreness[v] >= k && !g.has_edge(u, v);
     }

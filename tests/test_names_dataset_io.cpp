@@ -19,7 +19,8 @@ TEST(Names, CulturallyFlavoredPools) {
   const auto in_country = *geo::find_country("IN");
   const auto br = *geo::find_country("BR");
   // Different pools: the same id maps to different names.
-  EXPECT_NE(synth::synthesize_name(5, in_country), synth::synthesize_name(5, br));
+  EXPECT_NE(synth::synthesize_name(5, in_country),
+            synth::synthesize_name(5, br));
   // Every name is "First Last".
   for (std::uint32_t id = 0; id < 50; ++id) {
     const auto name = synth::synthesize_name(id, br);

@@ -367,7 +367,8 @@ TEST(ScratchReuse, ClusterForwardAndReversed) {
   options.shard_count = 4;
   const ShardedSnapshot sharded = split_snapshot(view(), options);
   std::vector<SnapshotView> shard_views;
-  for (const auto& shard : sharded.shards) shard_views.emplace_back(shard.bytes());
+  for (const auto& shard : sharded.shards)
+    shard_views.emplace_back(shard.bytes());
   std::vector<const SnapshotView*> ptrs;
   for (const auto& v : shard_views) ptrs.push_back(&v);
   ClusterConfig config;

@@ -1,8 +1,9 @@
 // Observability-layer tests: registry semantics (counter/gauge/histogram
 // math, registration collisions), instance counter stores (per-instance
 // reads, summed names, retirement on destroy and reset, concurrent
-// snapshots), sharded-counter exactness under the parallel runtime, merge determinism between GPLUS_THREADS=1 and N,
-// snapshot/delta algebra, deterministic-only filtering, exporter golden
+// snapshots), sharded-counter exactness under the parallel runtime, merge
+// determinism between GPLUS_THREADS=1 and N, snapshot/delta algebra,
+// deterministic-only filtering, exporter golden
 // output, and the virtual-clock trace log. The CTest ".threads1" variant
 // re-runs every case under GPLUS_THREADS=1.
 #include <gtest/gtest.h>

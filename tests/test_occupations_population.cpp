@@ -52,7 +52,8 @@ TEST(Occupations, SamplersProduceCalibratedFrequencies) {
   const auto mx = *geo::find_country("MX");
   std::map<Occupation, int> counts;
   constexpr int kDraws = 20'000;
-  for (int i = 0; i < kDraws; ++i) ++counts[sample_celebrity_occupation(mx, rng)];
+  for (int i = 0; i < kDraws; ++i)
+    ++counts[sample_celebrity_occupation(mx, rng)];
   // Musicians carry 5 + smoothing of ~13 total weight ≈ 40%.
   EXPECT_NEAR(static_cast<double>(counts[Occupation::kMusician]) / kDraws, 0.40,
               0.05);

@@ -184,8 +184,9 @@ TEST_P(ParallelEquivalence, PathLengthEstimateExact) {
 
 INSTANTIATE_TEST_SUITE_P(
     ThreadCounts, ParallelEquivalence,
-    ::testing::Values(std::size_t{1}, std::size_t{2}, std::size_t{7},
-                      std::size_t{std::max(1u, std::thread::hardware_concurrency())}),
+    ::testing::Values(
+        std::size_t{1}, std::size_t{2}, std::size_t{7},
+        std::size_t{std::max(1u, std::thread::hardware_concurrency())}),
     [](const ::testing::TestParamInfo<std::size_t>& info) {
       return "threads" + std::to_string(info.param) +
              (info.index == 3 ? "_hw" : "");

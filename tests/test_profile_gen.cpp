@@ -201,7 +201,8 @@ TEST(ProfileGenerator, CelebrityProfilesAreOpen) {
   constexpr int kDraws = 3000;
   for (int i = 0; i < kDraws; ++i) {
     celeb_fields += generator.generate(us, true, {0, 0}, rng).shared.count();
-    ordinary_fields += generator.generate(us, false, {0, 0}, rng).shared.count();
+    ordinary_fields +=
+        generator.generate(us, false, {0, 0}, rng).shared.count();
   }
   EXPECT_GT(celeb_fields / kDraws, ordinary_fields / kDraws + 2.0);
 }

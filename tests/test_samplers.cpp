@@ -120,7 +120,8 @@ TEST(Samplers, MhrwSuppressesHubVisitsVersusRandomWalk) {
       return false;
     };
     auto svc1 = u.service();
-    rw_hub += contains_hub(sample_users(svc1, SamplerKind::kRandomWalk, options));
+    rw_hub +=
+        contains_hub(sample_users(svc1, SamplerKind::kRandomWalk, options));
     auto svc2 = u.service();
     mh_hub += contains_hub(
         sample_users(svc2, SamplerKind::kMetropolisHastings, options));

@@ -137,7 +137,8 @@ TEST_P(SccRefinesWcc, EverySccInsideOneWcc) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SccRefinesWcc, ::testing::Values(1u, 2u, 3u, 7u));
+INSTANTIATE_TEST_SUITE_P(Seeds, SccRefinesWcc,
+                         ::testing::Values(1u, 2u, 3u, 7u));
 
 }  // namespace
 }  // namespace gplus::algo

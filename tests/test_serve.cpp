@@ -62,7 +62,8 @@ TEST_F(ServeEngineTest, ProfileMatchesDataset) {
     ASSERT_EQ(r.payload.size(), 32u);
     EXPECT_EQ(get_u32(r.payload, 0), u);
     EXPECT_EQ(get_u32(r.payload, 4), dataset().profiles[u].shared.bits());
-    EXPECT_EQ(r.payload[8], static_cast<std::uint8_t>(dataset().profiles[u].gender));
+    EXPECT_EQ(r.payload[8],
+              static_cast<std::uint8_t>(dataset().profiles[u].gender));
     EXPECT_EQ(get_u64(r.payload, 16), dataset().graph().in_degree(u));
     EXPECT_EQ(get_u64(r.payload, 24), dataset().graph().out_degree(u));
   }

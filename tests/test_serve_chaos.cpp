@@ -167,13 +167,16 @@ TEST(SheddingTest, HighPriorityShedsLowestFirst) {
   QueryServer server(&view_a(), config);
 
   ASSERT_EQ(server.submit(degree_request(0, Priority::kLow)), ServeStatus::kOk);
-  ASSERT_EQ(server.submit(degree_request(1, Priority::kNormal)), ServeStatus::kOk);
+  ASSERT_EQ(server.submit(degree_request(1, Priority::kNormal)),
+            ServeStatus::kOk);
   ASSERT_EQ(server.submit(degree_request(2, Priority::kLow)), ServeStatus::kOk);
   // Queue full. A normal arrival sheds the most recent kLow (user 2).
-  EXPECT_EQ(server.submit(degree_request(3, Priority::kNormal)), ServeStatus::kOk);
+  EXPECT_EQ(server.submit(degree_request(3, Priority::kNormal)),
+            ServeStatus::kOk);
   // Full again with live {low0, normal1, normal3}. High sheds the one
   // remaining live low (user 0).
-  EXPECT_EQ(server.submit(degree_request(4, Priority::kHigh)), ServeStatus::kOk);
+  EXPECT_EQ(server.submit(degree_request(4, Priority::kHigh)),
+            ServeStatus::kOk);
   // Full with {normal1, normal3, high4}: a normal arrival finds nothing
   // strictly below itself... except the normals. Strictly below kNormal
   // is only kLow — none left — so it is rejected.
@@ -198,9 +201,12 @@ TEST(SheddingTest, HighPriorityShedsLowestFirst) {
   EXPECT_EQ(stats.rejected, 2u);
   EXPECT_EQ(stats.shed, 2u);
   EXPECT_EQ(stats.shed_by_class[static_cast<std::size_t>(Priority::kLow)], 2u);
-  EXPECT_EQ(stats.rejected_by_class[static_cast<std::size_t>(Priority::kNormal)], 1u);
-  EXPECT_EQ(stats.rejected_by_class[static_cast<std::size_t>(Priority::kLow)], 1u);
-  EXPECT_EQ(stats.admitted_by_class[static_cast<std::size_t>(Priority::kHigh)], 1u);
+  EXPECT_EQ(
+      stats.rejected_by_class[static_cast<std::size_t>(Priority::kNormal)], 1u);
+  EXPECT_EQ(
+      stats.rejected_by_class[static_cast<std::size_t>(Priority::kLow)], 1u);
+  EXPECT_EQ(
+      stats.admitted_by_class[static_cast<std::size_t>(Priority::kHigh)], 1u);
 }
 
 TEST(SheddingTest, WaitShedVictimIsSecondLowNotFirst) {
@@ -209,7 +215,8 @@ TEST(SheddingTest, WaitShedVictimIsSecondLowNotFirst) {
   QueryServer server(&view_a(), config);
   ASSERT_EQ(server.submit(degree_request(0, Priority::kLow)), ServeStatus::kOk);
   ASSERT_EQ(server.submit(degree_request(1, Priority::kLow)), ServeStatus::kOk);
-  EXPECT_EQ(server.submit(degree_request(2, Priority::kHigh)), ServeStatus::kOk);
+  EXPECT_EQ(server.submit(degree_request(2, Priority::kHigh)),
+            ServeStatus::kOk);
   std::vector<Response> responses;
   server.drain(responses);
   ASSERT_EQ(responses.size(), 3u);
@@ -223,12 +230,15 @@ TEST(SheddingTest, QueuePressureCapsEffectiveCapacity) {
   config.queue_capacity = 100;
   QueryServer server(&view_a(), config);
   server.set_queue_pressure(2);
-  ASSERT_EQ(server.submit(degree_request(0, Priority::kNormal)), ServeStatus::kOk);
-  ASSERT_EQ(server.submit(degree_request(1, Priority::kNormal)), ServeStatus::kOk);
+  ASSERT_EQ(server.submit(degree_request(0, Priority::kNormal)),
+            ServeStatus::kOk);
+  ASSERT_EQ(server.submit(degree_request(1, Priority::kNormal)),
+            ServeStatus::kOk);
   EXPECT_EQ(server.submit(degree_request(2, Priority::kNormal)),
             ServeStatus::kRejected);
   server.set_queue_pressure(0);
-  EXPECT_EQ(server.submit(degree_request(3, Priority::kNormal)), ServeStatus::kOk);
+  EXPECT_EQ(server.submit(degree_request(3, Priority::kNormal)),
+            ServeStatus::kOk);
 }
 
 // --- Degraded mode --------------------------------------------------------
@@ -256,7 +266,8 @@ TEST(DegradedModeTest, ServesStaleCacheThenUnavailable) {
   Request other_profile = profile;
   other_profile.user = 6;
   ASSERT_EQ(server.submit(other_profile), ServeStatus::kOk);
-  ASSERT_EQ(server.submit(degree_request(5, Priority::kNormal)), ServeStatus::kOk);
+  ASSERT_EQ(server.submit(degree_request(5, Priority::kNormal)),
+            ServeStatus::kOk);
   server.drain(responses);
   ASSERT_EQ(responses.size(), 3u);
   EXPECT_EQ(responses[0].status, ServeStatus::kStaleCache);
@@ -312,9 +323,10 @@ TEST(SnapshotManagerTest, ValidateCatchesCorruptCandidates) {
   std::vector<std::uint64_t> words((snapshot_a().size() + 7) / 8, 0);
   std::memcpy(words.data(), snapshot_a().bytes().data(), snapshot_a().size());
   std::uint64_t profiles_off = 0;
-  std::memcpy(&profiles_off,
-              reinterpret_cast<const std::uint8_t*>(snapshot_a().bytes().data()) + 72,
-              8);
+  std::memcpy(
+      &profiles_off,
+      reinterpret_cast<const std::uint8_t*>(snapshot_a().bytes().data()) + 72,
+      8);
   reinterpret_cast<std::uint8_t*>(words.data())[profiles_off + 2] ^= 0x10;
   SnapshotBuffer corrupt(std::move(words), snapshot_a().size());
   const std::string defect = SnapshotManager::validate(corrupt);
@@ -485,7 +497,8 @@ TEST(HotSwapTest, FailedCanaryKeepsCacheCommittedSwapClearsIt) {
   ASSERT_EQ(resilient.stats_snapshot().cache.hits, 1u);
 
   // A rolled-back install must not wipe still-valid entries.
-  ASSERT_TRUE(resilient.install(SnapshotBuffer(snapshot_b()), true).rolled_back);
+  ASSERT_TRUE(
+      resilient.install(SnapshotBuffer(snapshot_b()), true).rolled_back);
   ASSERT_EQ(resilient.submit(profile), ServeStatus::kOk);
   resilient.drain(responses);
   EXPECT_EQ(resilient.stats_snapshot().cache.hits, 2u);
@@ -555,8 +568,12 @@ TEST(ChaosStormTest, EveryRequestOneTerminalStatusNoSilentDrops) {
   EXPECT_EQ(report.post_probe_checksum, report.fresh_probe_checksum);
   // The storm actually exercised every resilience channel.
   EXPECT_GT(report.by_status[static_cast<std::size_t>(ServeStatus::kShed)], 0u);
-  EXPECT_GT(report.by_status[static_cast<std::size_t>(ServeStatus::kFaultInjected)], 0u);
-  EXPECT_GT(report.by_status[static_cast<std::size_t>(ServeStatus::kUnavailable)], 0u);
+  EXPECT_GT(
+      report.by_status[static_cast<std::size_t>(ServeStatus::kFaultInjected)],
+      0u);
+  EXPECT_GT(
+      report.by_status[static_cast<std::size_t>(ServeStatus::kUnavailable)],
+      0u);
   EXPECT_GT(report.server.deadline_exceeded, 0u);
   EXPECT_GT(report.rejected, 0u);
   std::uint64_t status_sum = 0;

@@ -177,9 +177,8 @@ TEST(Service, ConstructorValidatesArguments) {
 
 // Property sweep: pagination must reassemble the exact list for any page
 // size and any cap.
-class ServicePagination
-    : public ::testing::TestWithParam<std::tuple<std::uint32_t, std::uint32_t>> {
-};
+class ServicePagination : public ::testing::TestWithParam<
+                              std::tuple<std::uint32_t, std::uint32_t>> {};
 
 TEST_P(ServicePagination, FullListIsExactPrefixOfNeighbors) {
   const auto [page_size, cap] = GetParam();

@@ -178,7 +178,8 @@ TEST_F(SnapshotRoundTrip, RejectsRogueSectionOffset) {
     SnapshotView view(as_bytes(words, snapshot().size()));
     FAIL() << "rogue section accepted";
   } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("out of bounds"), std::string::npos);
+    EXPECT_NE(std::string(error.what()).find("out of bounds"),
+              std::string::npos);
   }
 }
 
@@ -238,7 +239,10 @@ TEST_F(SnapshotRoundTrip, RejectsSetReservedHeaderFields) {
 TEST_F(SnapshotRoundTrip, RejectsTruncation) {
   // View over a truncated span: size mismatch.
   EXPECT_THROW(
-      { SnapshotView view(snapshot().bytes().subspan(0, snapshot().size() - 8)); },
+      {
+        SnapshotView view(
+            snapshot().bytes().subspan(0, snapshot().size() - 8));
+      },
       std::runtime_error);
   // Stream cut mid-body: truncated stream.
   std::ostringstream out;
@@ -280,8 +284,9 @@ TEST_F(SnapshotRoundTrip, RejectsRetiredV1Files) {
   EXPECT_FALSE(sniff_snapshot_magic(stream));
   std::istringstream in(file);
   EXPECT_THROW(read_snapshot(in), std::runtime_error);
-  const auto path = std::filesystem::temp_directory_path() /
-                    ("gplus_snapshot_v1_" + std::to_string(::getpid()) + ".snap");
+  const auto path =
+      std::filesystem::temp_directory_path() /
+      ("gplus_snapshot_v1_" + std::to_string(::getpid()) + ".snap");
   {
     std::ofstream out(path, std::ios::binary);
     out.write(file.data(), static_cast<std::streamsize>(file.size()));
@@ -305,7 +310,8 @@ TEST_F(SnapshotRoundTrip, BitFlipSweepRejectsEveryCorruption) {
   // Flip one byte inside every data section of a valid v2 snapshot: the
   // header stays sound (so the O(1) open succeeds), but deep validation
   // must name the corruption — for each section, with no crash.
-  const auto* base = reinterpret_cast<const std::uint8_t*>(snapshot().bytes().data());
+  const auto* base =
+      reinterpret_cast<const std::uint8_t*>(snapshot().bytes().data());
   for (std::size_t section = 0; section < kSnapshotDataSections; ++section) {
     std::uint64_t offset = 0;
     std::memcpy(&offset, base + 32 + section * 8, 8);
@@ -429,8 +435,9 @@ TEST_F(SnapshotRoundTrip, EveryWriterEmitsItsPinnedBytes) {
   const SnapshotBuffer compressed = build_snapshot(dataset(), v3);
   EXPECT_EQ(digest(compressed.bytes()), 0x14bc700e06609fc3ULL) << "v3";
 
-  const auto path = std::filesystem::temp_directory_path() /
-                    ("gplus_pinned_ooc_" + std::to_string(::getpid()) + ".snap");
+  const auto path =
+      std::filesystem::temp_directory_path() /
+      ("gplus_pinned_ooc_" + std::to_string(::getpid()) + ".snap");
   {
     OutOfCoreOptions options;
     options.work_dir = path.string() + ".work";

@@ -40,7 +40,8 @@ class SnapshotEquivalence : public ::testing::Test {
   }
 
   static const core::Dataset& dataset() {
-    static const core::Dataset instance = core::make_standard_dataset(kNodes, 7);
+    static const core::Dataset instance =
+        core::make_standard_dataset(kNodes, 7);
     return instance;
   }
   static const SnapshotBuffer& v2() {

@@ -63,7 +63,8 @@ Decoded decode(const Response& r) {
             kSuggestHeaderBytes + std::size_t{count} * kSuggestEntryBytes);
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::size_t at = kSuggestHeaderBytes + std::size_t{i} * 24;
-    d.entries.push_back(Entry{get_u32(r.payload, at), get_u32(r.payload, at + 4),
+    d.entries.push_back(Entry{get_u32(r.payload, at),
+                              get_u32(r.payload, at + 4),
                               get_u32(r.payload, at + 8),
                               get_u32(r.payload, at + 12),
                               get_u64(r.payload, at + 16)});
@@ -128,8 +129,8 @@ TEST(SuggestTiny, HandCheckedScoresOnAFixedGraph) {
   const Entry& second = d.entries[1];
   EXPECT_EQ(first.node, 3u);
   EXPECT_EQ(first.common, 2u);
-  EXPECT_EQ(first.aa_micro,
-            static_cast<std::uint64_t>(std::llround((aa_via_1 + aa_via_2) * 1e6)));
+  EXPECT_EQ(first.aa_micro, static_cast<std::uint64_t>(
+                                std::llround((aa_via_1 + aa_via_2) * 1e6)));
   EXPECT_EQ(second.node, 4u);
   EXPECT_EQ(second.common, 1u);
   EXPECT_EQ(second.aa_micro,
@@ -170,7 +171,8 @@ class SuggestStandard : public ::testing::Test {
   static constexpr std::size_t kNodes = 2'000;
 
   static const core::Dataset& dataset() {
-    static const core::Dataset instance = core::make_standard_dataset(kNodes, 7);
+    static const core::Dataset instance =
+        core::make_standard_dataset(kNodes, 7);
     return instance;
   }
   static const SnapshotBuffer& v2() {
@@ -272,7 +274,8 @@ TEST_F(SuggestStandard, BitIdenticalAcrossSnapshotFormats) {
       EXPECT_EQ(from_v3.status, want.status);
       EXPECT_EQ(from_v3.flags, want.flags);
       EXPECT_EQ(from_v3.cost, want.cost);
-      ASSERT_EQ(from_v3.payload, want.payload) << "v3 diverged, user " << q.user;
+      ASSERT_EQ(from_v3.payload, want.payload)
+          << "v3 diverged, user " << q.user;
       EXPECT_EQ(from_mmap.status, want.status);
       ASSERT_EQ(from_mmap.payload, want.payload)
           << "mmap diverged, user " << q.user;
