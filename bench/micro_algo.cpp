@@ -5,11 +5,7 @@
 #include "algo/degrees.h"
 #include "algo/reciprocity.h"
 #include "algo/anf.h"
-#include "algo/betweenness.h"
 #include "algo/bfs.h"
-#include "algo/communities.h"
-#include "algo/kcore.h"
-#include "algo/pagerank.h"
 #include "algo/scc.h"
 #include "algo/triangles.h"
 #include "geo/world.h"
@@ -134,24 +130,6 @@ void BM_TriangleCensus(benchmark::State& state) {
 }
 BENCHMARK(BM_TriangleCensus)->Range(1 << 12, 1 << 15);
 
-void BM_KCoreDecomposition(benchmark::State& state) {
-  const auto& g = preset_graph(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(algo::k_core_decomposition(g).degeneracy);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(g.edge_count()));
-}
-BENCHMARK(BM_KCoreDecomposition)->Range(1 << 12, 1 << 15);
-
-void BM_PageRank(benchmark::State& state) {
-  const auto& g = preset_graph(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(algo::pagerank(g).iterations);
-  }
-}
-BENCHMARK(BM_PageRank)->Range(1 << 12, 1 << 14)->Unit(benchmark::kMillisecond);
-
 void BM_HyperAnf(benchmark::State& state) {
   const auto& g = preset_graph(1 << 13);
   algo::AnfOptions options;
@@ -162,32 +140,6 @@ void BM_HyperAnf(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HyperAnf)->Arg(5)->Arg(7)->Arg(9)->Unit(benchmark::kMillisecond);
-
-
-void BM_SampledBetweenness(benchmark::State& state) {
-  const auto& g = preset_graph(1 << 13);
-  stats::Rng rng(2);
-  const auto sources = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(algo::sampled_betweenness(g, sources, rng).size());
-  }
-}
-BENCHMARK(BM_SampledBetweenness)
-    ->Arg(8)
-    ->Arg(32)
-    ->Arg(128)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_LabelPropagation(benchmark::State& state) {
-  const auto& g = preset_graph(static_cast<std::size_t>(state.range(0)));
-  stats::Rng rng(3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(algo::label_propagation(g, rng).community_count);
-  }
-}
-BENCHMARK(BM_LabelPropagation)
-    ->Range(1 << 12, 1 << 14)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -26,41 +26,6 @@ std::uint64_t edge_key(NodeId from, NodeId to) {
 
 }  // namespace
 
-DiGraph rewire_configuration_model(const DiGraph& g, double swaps_per_edge,
-                                   stats::Rng& rng) {
-  GPLUS_EXPECT(swaps_per_edge >= 0.0, "swap budget must be nonnegative");
-  auto edges = g.edges();
-  if (edges.size() < 2) return g;
-
-  std::unordered_set<std::uint64_t> present;
-  present.reserve(edges.size() * 2);
-  for (const Edge& e : edges) present.insert(edge_key(e.from, e.to));
-
-  const auto attempts = static_cast<std::uint64_t>(
-      swaps_per_edge * static_cast<double>(edges.size()));
-  for (std::uint64_t i = 0; i < attempts; ++i) {
-    const auto a = static_cast<std::size_t>(rng.next_below(edges.size()));
-    const auto b = static_cast<std::size_t>(rng.next_below(edges.size()));
-    if (a == b) continue;
-    Edge& ea = edges[a];
-    Edge& eb = edges[b];
-    // Proposed swap: ea.from->eb.to, eb.from->ea.to.
-    if (ea.from == eb.to || eb.from == ea.to) continue;  // self-loops
-    const auto k1 = edge_key(ea.from, eb.to);
-    const auto k2 = edge_key(eb.from, ea.to);
-    if (present.contains(k1) || present.contains(k2)) continue;  // parallels
-    present.erase(edge_key(ea.from, ea.to));
-    present.erase(edge_key(eb.from, eb.to));
-    present.insert(k1);
-    present.insert(k2);
-    std::swap(ea.to, eb.to);
-  }
-  // keep_self_loops: swaps never create one, but an input self-loop must
-  // survive the rebuild or the degree sequence silently changes.
-  return DiGraph::from_edges(static_cast<NodeId>(g.node_count()), edges,
-                             /*keep_self_loops=*/true);
-}
-
 DiGraph random_same_density(const DiGraph& g, stats::Rng& rng) {
   const auto n = static_cast<NodeId>(g.node_count());
   if (n < 2) return g;

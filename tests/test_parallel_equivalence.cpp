@@ -8,11 +8,9 @@
 #include <vector>
 
 #include "algo/anf.h"
-#include "algo/betweenness.h"
 #include "algo/bfs.h"
 #include "algo/clustering.h"
 #include "algo/degrees.h"
-#include "algo/pagerank.h"
 #include "algo/reciprocity.h"
 #include "algo/triangles.h"
 #include "core/parallel.h"
@@ -90,16 +88,6 @@ TEST_P(ParallelEquivalence, SampledClusteringMatchesWithSameSeed) {
   }
 }
 
-TEST_P(ParallelEquivalence, PageRankBitIdentical) {
-  const auto [base, got] = baseline_and_parallel([&] { return pagerank(g_); });
-  EXPECT_EQ(base.iterations, got.iterations);
-  EXPECT_EQ(base.converged, got.converged);
-  ASSERT_EQ(base.score.size(), got.score.size());
-  for (std::size_t i = 0; i < base.score.size(); ++i) {
-    EXPECT_DOUBLE_EQ(base.score[i], got.score[i]) << i;
-  }
-}
-
 TEST_P(ParallelEquivalence, AnfBitIdentical) {
   auto run = [&] {
     AnfOptions options;
@@ -147,18 +135,6 @@ TEST_P(ParallelEquivalence, ReciprocityMatches) {
   ASSERT_EQ(base.second.size(), got.second.size());
   for (std::size_t i = 0; i < base.second.size(); ++i) {
     EXPECT_DOUBLE_EQ(base.second[i], got.second[i]) << i;
-  }
-}
-
-TEST_P(ParallelEquivalence, SampledBetweennessBitIdentical) {
-  auto run = [&] {
-    stats::Rng rng(31);
-    return sampled_betweenness(g_, 60, rng);
-  };
-  const auto [base, got] = baseline_and_parallel(run);
-  ASSERT_EQ(base.size(), got.size());
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    EXPECT_DOUBLE_EQ(base[i], got[i]) << i;
   }
 }
 
