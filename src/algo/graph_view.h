@@ -23,8 +23,7 @@
 //
 // Users: bfs, estimate_path_lengths and double_sweep_diameter
 // (algo/bfs.h), clustering (algo/clustering.h), reciprocity
-// (algo/reciprocity.h), the degree distributions (algo/degrees.h), k-core
-// (algo/kcore.h), label propagation and modularity (algo/communities.h),
+// (algo/reciprocity.h), the degree distributions (algo/degrees.h),
 // strongly_connected_components (algo/scc.h),
 // approximate_neighborhood_function (algo/anf.h), the triad census and
 // wedge sampler (algo/motifs.h) and the triangle census
