@@ -82,16 +82,21 @@ ClusterServer::ClusterServer(const RoutingTable* routing,
 
   dark_.assign(views_.size(), 0);
 
-  // Per-shard TopK over owned nodes, all shards in one walk. Owned
-  // in-degrees are globally correct (the shard holds every in-edge of an
-  // owned node), so merging the lists recovers the engine's list.
+  // Per-shard TopK over owned nodes and the global degree arrays, all
+  // shards in one walk. Owned degrees are globally correct (the shard
+  // holds every edge of an owned node), so merging the lists recovers the
+  // engine's list and the arrays equal the engine's degrees.
   TopKSelector select(views_.size(), config_.server.engine.topk_cap);
+  out_degree_.resize(n);
+  in_degree_.resize(n);
   for (graph::NodeId u = 0; u < n; ++u) {
     const std::size_t s = routing_->owner[u];
     if (s >= views_.size()) {
       throw std::invalid_argument("cluster: node owner outside the shards");
     }
-    select.offer(s, u, views_[s]->in_degree(u));
+    out_degree_[u] = static_cast<std::uint32_t>(views_[s]->out_degree(u));
+    in_degree_[u] = static_cast<std::uint32_t>(views_[s]->in_degree(u));
+    select.offer(s, u, in_degree_[u]);
   }
   shard_topk_ = select.take();
   max_in_degree_ = select.max_in_degree();
@@ -439,7 +444,8 @@ void ClusterServer::execute_scatter(const Request& request, std::uint64_t seq,
   const FaultyTransport* transport =
       transport_.enabled() ? &transport_ : nullptr;
   ShardSource rows({routing_->owner.data(), views_.data(), dark_.data(),
-                    shard_count(), transport, seq, &rpcs, &messages});
+                    out_degree_.data(), in_degree_.data(), shard_count(),
+                    transport, seq, &rpcs, &messages});
   const EngineConfig& config = config_.server.engine;
   RequestEngine::Meter meter;
   if (request.cost_budget != 0) meter.budget = request.cost_budget;

@@ -200,6 +200,11 @@ class ClusterServer {
   /// (degree desc, id asc): merging them over the live shards recovers
   /// the unsharded engine's TopK list exactly when all shards are up.
   std::vector<std::vector<std::pair<graph::NodeId, std::uint64_t>>> shard_topk_;
+  /// Global out- and in-degree per node, read from the owner shard once:
+  /// ShortestPath chooses its expansion side from them without touching
+  /// a shard (4 B per node per direction).
+  std::vector<std::uint32_t> out_degree_;
+  std::vector<std::uint32_t> in_degree_;
   /// Global maximum in-degree over owned rows — equal to the unsharded
   /// engine's value, so Suggest reciprocation scores match it exactly.
   std::uint64_t max_in_degree_ = 0;

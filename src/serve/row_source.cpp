@@ -23,7 +23,12 @@ thread_local PathScratch t_path_scratch;
 }  // namespace
 
 // A forward frontier over out-edges from `u` and a backward frontier over
-// in-edges from `v`, always expanding the smaller side. Frontiers expand
+// in-edges from `v`, expanding the side whose next level scans fewer
+// edges: the sum of the forward frontier's out-degrees against the sum of
+// the backward frontier's in-degrees, ties forward. Each node's degree is
+// read once, as it joins a frontier, from the row source, which serves it
+// without a shard read, a message, an rpc or a cost unit, so the choice
+// is the same on the engine and on every cluster. Frontiers expand
 // level-synchronously in sorted adjacency order, so the expansion count
 // (and thus the payload) is thread-count independent. Each level is one
 // frontier exchange: a message per distinct owner shard read. A frontier
@@ -45,6 +50,8 @@ void shortest_path_core(Rows& rows, const EngineConfig& config,
   std::vector<graph::NodeId> fwd_frontier{u};
   std::vector<graph::NodeId> bwd_frontier{v};
   std::vector<graph::NodeId> next;
+  std::uint64_t fwd_edges = rows.out_degree(u);  // frontier degree sums
+  std::uint64_t bwd_edges = rows.in_degree(v);
   std::uint32_t fwd_depth = 0;
   std::uint32_t bwd_depth = 0;
   std::uint64_t expanded = 2;
@@ -58,13 +65,14 @@ void shortest_path_core(Rows& rows, const EngineConfig& config,
   while (!deadline && !fwd_frontier.empty() && !bwd_frontier.empty() &&
          fwd_depth + bwd_depth < config.path_max_hops &&
          expanded < config.path_node_budget) {
-    const bool forward = fwd_frontier.size() <= bwd_frontier.size();
+    const bool forward = fwd_edges <= bwd_edges;
     auto& frontier = forward ? fwd_frontier : bwd_frontier;
     NodeTable& mine = forward ? scratch.fwd : scratch.bwd;
     const NodeTable& other = forward ? scratch.bwd : scratch.fwd;
     const std::uint32_t depth = (forward ? fwd_depth : bwd_depth) + 1;
     rows.next_level();
     next.clear();
+    std::uint64_t next_edges = 0;
     for (const graph::NodeId x : frontier) {
       if (const std::uint8_t b = rows.blocked(x); b != 0) {
         degrade |= b;
@@ -82,12 +90,14 @@ void shortest_path_core(Rows& rows, const EngineConfig& config,
           best = std::min(best, depth + *hit);
         }
         next.push_back(y);
+        next_edges += forward ? rows.out_degree(y) : rows.in_degree(y);
         if (deadline || expanded >= config.path_node_budget) break;
       }
       if (deadline || expanded >= config.path_node_budget) break;
     }
     rows.end_phase();
     frontier.swap(next);
+    (forward ? fwd_edges : bwd_edges) = next_edges;
     (forward ? fwd_depth : bwd_depth) = depth;
     // A meeting at this level is optimal once both frontiers completed
     // the levels that could still shorten it.

@@ -14,6 +14,8 @@
 //                                 u's owner shard (shard s) is unreadable;
 //                                 0 when readable
 //   at(u)                         the view holding u's complete rows
+//   out_degree(u), in_degree(u)   u's global degrees: never a shard read,
+//                                 a message, an rpc or a cost unit
 //   touch(u), touch_shard(s)      note a read from u's owner (shard s)
 //   end_phase()                   one message per distinct shard touched
 //                                 since the last end_phase
@@ -47,6 +49,12 @@ struct SingleSource {
   std::uint8_t blocked(graph::NodeId) const noexcept { return 0; }
   std::uint8_t blocked_shard(std::size_t) const noexcept { return 0; }
   const SnapshotView& at(graph::NodeId) const noexcept { return *view; }
+  std::uint64_t out_degree(graph::NodeId u) const noexcept {
+    return view->out_degree(u);
+  }
+  std::uint64_t in_degree(graph::NodeId u) const noexcept {
+    return view->in_degree(u);
+  }
   void touch(graph::NodeId) noexcept {}
   void touch_shard(std::size_t) noexcept {}
   void end_phase() noexcept {}
@@ -61,6 +69,8 @@ struct ShardContext {
   const std::uint8_t* owner = nullptr;         // node id -> shard
   const SnapshotView* const* views = nullptr;  // one per shard
   const std::uint8_t* dark = nullptr;          // per shard: no live replica
+  const std::uint32_t* out_degree = nullptr;   // node id -> global degree,
+  const std::uint32_t* in_degree = nullptr;    // held by the router
   std::size_t shard_count = 0;
   /// Null when the transport is disabled (a perfect network).
   const FaultyTransport* transport = nullptr;
@@ -99,6 +109,12 @@ class ShardSource {
   std::uint8_t blocked(graph::NodeId u) { return blocked_shard(ctx_.owner[u]); }
   const SnapshotView& at(graph::NodeId u) const noexcept {
     return *ctx_.views[ctx_.owner[u]];
+  }
+  std::uint64_t out_degree(graph::NodeId u) const noexcept {
+    return ctx_.out_degree[u];
+  }
+  std::uint64_t in_degree(graph::NodeId u) const noexcept {
+    return ctx_.in_degree[u];
   }
   void touch_shard(std::size_t s) noexcept {
     mask_[s >> 6] |= std::uint64_t{1} << (s & 63);
@@ -178,9 +194,10 @@ class TopKSelector {
   std::uint64_t max_in_degree_ = 0;
 };
 
-/// Bounded bidirectional BFS from `u` to `v`. Payload: distance u32
-/// (kPathUnreachable when no path within bounds), expanded u64. Probes
-/// the transport lazily, once per shard per level.
+/// Bounded bidirectional BFS from `u` to `v`, expanding the side whose
+/// frontier has fewer edges. Payload: distance u32 (kPathUnreachable
+/// when no path within bounds), expanded u64. Probes the transport
+/// lazily, once per shard per level.
 template <typename Rows>
 void shortest_path_core(Rows& rows, const EngineConfig& config,
                         graph::NodeId u, graph::NodeId v, Response& r,

@@ -10,7 +10,8 @@
 // forward and reversed through the engine, a QueryServer drain and a
 // 4-shard cluster, so every per-thread table is reused after both a
 // larger and a smaller request. Each response's status, flags, cost and
-// payload must match a digest recorded from the map-based cores.
+// payload must match a digest recorded from one execution per fresh
+// engine.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -242,8 +243,9 @@ Landmarks landmarks() {
   return m;
 }
 
-// The in-hub's path to this node expands the whole kPathBudget.
-constexpr graph::NodeId kExhaustedTarget = 693;
+// The in-hub's path to this node expands the whole kPathBudget (the only
+// such target since ShortestPath expands the side with fewer edges).
+constexpr graph::NodeId kExhaustedTarget = 4'132;
 
 std::vector<Request> request_set() {
   const Landmarks m = landmarks();
@@ -278,13 +280,14 @@ std::vector<Request> request_set() {
   };
 }
 
-// Recorded from the std::unordered_map cores, in request_set() order.
+// Recorded one request per fresh engine, in request_set() order, with
+// ShortestPath expanding the side with fewer edges.
 constexpr std::uint64_t kDigests[] = {
-    0x927b242cf923b318, 0xa79e26a78342b298, 0x3d77b3d2b9542ea2,
-    0x3822fe89565a75e8, 0x121d4ecba17f3933, 0x87cab388ed930d29,
+    0x927b242cf923b318, 0xd229e940e0ac2dee, 0x3d77b3d2b9542ea2,
+    0x3822fe89565a75e8, 0x121d4ecba17f3933, 0xeaa86434b6e68763,
     0x5606628abad29ca7, 0x9da6f2206a181ffe, 0x30919a4bc025ad8e,
     0x1040942970f39dd9, 0xd419fb777fb27c53, 0x15dd72d6ce907b39,
-    0x4995a59298916728,
+    0xe2bcf237791fc93c,
 };
 
 void expect_recorded(const std::vector<Response>& responses,
