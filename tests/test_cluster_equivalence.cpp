@@ -4,18 +4,32 @@
 // must be bit-identical at every GPLUS_THREADS value. This is the
 // DESIGN.md §13 contract the CI matrix gates; the
 // CTest ".threads1" variant re-runs every case on the serial fallback.
+//
+// ShortestPathOracle keeps the node-count chooser ShortestPath used before
+// it compared frontier edge sums: every pair that chooser answers within
+// its bounds must get the same distance from the engine (v2, v3, mmap) and
+// from a 4-shard cluster. ShortestPathChooser pins the choice on a
+// hand-built hub graph.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
+#include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/dataset.h"
 #include "core/parallel.h"
+#include "graph/builder.h"
 #include "serve/cluster.h"
 #include "serve/snapshot.h"
 #include "serve/snapshot_build.h"
+#include "serve/snapshot_file.h"
 #include "serve/workload.h"
+#include "stats/rng.h"
 #include "storm/storm.h"
 
 namespace gplus::serve {
@@ -296,6 +310,287 @@ std::vector<std::size_t> lane_counts() {
 INSTANTIATE_TEST_SUITE_P(
     Lanes, ClusterLaneEquivalence, ::testing::ValuesIn(lane_counts()),
     [](const auto& info) { return "lanes" + std::to_string(info.param); });
+
+// ShortestPath payload fields.
+std::uint32_t path_distance(const Response& r) {
+  std::uint32_t d = 0;
+  for (int i = 0; i < 4; ++i) d |= std::uint32_t{r.payload[i]} << (8 * i);
+  return d;
+}
+
+std::uint64_t path_expanded(const Response& r) {
+  std::uint64_t e = 0;
+  for (int i = 0; i < 8; ++i) e |= std::uint64_t{r.payload[4 + i]} << (8 * i);
+  return e;
+}
+
+struct OracleAnswer {
+  std::uint32_t distance = kPathUnreachable;
+  std::uint64_t expanded = 0;
+  bool answered = true;  // false: the node budget ran out first
+};
+
+// The node-count chooser: the bidirectional BFS of shortest_path_core,
+// expanding whichever frontier holds fewer nodes, with the same levels and
+// bounds but no cost meter. Any chooser is exact until the node budget
+// runs out, so its distances are the oracle for the edge-sum chooser.
+OracleAnswer node_count_oracle(const SnapshotView& view,
+                               const EngineConfig& config, graph::NodeId u,
+                               graph::NodeId v) {
+  OracleAnswer a;
+  if (u == v) {
+    a.distance = 0;
+    a.expanded = 1;
+    return a;
+  }
+  constexpr std::uint32_t kUnseen = 0xFFFFFFFF;
+  std::vector<std::uint32_t> fwd(view.node_count(), kUnseen);
+  std::vector<std::uint32_t> bwd(view.node_count(), kUnseen);
+  fwd[u] = 0;
+  bwd[v] = 0;
+  std::vector<graph::NodeId> fwd_frontier{u};
+  std::vector<graph::NodeId> bwd_frontier{v};
+  std::vector<graph::NodeId> next;
+  std::uint32_t fwd_depth = 0;
+  std::uint32_t bwd_depth = 0;
+  const std::uint64_t budget = config.path_node_budget;
+  a.expanded = 2;
+  while (!fwd_frontier.empty() && !bwd_frontier.empty() &&
+         fwd_depth + bwd_depth < config.path_max_hops &&
+         a.expanded < budget) {
+    const bool forward = fwd_frontier.size() <= bwd_frontier.size();
+    auto& frontier = forward ? fwd_frontier : bwd_frontier;
+    std::vector<std::uint32_t>& mine = forward ? fwd : bwd;
+    const std::vector<std::uint32_t>& other = forward ? bwd : fwd;
+    const std::uint32_t depth = (forward ? fwd_depth : bwd_depth) + 1;
+    next.clear();
+    for (const graph::NodeId x : frontier) {
+      NeighborScan scan = forward ? view.out_scan(x) : view.in_scan(x);
+      graph::NodeId y = 0;
+      while (a.expanded < budget && scan.next(y)) {
+        if (mine[y] != kUnseen) continue;
+        mine[y] = depth;
+        ++a.expanded;
+        if (other[y] != kUnseen) {
+          a.distance = std::min(a.distance, depth + other[y]);
+        }
+        next.push_back(y);
+      }
+      if (a.expanded >= budget) break;
+    }
+    frontier.swap(next);
+    (forward ? fwd_depth : bwd_depth) = depth;
+    if (a.distance != kPathUnreachable &&
+        a.distance <= fwd_depth + bwd_depth) {
+      break;
+    }
+  }
+  a.answered = a.expanded < budget;
+  return a;
+}
+
+// The fixture pairs (probe_batch's valid ShortestPath requests, budgets
+// dropped) plus Zipf-over-in-degree-rank pairs at the paper's α 1.3 and
+// at α 1.0, drawn as the closed-loop workload draws them.
+std::vector<Request> oracle_pairs() {
+  std::vector<Request> pairs;
+  for (Request q : probe_batch()) {
+    if (q.type != RequestType::kShortestPath || q.user >= kNodes ||
+        q.target >= kNodes) {
+      continue;
+    }
+    q.cost_budget = 0;
+    pairs.push_back(q);
+  }
+  const SnapshotView& view = full_view();
+  std::vector<graph::NodeId> ranked(kNodes);
+  std::iota(ranked.begin(), ranked.end(), graph::NodeId{0});
+  std::sort(ranked.begin(), ranked.end(),
+            [&](graph::NodeId a, graph::NodeId b) {
+              if (view.in_degree(a) != view.in_degree(b)) {
+                return view.in_degree(a) > view.in_degree(b);
+              }
+              return a < b;
+            });
+  stats::Rng rng(35);
+  for (const double alpha : {1.3, 1.0}) {
+    const stats::ZipfSampler zipf(kNodes, alpha);
+    for (int i = 0; i < 1500; ++i) {
+      Request q;
+      q.type = RequestType::kShortestPath;
+      q.user = ranked[zipf.sample(rng) - 1];
+      q.target = ranked[zipf.sample(rng) - 1];
+      pairs.push_back(q);
+    }
+  }
+  return pairs;
+}
+
+std::vector<Response> cluster_paths(const std::vector<Request>& pairs,
+                                    const EngineConfig& engine) {
+  const auto& split = sharded(4);
+  std::vector<SnapshotView> storage;
+  storage.reserve(split.shards.size());
+  for (const auto& shard : split.shards) storage.emplace_back(shard.bytes());
+  std::vector<const SnapshotView*> ptrs;
+  for (const auto& view : storage) ptrs.push_back(&view);
+  ClusterConfig config;
+  config.server.queue_capacity = pairs.size();
+  config.server.engine = engine;
+  ClusterServer cluster(&split.routing, ptrs, config);
+  for (const auto& q : pairs) {
+    EXPECT_EQ(cluster.submit(q), ServeStatus::kOk);
+  }
+  std::vector<Response> responses;
+  cluster.drain(responses);
+  return responses;
+}
+
+// Every pair the oracle answers gets its distance from the engine on v2,
+// v3 and mmap and from a 4-shard cluster; the four payloads and costs are
+// equal. The default budget never runs out at 4000 nodes; the tight one
+// makes the oracle give up on some pairs, and those are skipped.
+TEST(ShortestPathOracle, EveryAnsweredPairKeepsItsDistance) {
+  const std::vector<Request> pairs = oracle_pairs();
+  const SnapshotBuffer v3 =
+      build_snapshot(dataset(), {.version = kSnapshotVersion3});
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("gplus_path_oracle_" + std::to_string(::getpid()) +
+                     ".snap");
+  save_snapshot(v3, path);
+  {
+    const SnapshotView v3_view(v3.bytes());
+    const MappedSnapshot mapped(path);
+    for (const std::uint64_t budget : {std::uint64_t{100'000},
+                                       std::uint64_t{300}}) {
+      EngineConfig config;
+      config.path_node_budget = budget;
+      const RequestEngine engines[] = {
+          RequestEngine(&full_view(), config),
+          RequestEngine(&v3_view, config),
+          RequestEngine(&mapped.view(), config)};
+      const std::vector<Response> cluster = cluster_paths(pairs, config);
+      ASSERT_EQ(cluster.size(), pairs.size());
+      std::size_t answered = 0;
+      std::size_t reached = 0;
+      for (std::size_t i = 0; i < pairs.size(); ++i) {
+        const Request& q = pairs[i];
+        Response want;
+        engines[0].execute(q, want);
+        ASSERT_EQ(want.status, ServeStatus::kOk) << i;
+        for (const RequestEngine& engine : engines) {
+          Response got;
+          engine.execute(q, got);
+          EXPECT_EQ(got.cost, want.cost) << "budget " << budget << " " << i;
+          ASSERT_EQ(got.payload, want.payload) << "budget " << budget << " "
+                                               << i;
+        }
+        EXPECT_EQ(cluster[i].cost, want.cost) << "budget " << budget << " "
+                                              << i;
+        ASSERT_EQ(cluster[i].payload, want.payload)
+            << "budget " << budget << " " << i;
+        const OracleAnswer oracle =
+            node_count_oracle(full_view(), config, q.user, q.target);
+        if (!oracle.answered) continue;
+        ++answered;
+        if (oracle.distance != kPathUnreachable) ++reached;
+        EXPECT_EQ(path_distance(want), oracle.distance)
+            << "budget " << budget << " pair " << q.user << " -> "
+            << q.target;
+      }
+      // Non-vacuous: most pairs are answered, and most answers are paths.
+      EXPECT_GT(answered, pairs.size() / 2) << "budget " << budget;
+      EXPECT_GT(reached, answered / 2) << "budget " << budget;
+      if (budget == 100'000) {
+        EXPECT_EQ(answered, pairs.size());
+      }
+    }
+  }
+  std::filesystem::remove(path);
+}
+
+// 0 -> {1..500}, 500 -> 501: the source's out-row holds 500 entries and
+// the target is reached through one in-edge. By node count both roots are
+// one node and the tie expands the hub's row; by edge sum (500 against 1)
+// the search walks backward: 501's in-row finds 500, 500's finds the
+// source. The source's own row is never read.
+constexpr graph::NodeId kHubSource = 0;
+constexpr graph::NodeId kBridge = 500;
+constexpr graph::NodeId kHubTarget = 501;
+
+SnapshotBuffer hub_snapshot() {
+  graph::GraphBuilder builder(kHubTarget + 1);
+  for (graph::NodeId y = 1; y <= kBridge; ++y) builder.add_edge(kHubSource, y);
+  builder.add_edge(kBridge, kHubTarget);
+  core::Dataset hub;
+  hub.net.graph = builder.build();
+  hub.profiles.resize(kHubTarget + 1);
+  return build_snapshot(hub);
+}
+
+const Request kHubPath{.type = RequestType::kShortestPath,
+                       .user = kHubSource,
+                       .target = kHubTarget};
+
+TEST(ShortestPathChooser, HubSourceExpandsTheSideWithFewerEdges) {
+  const SnapshotBuffer snapshot = hub_snapshot();
+  const SnapshotView view(snapshot.bytes());
+  const RequestEngine engine(&view);
+  Response r;
+  engine.execute(kHubPath, r);
+  ASSERT_EQ(r.status, ServeStatus::kOk);
+  EXPECT_EQ(r.flags, 0);
+  EXPECT_EQ(path_distance(r), 2u);
+  EXPECT_EQ(path_expanded(r), 4u);  // the roots, 500, then the source
+  EXPECT_EQ(r.cost, path_expanded(r) + 1);  // plus the dispatch unit
+  // The node-count chooser expands the hub's row first.
+  const OracleAnswer oracle =
+      node_count_oracle(view, EngineConfig{}, kHubSource, kHubTarget);
+  EXPECT_EQ(oracle.distance, 2u);
+  EXPECT_EQ(oracle.expanded, 503u);
+}
+
+// The same pin on a 2-shard cluster behind an enabled, fault-free
+// transport, first with every shard up, then with the hub's shard dark.
+// Each BFS level expands one node on the other shard, so the run rolls
+// exactly one rpc and sends one message per level: the chooser's degree
+// reads roll none. The source's row is never read, so even with its
+// shard dark the answer is complete and unflagged.
+TEST(ShortestPathChooser, ClusterChoosesWithoutReadingTheHubShard) {
+  const SnapshotBuffer snapshot = hub_snapshot();
+  const SnapshotView view(snapshot.bytes());
+  const ShardedSnapshot split = split_snapshot(view, {.shard_count = 2});
+  const std::uint8_t hub_shard = split.routing.owner[kHubSource];
+  ASSERT_NE(split.routing.owner[kBridge], hub_shard);
+  ASSERT_NE(split.routing.owner[kHubTarget], hub_shard);
+  std::vector<SnapshotView> storage;
+  for (const auto& shard : split.shards) storage.emplace_back(shard.bytes());
+  std::vector<const SnapshotView*> ptrs;
+  for (const auto& v : storage) ptrs.push_back(&v);
+  ClusterConfig config;
+  config.transport.enabled = true;
+  ClusterServer cluster(&split.routing, ptrs, config);
+
+  for (const bool dark : {false, true}) {
+    if (dark) cluster.kill_replica(hub_shard, 0);
+    ASSERT_EQ(cluster.shard_dark(hub_shard), dark);
+    const std::uint64_t rpcs = cluster.transport_stats().rpcs;
+    const std::uint64_t messages = cluster.stats_snapshot().messages;
+    ASSERT_EQ(cluster.submit(kHubPath), ServeStatus::kOk);
+    std::vector<Response> responses;
+    cluster.drain(responses);
+    ASSERT_EQ(responses.size(), 1u);
+    const Response& r = responses[0];
+    EXPECT_EQ(r.status, ServeStatus::kOk) << "dark " << dark;
+    EXPECT_EQ(r.flags, 0) << "dark " << dark;
+    EXPECT_EQ(path_distance(r), 2u) << "dark " << dark;
+    EXPECT_EQ(path_expanded(r), 4u) << "dark " << dark;
+    EXPECT_EQ(r.cost, path_expanded(r) + 1) << "dark " << dark;
+    EXPECT_EQ(cluster.transport_stats().rpcs - rpcs, 2u) << "dark " << dark;
+    EXPECT_EQ(cluster.stats_snapshot().messages - messages, 2u)
+        << "dark " << dark;
+  }
+}
 
 }  // namespace
 }  // namespace gplus::serve
