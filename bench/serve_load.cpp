@@ -26,13 +26,14 @@
 // which publishes the JSON report (default BENCH_serve.json, override
 // with GPLUS_BENCH_SERVE_JSON) and compares the throughput fields against
 // bench/floors.json; it also carries p50_us_<leg> and p99_us_<leg> for
-// every leg run, cluster and faulty legs included. `--mix NAME` runs a
-// single named mix leg instead of the full sweep (point
-// GPLUS_BENCH_SERVE_JSON elsewhere so the restricted report doesn't
-// shadow the full one's floored fields). Scale
-// with GPLUS_SCALE / GPLUS_SEED; request count with GPLUS_REQUESTS. The
-// final section offers the queue past capacity and shows bounded,
-// explicit rejection.
+// every leg run, cluster and faulty legs included, and sp_cost_mean_<leg>
+// (the mean virtual cost of the leg's executed ShortestPath responses, an
+// exact count whatever the runner's speed) for every leg that ran one.
+// `--mix NAME` runs a single named mix leg instead of the full sweep
+// (point GPLUS_BENCH_SERVE_JSON elsewhere so the restricted report
+// doesn't shadow the full one's floored fields). Scale with GPLUS_SCALE /
+// GPLUS_SEED; request count with GPLUS_REQUESTS. The final section
+// offers the queue past capacity and shows bounded, explicit rejection.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -58,11 +59,14 @@ struct MixResult {
   double p50_us = 0.0;
   double p99_us = 0.0;
   std::uint64_t checksum = 0;
+  std::uint64_t path_executed = 0;
+  std::uint64_t path_cost = 0;
 };
 
 MixResult leg_result(std::string name, const serve::LoadReport& report) {
-  return {std::move(name), report.qps, report.p50_us, report.p99_us,
-          report.checksum};
+  return {std::move(name), report.qps,           report.p50_us,
+          report.p99_us,   report.checksum,      report.path_executed,
+          report.path_cost};
 }
 
 MixResult run_mix(const serve::SnapshotView& view, const char* name,
@@ -278,6 +282,14 @@ int main(int argc, char** argv) {
     for (const MixResult& r : timed) {
       out << "  \"p50_us_" << r.name << "\": " << r.p50_us << ",\n"
           << "  \"p99_us_" << r.name << "\": " << r.p99_us << ",\n";
+      // Only legs that executed a ShortestPath: a 0 mean would read as
+      // the work vanishing.
+      if (r.path_executed > 0) {
+        out << "  \"sp_cost_mean_" << r.name << "\": "
+            << static_cast<double>(r.path_cost) /
+                   static_cast<double>(r.path_executed)
+            << ",\n";
+      }
     }
     // Cluster fields only when a cluster leg ran: a 0 q/s would read as a
     // collapse to a floor on that name.

@@ -191,6 +191,8 @@ LoadReport closed_loop_impl(ServerT& server, const SnapshotView& snapshot,
   using Clock = std::chrono::steady_clock;
   std::vector<Clock::time_point> admitted_at;
   admitted_at.reserve(clients.size());
+  std::vector<RequestType> admitted_type;
+  admitted_type.reserve(clients.size());
   std::vector<std::uint64_t> latencies;
   latencies.reserve(config.requests);
   std::uint64_t checksum = 0xcbf29ce484222325ULL;
@@ -200,6 +202,7 @@ LoadReport closed_loop_impl(ServerT& server, const SnapshotView& snapshot,
     // Submit phase: every client offers one request (a rejected client
     // re-offers the same one — closed loop, bounded in-flight).
     admitted_at.clear();
+    admitted_type.clear();
     for (auto& client : clients) {
       if (!client.retrying) client.in_flight = next_request(client);
       const auto submitted = Clock::now();
@@ -209,6 +212,7 @@ LoadReport closed_loop_impl(ServerT& server, const SnapshotView& snapshot,
       } else {
         client.retrying = false;
         admitted_at.push_back(submitted);
+        admitted_type.push_back(client.in_flight.type);
       }
     }
     server.drain(responses);
@@ -219,7 +223,12 @@ LoadReport closed_loop_impl(ServerT& server, const SnapshotView& snapshot,
                                                                submitted)
               .count()));
     }
-    for (const Response& r : responses) {
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+      const Response& r = responses[i];
+      if (admitted_type[i] == RequestType::kShortestPath && r.cost > 0) {
+        ++report.path_executed;
+        report.path_cost += r.cost;
+      }
       checksum ^= static_cast<std::uint8_t>(r.status);
       checksum *= 0x100000001b3ULL;
       fnv_u32(checksum, static_cast<std::uint32_t>(r.payload.size()));

@@ -81,6 +81,11 @@ struct LoadReport {
   /// FNV-1a over the concatenated response stream (status + size +
   /// payload, request order) — the cross-thread-count equivalence probe.
   std::uint64_t checksum = 0;
+  /// ShortestPath responses that executed (cost > 0: not a cache hit or
+  /// a shed) and their summed virtual cost. Exact counts, as
+  /// deterministic as the checksum.
+  std::uint64_t path_executed = 0;
+  std::uint64_t path_cost = 0;
   /// Final server counters (including cache hit/miss/eviction state).
   ServerStats server;
 };
