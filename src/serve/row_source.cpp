@@ -20,19 +20,49 @@ struct PathScratch {
 
 thread_local PathScratch t_path_scratch;
 
+// One side of the search: its frontier and depth, and the degree sum over
+// the frontier's first `summed` nodes (out-degrees forward, in-degrees
+// backward).
+struct PathSide {
+  std::vector<graph::NodeId> frontier;
+  std::uint32_t depth = 0;
+  std::uint64_t edges = 0;
+  std::size_t summed = 0;
+
+  bool summed_all() const noexcept { return summed == frontier.size(); }
+};
+
+// True when the forward frontier has at most as many edges as the
+// backward one. The sums grow lazily, always on the side that is behind,
+// until the comparison is decided, so each degree is read at most once
+// and the side left unexpanded keeps its partial sum for the next level.
+// The answer is the comparison of the two full sums.
+template <typename Rows>
+bool forward_has_fewer_edges(Rows& rows, PathSide& fwd, PathSide& bwd) {
+  for (;;) {
+    if (fwd.edges <= bwd.edges) {
+      if (fwd.summed_all()) return true;
+      fwd.edges += rows.out_degree(fwd.frontier[fwd.summed++]);
+    } else {
+      if (bwd.summed_all()) return false;
+      bwd.edges += rows.in_degree(bwd.frontier[bwd.summed++]);
+    }
+  }
+}
+
 }  // namespace
 
 // A forward frontier over out-edges from `u` and a backward frontier over
 // in-edges from `v`, expanding the side whose next level scans fewer
 // edges: the sum of the forward frontier's out-degrees against the sum of
-// the backward frontier's in-degrees, ties forward. Each node's degree is
-// read once, as it joins a frontier, from the row source, which serves it
-// without a shard read, a message, an rpc or a cost unit, so the choice
-// is the same on the engine and on every cluster. Frontiers expand
-// level-synchronously in sorted adjacency order, so the expansion count
-// (and thus the payload) is thread-count independent. Each level is one
-// frontier exchange: a message per distinct owner shard read. A frontier
-// node whose owner is blocked is skipped and the answer degrades.
+// the backward frontier's in-degrees, ties forward. The row source serves
+// the degrees without a shard read, a message, an rpc or a cost unit, so
+// the choice is the same on the engine and on every cluster. Frontiers
+// expand level-synchronously in sorted adjacency order, so the expansion
+// count (and thus the payload) is thread-count independent. Each level is
+// one frontier exchange: a message per distinct owner shard read. A
+// frontier node whose owner is blocked is skipped and the answer
+// degrades.
 template <typename Rows>
 void shortest_path_core(Rows& rows, const EngineConfig& config,
                         graph::NodeId u, graph::NodeId v, Response& r,
@@ -47,13 +77,9 @@ void shortest_path_core(Rows& rows, const EngineConfig& config,
   const ScratchLease lease(scratch);
   scratch.fwd.try_emplace(u, 0);
   scratch.bwd.try_emplace(v, 0);
-  std::vector<graph::NodeId> fwd_frontier{u};
-  std::vector<graph::NodeId> bwd_frontier{v};
+  PathSide fwd{{u}};
+  PathSide bwd{{v}};
   std::vector<graph::NodeId> next;
-  std::uint64_t fwd_edges = rows.out_degree(u);  // frontier degree sums
-  std::uint64_t bwd_edges = rows.in_degree(v);
-  std::uint32_t fwd_depth = 0;
-  std::uint32_t bwd_depth = 0;
   std::uint64_t expanded = 2;
   std::uint32_t best = kPathUnreachable;
   std::uint8_t degrade = 0;  // blocked-shard flag bits encountered
@@ -62,18 +88,17 @@ void shortest_path_core(Rows& rows, const EngineConfig& config,
   // reporting best-so-far distance — but flagged partial.
   bool deadline = !meter.charge(2);
 
-  while (!deadline && !fwd_frontier.empty() && !bwd_frontier.empty() &&
-         fwd_depth + bwd_depth < config.path_max_hops &&
+  while (!deadline && !fwd.frontier.empty() && !bwd.frontier.empty() &&
+         fwd.depth + bwd.depth < config.path_max_hops &&
          expanded < config.path_node_budget) {
-    const bool forward = fwd_edges <= bwd_edges;
-    auto& frontier = forward ? fwd_frontier : bwd_frontier;
+    const bool forward = forward_has_fewer_edges(rows, fwd, bwd);
+    PathSide& side = forward ? fwd : bwd;
     NodeTable& mine = forward ? scratch.fwd : scratch.bwd;
     const NodeTable& other = forward ? scratch.bwd : scratch.fwd;
-    const std::uint32_t depth = (forward ? fwd_depth : bwd_depth) + 1;
+    const std::uint32_t depth = side.depth + 1;
     rows.next_level();
     next.clear();
-    std::uint64_t next_edges = 0;
-    for (const graph::NodeId x : frontier) {
+    for (const graph::NodeId x : side.frontier) {
       if (const std::uint8_t b = rows.blocked(x); b != 0) {
         degrade |= b;
         continue;
@@ -90,18 +115,18 @@ void shortest_path_core(Rows& rows, const EngineConfig& config,
           best = std::min(best, depth + *hit);
         }
         next.push_back(y);
-        next_edges += forward ? rows.out_degree(y) : rows.in_degree(y);
         if (deadline || expanded >= config.path_node_budget) break;
       }
       if (deadline || expanded >= config.path_node_budget) break;
     }
     rows.end_phase();
-    frontier.swap(next);
-    (forward ? fwd_edges : bwd_edges) = next_edges;
-    (forward ? fwd_depth : bwd_depth) = depth;
+    side.frontier.swap(next);
+    side.depth = depth;
+    side.edges = 0;
+    side.summed = 0;
     // A meeting at this level is optimal once both frontiers completed
     // the levels that could still shorten it.
-    if (best != kPathUnreachable && best <= fwd_depth + bwd_depth) break;
+    if (best != kPathUnreachable && best <= fwd.depth + bwd.depth) break;
   }
   if (deadline) {
     r.status = ServeStatus::kDeadlineExceeded;
