@@ -10,7 +10,8 @@
 //   - cross-shard families (ShortestPath, TopK, Suggest) scatter-gather at
 //     the router by running the engine's own core for the family over an
 //     owner-shard row source (serve/row_source.h): every row comes from
-//     its owner shard, one message per distinct shard read per phase, and
+//     its owner shard, one message per distinct shard read per phase,
+//     ShortestPath picks its side from router-held degree arrays, and
 //     TopK merges per-shard top lists over owned nodes. The cores meter
 //     the same virtual cost the unsharded engine does, so deadline
 //     outcomes — and therefore payload bytes — match it exactly.
