@@ -51,9 +51,8 @@ int cmd_serve_bench(const std::vector<std::string>& args, std::ostream& out);
 /// deterministic metrics only unless --all.
 int cmd_metrics(const std::vector<std::string>& args, std::ostream& out);
 
-/// Directed triad analysis: exact/sampled census (--mode census), motif
-/// evolution over growth snapshots (--mode evolve), or motif-calibrated
-/// rewiring toward a target profile (--mode calibrate).
+/// Directed triad analysis: exact/sampled census (--mode census) or
+/// motif-calibrated rewiring toward a target profile (--mode calibrate).
 int cmd_motifs(const std::vector<std::string>& args, std::ostream& out);
 
 /// One dispatch-table row: name, one-line summary, entry point.
