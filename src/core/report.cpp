@@ -53,9 +53,13 @@ void write_report(const Dataset& dataset, std::ostream& out,
     md_row(out, {"Diameter (lower bound)",
                  std::to_string(s.diameter_lower_bound),
                  std::to_string(paper.diameter)});
-    md_row(out, {"Giant SCC", fmt_percent(s.giant_scc_fraction), "72%"});
-    md_row(out, {"In-degree alpha", fmt_double(s.in_alpha, 2), "1.3"});
-    md_row(out, {"Out-degree alpha", fmt_double(s.out_alpha, 2), "1.2"});
+    const auto& constants = paper_constants();
+    md_row(out, {"Giant SCC", fmt_percent(s.giant_scc_fraction),
+                 fmt_percent(constants.giant_scc_fraction(), 0)});
+    md_row(out, {"In-degree alpha", fmt_double(s.in_alpha, 2),
+                 fmt_double(constants.in_degree_alpha, 1)});
+    md_row(out, {"Out-degree alpha", fmt_double(s.out_alpha, 2),
+                 fmt_double(constants.out_degree_alpha, 1)});
 
     stats::Rng cc_rng(options.seed + 1);
     const auto cc = algo::sampled_clustering_coefficients(

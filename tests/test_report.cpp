@@ -4,6 +4,9 @@
 
 #include <sstream>
 
+#include "core/reference.h"
+#include "core/table.h"
+
 namespace gplus::core {
 namespace {
 
@@ -39,6 +42,33 @@ TEST_F(ReportTest, ContainsEverySection) {
   EXPECT_NE(text.find("16.4"), std::string::npos);   // paper mean degree
   EXPECT_NE(text.find("0.26%"), std::string::npos);  // paper tel-user rate
   EXPECT_NE(text.find("Places lived"), std::string::npos);
+}
+
+// Every Paper cell of the structure table is the formatted core
+// constant, not a hand-typed copy of it.
+TEST_F(ReportTest, StructurePaperColumnReadsTheConstants) {
+  ReportOptions options;
+  options.path_sources = 10;
+  options.include_geography = false;
+  const auto text = render(options);
+  const auto& paper = google_plus_reference();
+  const auto& constants = paper_constants();
+  const std::pair<std::string, std::string> expected[] = {
+      {"Mean degree", fmt_double(*paper.mean_in_degree, 1)},
+      {"Reciprocity", fmt_percent(paper.reciprocity, 0)},
+      {"Mean path length", fmt_double(paper.path_length, 1)},
+      {"Diameter (lower bound)", std::to_string(paper.diameter)},
+      {"Giant SCC", fmt_percent(constants.giant_scc_fraction(), 0)},
+      {"In-degree alpha", fmt_double(constants.in_degree_alpha, 1)},
+      {"Out-degree alpha", fmt_double(constants.out_degree_alpha, 1)},
+  };
+  for (const auto& [metric, cell] : expected) {
+    const std::string prefix = "| " + metric + " | ";
+    const auto at = text.find(prefix);
+    ASSERT_NE(at, std::string::npos) << metric;
+    const std::string row = text.substr(at, text.find('\n', at) - at);
+    EXPECT_TRUE(row.ends_with(" | " + cell + " |")) << row;
+  }
 }
 
 TEST_F(ReportTest, SectionsCanBeDisabled) {
