@@ -45,8 +45,9 @@ struct StreamGenConfig {
   double dormant_fraction = 0.25;
   /// Planned-adds Pareto: CCDF exponent / scale / hard cap. The xmin
   /// default is tuned lower than GraphGenConfig's because this generator
-  /// has no community mechanism inflating low-degree mass; it lands the
-  /// paper's ~16.4 mean total degree at paper scale.
+  /// has no community mechanism inflating low-degree mass. The mean degree
+  /// (unique edges per node; paper 16.4) drifts up with n: seed 42 gives
+  /// 16.56 at 1M nodes and 18.79 at the paper's 35.1M.
   double out_alpha = 1.05;
   double out_xmin = 3.5;
   std::uint32_t out_degree_cap = 5'000;
