@@ -19,14 +19,17 @@
 
 int main(int argc, char** argv) {
   using namespace gplus;
-  const std::size_t nodes = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 60'000;
-  const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 7;
+  const std::size_t nodes =
+      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 60'000;
+  const std::uint64_t seed =
+      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 7;
 
   std::cout << "Building ground truth (" << nodes << " users)...\n";
   const auto ds = core::make_standard_dataset(nodes, seed);
   const auto seed_user = core::top_users(ds, 1)[0];
   std::cout << "crawl seed: " << seed_user.name << " (in-degree "
-            << seed_user.in_degree << ", as the paper seeded at Zuckerberg)\n\n";
+            << seed_user.in_degree
+            << ", as the paper seeded at Zuckerberg)\n\n";
 
   // Study 1: crawl quality vs coverage.
   std::cout << "Study 1 — what a partial BFS crawl sees\n";
@@ -38,12 +41,14 @@ int main(int argc, char** argv) {
     config.seed_node = seed_user.node;
     config.machines = 11;
     config.max_profiles =
-        budget >= 1.0 ? 0
-                      : static_cast<std::size_t>(budget * static_cast<double>(nodes));
+        budget >= 1.0
+            ? 0
+            : static_cast<std::size_t>(budget * static_cast<double>(nodes));
     const auto crawl = crawler::run_bfs_crawl(svc, config);
     const auto bias = crawler::measure_bias(ds.graph(), crawl);
     coverage_table.add_row(
-        {core::fmt_percent(budget, 0), core::fmt_count(crawl.stats.profiles_crawled),
+        {core::fmt_percent(budget, 0),
+         core::fmt_count(crawl.stats.profiles_crawled),
          core::fmt_count(crawl.stats.boundary_nodes),
          core::fmt_count(crawl.graph.edge_count()),
          core::fmt_double(bias.degree_bias_ratio, 2),
@@ -65,7 +70,8 @@ int main(int argc, char** argv) {
     config.max_profiles = nodes / 2;  // partial, like the paper's 56%
     const auto crawl = crawler::run_bfs_crawl(svc, config);
     const auto est = crawler::estimate_lost_edges(svc, crawl);
-    cap_table.add_row({core::fmt_count(cap), core::fmt_count(est.users_over_cap),
+    cap_table.add_row({core::fmt_count(cap),
+                       core::fmt_count(est.users_over_cap),
                        core::fmt_percent(est.lost_fraction, 2)});
   }
   std::cout << cap_table.str() << "\n";
@@ -95,8 +101,9 @@ int main(int argc, char** argv) {
                           core::fmt_percent(sccs.giant_fraction(), 1)});
   }
   std::cout << hidden_table.str();
-  std::cout << "\nTakeaway: partial BFS coverage inflates degree estimates and\n"
-               "privacy features shrink the observable graph — both caveats the\n"
-               "paper notes; here they are quantified against ground truth.\n";
+  std::cout
+      << "\nTakeaway: partial BFS coverage inflates degree estimates and\n"
+         "privacy features shrink the observable graph — both caveats the\n"
+         "paper notes; here they are quantified against ground truth.\n";
   return 0;
 }

@@ -17,8 +17,10 @@
 
 int main(int argc, char** argv) {
   using namespace gplus;
-  const std::size_t nodes = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 80'000;
-  const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 21;
+  const std::size_t nodes =
+      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 80'000;
+  const std::uint64_t seed =
+      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 21;
 
   std::cout << "Building dataset (" << nodes << " users)...\n\n";
   const auto ds = core::make_standard_dataset(nodes, seed);
@@ -50,12 +52,15 @@ int main(int argc, char** argv) {
                 core::fmt_double(med(miles.reciprocal), 0),
                 core::fmt_count(r.count)});
   dist.add_row({"Any friends", core::fmt_double(f.mean, 0),
-                core::fmt_double(med(miles.friends), 0), core::fmt_count(f.count)});
+                core::fmt_double(med(miles.friends), 0),
+                core::fmt_count(f.count)});
   dist.add_row({"Random pairs", core::fmt_double(x.mean, 0),
-                core::fmt_double(med(miles.random), 0), core::fmt_count(x.count)});
+                core::fmt_double(med(miles.random), 0),
+                core::fmt_count(x.count)});
   std::cout << dist.str() << "\n";
 
-  std::cout << "How do countries interlink? (self-loop = domestic edge share)\n";
+  std::cout
+      << "How do countries interlink? (self-loop = domestic edge share)\n";
   const auto links = core::country_link_graph(ds);
   core::TextTable mix({"Country", "Domestic", "-> US", "Reading"});
   for (std::size_t i = 0; i < links.countries.size(); ++i) {
@@ -67,7 +72,8 @@ int main(int argc, char** argv) {
     const double self = links.self_loop(i);
     mix.add_row({std::string(geo::country(links.countries[i]).name),
                  core::fmt_percent(self, 0),
-                 code == "US" ? "-" : core::fmt_percent(links.weight[i][us], 0),
+                 code == "US" ? "-"
+                              : core::fmt_percent(links.weight[i][us], 0),
                  self > 0.6   ? "inward-looking"
                  : self > 0.4 ? "balanced"
                               : "outward-looking"});
@@ -75,13 +81,15 @@ int main(int argc, char** argv) {
   std::cout << mix.str() << "\n";
 
   std::cout << "Product implications (the paper's §6 reading):\n";
-  std::cout << "  * recommend domestic users/content in inward-looking markets\n"
-               "    (Brazil, India, Indonesia), foreign content in outward ones\n"
-               "    (United Kingdom, Canada, Germany);\n";
-  std::cout << "  * friends cluster within ~"
-            << core::fmt_double(med(miles.friends), 0)
-            << " miles — content caches close to users capture most social\n"
-               "    traffic, but outward-looking countries still need long-haul\n"
-               "    delivery into the US.\n";
+  std::cout
+      << "  * recommend domestic users/content in inward-looking markets\n"
+         "    (Brazil, India, Indonesia), foreign content in outward ones\n"
+         "    (United Kingdom, Canada, Germany);\n";
+  std::cout
+      << "  * friends cluster within ~"
+      << core::fmt_double(med(miles.friends), 0)
+      << " miles — content caches close to users capture most social\n"
+         "    traffic, but outward-looking countries still need long-haul\n"
+         "    delivery into the US.\n";
   return 0;
 }

@@ -18,8 +18,10 @@
 int main(int argc, char** argv) {
   using namespace gplus;
 
-  const std::size_t nodes = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 100'000;
-  const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 42;
+  const std::size_t nodes =
+      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 100'000;
+  const std::uint64_t seed =
+      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 42;
 
   std::cout << "Generating a Google+-like network with " << nodes
             << " users (seed " << seed << ")...\n";
@@ -61,7 +63,8 @@ int main(int argc, char** argv) {
 
   const auto sccs = algo::strongly_connected_components(g);
   std::cout << "SCCs: " << sccs.component_count()
-            << ", giant: " << sccs.giant_fraction() << " of nodes (paper: 0.72)\n";
+            << ", giant: " << sccs.giant_fraction()
+            << " of nodes (paper: 0.72)\n";
 
   algo::PathLengthOptions opt;
   opt.initial_sources = 50;
@@ -70,7 +73,8 @@ int main(int argc, char** argv) {
   opt.undirected = true;
   const auto undirected = algo::estimate_path_lengths(g, opt, rng);
   std::cout << "directed paths: mean " << directed.mean << ", mode "
-            << directed.mode << ", diameter >= " << directed.diameter_lower_bound
+            << directed.mode
+            << ", diameter >= " << directed.diameter_lower_bound
             << "  (paper: 5.9 / 6 / 19)\n";
   std::cout << "undirected paths: mean " << undirected.mean << ", mode "
             << undirected.mode << ", diameter >= "
